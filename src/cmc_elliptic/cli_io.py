@@ -17,7 +17,7 @@ import sys
 from . import acceptance, profiles
 from .elliptic_reduction import (discriminant_poly, reduce, reduction_report,
                                  singular_B)
-from .errors import AccuracyError, CmcError, UsageError
+from .errors import AccuracyError, CmcError, RangeError, UsageError
 from .profiles import CmcParams, Family
 from .weierstrass import WpEvaluator
 from .wp_chain import chain_config, polynomiality_probe
@@ -45,6 +45,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _json(report: dict) -> str:
+    """Indented JSON text; a non-finite float is a RangeError, never NaN."""
+    try:
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise RangeError("report holds a non-finite value") from None
+
+
 def _error_slug(exc: CmcError) -> str:
     name = type(exc).__name__
     if name.endswith("Error"):
@@ -67,10 +75,10 @@ def _cmd_profile(args) -> str:
     params = CmcParams(_family(args.family), args.H, args.B)
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
+    grid = [args.s_min + (args.s_max - args.s_min) * i / (args.samples - 1)
+            for i in range(args.samples)]
     lines = ["s,x,second,dx,dsecond"]
-    for i in range(args.samples):
-        s = args.s_min + (args.s_max - args.s_min) * i / (args.samples - 1)
-        pt = profiles.profile_point(params, s)
+    for pt in profiles.profile_points(params, grid):
         lines.append(",".join(_fmt(v) for v in
                               (pt.s, pt.x, pt.second, pt.dx, pt.dsecond)))
     return "\n".join(lines) + "\n"
@@ -91,7 +99,7 @@ def _cmd_surface(args) -> str:
 def _cmd_reduce(args) -> str:
     _require_format(args, "json")
     data = reduce(_family(args.family), args.B)
-    return json.dumps(reduction_report(data), indent=2) + "\n"
+    return _json(reduction_report(data))
 
 
 def _cmd_roots(args) -> str:
@@ -104,7 +112,7 @@ def _cmd_roots(args) -> str:
         "roots": roots,
         "residuals": [float(num(r)) for r in roots],
     }
-    return json.dumps(report, indent=2) + "\n"
+    return _json(report)
 
 
 def _cmd_wp_check(args) -> str:
@@ -143,7 +151,7 @@ def _cmd_wp_check(args) -> str:
         "tol": args.tol,
         "ok": ok,
     }
-    return json.dumps(report, indent=2) + "\n"
+    return _json(report)
 
 
 def _cmd_chain(args) -> str:
@@ -151,10 +159,12 @@ def _cmd_chain(args) -> str:
     fam = _family(args.family)
     cfg = chain_config(reduce(fam, args.B), args.H)
     report = polynomiality_probe(cfg, args.upto_k)
-    return json.dumps(report, indent=2) + "\n"
+    return _json(report)
 
 
 def _cmd_verify(args) -> tuple[str, int]:
+    if args.format is not None:
+        raise UsageError("command 'verify' prints text and takes no --format")
     results = acceptance.run_all()
     text = acceptance.format_results(results) + "\n"
     status = 0 if all(r.passed for r in results) else 1

@@ -24,12 +24,13 @@ variant is the one ruling existence of the Weierstrass function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ._ratpoly import (Poly, count_positive_roots, isolate_positive_roots,
                        real_cbrt, refine_root)
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .profiles import Family
 
 
@@ -76,14 +77,21 @@ def _shift_and_depress(family: Family, B):
 
 def reduce(family: Family, B: float) -> ReductionData:
     """Reduction data at one parameter value (float arithmetic)."""
-    if B <= 0:
+    if not (B > 0 and math.isfinite(B)):
         raise DomainError(
-            f"B must be positive (the shift constant has B in its denominator), got {B!r}")
-    c, l, m, n = _shift_and_depress(family, float(B))
-    lam = real_cbrt(4.0 / n)
-    g2 = -m * lam
-    g3 = -l
-    disc = g2 ** 3 - 27.0 * g3 ** 2
+            "B must be positive and finite (the shift constant has B in its "
+            f"denominator), got {B!r}")
+    try:
+        c, l, m, n = _shift_and_depress(family, float(B))
+        lam = real_cbrt(4.0 / n)
+        g2 = -m * lam
+        g3 = -l
+        disc = g2 ** 3 - 27.0 * g3 ** 2
+        finite = all(map(math.isfinite, (c, l, m, lam, g2, g3, disc)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise RangeError(f"reduction data at B={B!r} overflow the float range")
     return ReductionData(family=family, B=float(B), c_shift=c, l=l, m=m, n=n,
                          lam=lam, g2=g2, g3=g3, disc=disc)
 

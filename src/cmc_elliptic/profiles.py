@@ -21,6 +21,7 @@ s = edge +/- sigma^2, which makes the integrand smooth.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,7 +29,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import AccuracyError, DomainError, EmptyDomainError, UnsupportedCaseError
+from .errors import (AccuracyError, DomainError, EmptyDomainError, RangeError,
+                     UnsupportedCaseError)
 
 
 class Family(enum.Enum):
@@ -46,10 +48,10 @@ class CmcParams:
     B: float
 
     def __post_init__(self):
-        if not (self.H > 0):
-            raise DomainError(f"H must be positive, got {self.H!r}")
-        if not (self.B >= 0):
-            raise DomainError(f"B must be non-negative, got {self.B!r}")
+        if not (self.H > 0 and math.isfinite(self.H)):
+            raise DomainError(f"H must be positive and finite, got {self.H!r}")
+        if not (self.B >= 0 and math.isfinite(self.B)):
+            raise DomainError(f"B must be non-negative and finite, got {self.B!r}")
 
 
 @dataclass(frozen=True)
@@ -113,15 +115,15 @@ def domain(params: CmcParams) -> SInterval:
     return SInterval(s_min, math.inf)
 
 
-def _require_in_domain(params: CmcParams, s: float) -> SInterval:
+def _require_in_domain(params: CmcParams, s_grid: Sequence[float]) -> None:
     dom = domain(params)
     if dom.degenerate:
         raise DomainError(
             f"domain of {params.family.value} B={params.B} degenerates to a point")
-    if not dom.contains(s):
-        raise DomainError(
-            f"s={s!r} outside open domain ({dom.lo!r}, {dom.hi!r})")
-    return dom
+    for s in s_grid:
+        if not dom.contains(s):
+            raise DomainError(
+                f"s={s!r} outside open domain ({dom.lo!r}, {dom.hi!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -140,36 +142,55 @@ def _radicand(params: CmcParams, s: float) -> float:
 def _closed_pieces(params: CmcParams, s: float):
     """Radius coordinate, its two derivatives, and the axis derivatives.
 
-    Returns (radius, d(radius), dd(radius), d(axis), dd(axis)).
+    Returns (radius, d(radius), dd(radius), d(axis), dd(axis)). Raises
+    RangeError where sinh/cosh or sin overflows; past that a piece may
+    still come out inf or nan, so callers check the ones they use with
+    ``_finite``.
     """
     H, B = params.H, params.B
-    R = _radicand(params, s)
-    if R <= 0:
-        raise DomainError(f"radicand non-positive at s={s!r}")
-    sq = math.sqrt(R)
-    R32 = R * sq
-    if params.family is Family.EUCLIDEAN:
-        sn, cs = math.sin(2 * H * s), math.cos(2 * H * s)
-        radius = sq / (2 * H)
-        drad = B * cs / sq
-        ddrad = -2 * B * H * (1 + B * sn) * (B + sn) / R32
-        dax = (1 + B * sn) / sq
-        ddax = 2 * B * B * H * cs * (B + sn) / R32
-    elif params.family is Family.LORENTZ_SPACELIKE_AXIS:
-        sh, ch = math.sinh(2 * H * s), math.cosh(2 * H * s)
-        radius = sq / (2 * H)
-        drad = -B * sh / sq
-        ddrad = -2 * B * H * (ch - B) * (1 - B * ch) / R32
-        dax = (B * ch - 1) / sq
-        ddax = 2 * B * B * H * sh * (B - ch) / R32
-    else:
-        sh, ch = math.sinh(2 * H * s), math.cosh(2 * H * s)
-        radius = sq / (2 * H)
-        drad = B * ch / sq
-        ddrad = 2 * B * H * (B + sh) * (B * sh - 1) / R32
-        dax = (B * sh - 1) / sq
-        ddax = 2 * B * B * H * ch * (B + sh) / R32
+    try:
+        R = _radicand(params, s)
+        if R <= 0:
+            raise DomainError(f"radicand non-positive at s={s!r}")
+        sq = math.sqrt(R)
+        R32 = R * sq
+        if params.family is Family.EUCLIDEAN:
+            sn, cs = math.sin(2 * H * s), math.cos(2 * H * s)
+            radius = sq / (2 * H)
+            drad = B * cs / sq
+            ddrad = -2 * B * H * (1 + B * sn) * (B + sn) / R32
+            dax = (1 + B * sn) / sq
+            ddax = 2 * B * B * H * cs * (B + sn) / R32
+        elif params.family is Family.LORENTZ_SPACELIKE_AXIS:
+            sh, ch = math.sinh(2 * H * s), math.cosh(2 * H * s)
+            radius = sq / (2 * H)
+            drad = -B * sh / sq
+            ddrad = -2 * B * H * (ch - B) * (1 - B * ch) / R32
+            dax = (B * ch - 1) / sq
+            ddax = 2 * B * B * H * sh * (B - ch) / R32
+        else:
+            sh, ch = math.sinh(2 * H * s), math.cosh(2 * H * s)
+            radius = sq / (2 * H)
+            drad = B * ch / sq
+            ddrad = 2 * B * H * (B + sh) * (B * sh - 1) / R32
+            dax = (B * sh - 1) / sq
+            ddax = 2 * B * B * H * ch * (B + sh) / R32
+    except (OverflowError, ValueError):  # sinh/cosh overflow, sin(inf)
+        raise _overflow(params, s) from None
     return radius, drad, ddrad, dax, ddax
+
+
+def _overflow(params: CmcParams, s: float) -> RangeError:
+    return RangeError(
+        f"profile of {params.family.value} H={params.H!r} B={params.B!r} "
+        f"overflows the float range at s={s!r}")
+
+
+def _finite(params: CmcParams, s: float, values: tuple) -> tuple:
+    """values, or RangeError if any of them left the float range."""
+    if not all(map(math.isfinite, values)):
+        raise _overflow(params, s)
+    return values
 
 
 def _axis_derivative(params: CmcParams, s: float) -> float:
@@ -187,26 +208,33 @@ def _axis_derivative(params: CmcParams, s: float) -> float:
 # Quadrature
 
 
-def _quad(f: Callable[[float], float], a: float, b: float) -> float:
+def _gate(val: float) -> float:
+    """Largest quadrature error estimate accepted for an integral of val."""
+    return max(1e-9 * abs(val), 1e-10)
+
+
+def _quad(f: Callable[[float], float], a: float,
+          b: float) -> tuple[float, float]:
+    """Integral of f from a to b and its error estimate."""
     if a == b:
-        return 0.0
+        return 0.0, 0.0
     val, err = quad(f, a, b, epsabs=1e-13, epsrel=1e-11, limit=200)
-    if err > max(1e-9 * abs(val), 1e-10):
+    if err > _gate(val):
         val, err = quad(f, a, b, epsabs=1e-13, epsrel=1e-11, limit=800)
-        if err > max(1e-9 * abs(val), 1e-10):
+        if err > _gate(val):
             raise AccuracyError(
                 f"quadrature error estimate {err:.3e} over [{a!r}, {b!r}]",
                 achieved=err)
-    return val
+    return val, err
 
 
 def _integral_from_edge(params: CmcParams, edge: float, sign: int,
-                        a: float, b: float) -> float:
-    """Integral of the axis derivative over [a, b] via s = edge + sign*sigma^2.
+                        a: float, b: float) -> tuple[float, float]:
+    """Integral of the axis derivative from a to b via s = edge + sign*sigma^2.
 
     Both a and b must lie on the sign side of the edge; the substituted
     integrand 2*sigma*f(edge + sign*sigma^2) stays smooth as the radicand's
-    simple zero at the edge is approached.
+    simple zero at the edge is approached. Returns (value, error estimate).
     """
     sa = math.sqrt(sign * (a - edge))
     sb = math.sqrt(sign * (b - edge))
@@ -214,7 +242,8 @@ def _integral_from_edge(params: CmcParams, edge: float, sign: int,
     def g(sigma: float) -> float:
         return 2.0 * sigma * _axis_derivative(params, edge + sign * sigma * sigma)
 
-    return sign * _quad(g, sa, sb)
+    val, err = _quad(g, sa, sb)
+    return sign * val, err
 
 
 def anchor(params: CmcParams, edge_offset: float | None = None) -> float:
@@ -235,66 +264,152 @@ def anchor(params: CmcParams, edge_offset: float | None = None) -> float:
     return dom.lo + delta
 
 
-def _axis_integral(params: CmcParams, s: float,
-                   edge_offset: float | None) -> float:
+@functools.lru_cache(maxsize=64)
+def _euclidean_period(H: float, B: float) -> tuple[float, float]:
+    """Axis advance over one period pi/H of the Euclidean rate (B != 1)."""
+    params = CmcParams(Family.EUCLIDEAN, H, B)
+    return _quad(lambda t: _axis_derivative(params, t), 0.0, math.pi / H)
+
+
+def _split_step(params: CmcParams, a: float, m: float,
+                b: float) -> tuple[float, float]:
+    val_a, err_a = _axis_step(params, a, m)
+    val_b, err_b = _axis_step(params, m, b)
+    return val_a + val_b, err_a + err_b
+
+
+def _axis_step(params: CmcParams, a: float, b: float) -> tuple[float, float]:
+    """Integral of the axis derivative from a to b (either order), with error.
+
+    Each family keeps the substitution that makes its integrand smooth:
+    timelike axis, s = edge + sigma^2 at the left edge; spacelike axis, the
+    rate is even, so each side of 0 folds onto [0, s_max) against the right
+    edge; Euclidean B = 1, each side of the equator pi/(4H) against its own
+    edge. Off B = 1 the Euclidean rate has period pi/H, so whole periods
+    come from the cached one-period integral.
+    """
     H, B = params.H, params.B
     fam = params.family
     if fam is Family.LORENTZ_TIMELIKE_AXIS:
-        a = anchor(params, edge_offset)
-        edge = domain(params).lo
-        return _integral_from_edge(params, edge, +1, a, s)
+        return _integral_from_edge(params, domain(params).lo, +1, a, b)
     if fam is Family.LORENTZ_SPACELIKE_AXIS:
-        if B == 0.0:
-            return -s
-        # x is odd in s; integrate on [0, |s|] against the nearer (right) edge.
-        s_max = domain(params).hi
-        val = _integral_from_edge(params, s_max, -1, 0.0, abs(s))
-        return val if s >= 0 else -val
+        if a * b < 0:
+            return _split_step(params, a, 0.0, b)
+        val, err = _integral_from_edge(params, domain(params).hi, -1,
+                                       abs(a), abs(b))
+        return (val if a + b >= 0 else -val), err
     if B == 1.0:
-        lo, hi = domain(params).lo, domain(params).hi
         mid = math.pi / (4 * H)
-        if s <= mid:
-            return _integral_from_edge(params, lo, +1, 0.0, s)
-        left = _integral_from_edge(params, lo, +1, 0.0, mid)
-        return left + _integral_from_edge(params, hi, -1, mid, s)
-    return _quad(lambda t: _axis_derivative(params, t), 0.0, s)
+        if (a - mid) * (b - mid) < 0:
+            return _split_step(params, a, mid, b)
+        dom = domain(params)
+        if max(a, b) <= mid:
+            return _integral_from_edge(params, dom.lo, +1, a, b)
+        return _integral_from_edge(params, dom.hi, -1, a, b)
+    k = math.trunc((b - a) * H / math.pi)
+    val, err = _quad(lambda t: _axis_derivative(params, t),
+                     a, b - k * math.pi / H)
+    if k:
+        period, period_err = _euclidean_period(H, B)
+        val, err = k * period + val, abs(k) * period_err + err
+    return val, err
+
+
+def _axis_values(params: CmcParams, s_grid: Sequence[float],
+                 edge_offset: float | None) -> list[float]:
+    """Axis coordinate at every sample of s_grid, one integral per step.
+
+    The first sample is integrated from the anchor, each later one adds the
+    integral from its predecessor, so a monotone grid (ascending or
+    descending) costs one short integral per sample. The summed error
+    estimates of the steps behind a sample must pass the gate of a single
+    quadrature of the largest axis value reached so far: a sample where
+    the axis comes back near 0 still carries the error of the path there.
+    """
+    if params.family is Family.LORENTZ_SPACELIKE_AXIS and params.B == 0.0:
+        return [-s for s in s_grid]  # the profile is the line x = -s
+    values = []
+    axis = err = scale = 0.0
+    prev = anchor(params, edge_offset)
+    for s in s_grid:
+        step, step_err = _axis_step(params, prev, s)
+        axis += step
+        err += step_err
+        scale = max(scale, abs(axis))
+        if err > _gate(scale):
+            raise AccuracyError(
+                f"summed quadrature error estimate {err:.3e} at s={s!r}",
+                achieved=err)
+        values.append(axis)
+        prev = s
+    return values
 
 
 # ---------------------------------------------------------------------------
 # Public profile operations
 
 
-def profile_point(params: CmcParams, s: float,
-                  edge_offset: float | None = None) -> CurveSample:
-    """Profile sample at arc length s (closed derivatives, quadrature axis).
+def profile_points(params: CmcParams, s_grid: Sequence[float],
+                   edge_offset: float | None = None) -> list[CurveSample]:
+    """Profile samples along a grid of arc lengths, in grid order.
 
-    For the timelike-axis family the axis coordinate is anchored at
-    s_ref = 0 when B > 1, else at the domain edge plus ``edge_offset``
-    (default 1e-6/H); the profile is defined up to axis translation.
+    Closed-form derivatives at every sample; the axis coordinate is
+    accumulated along the grid (see ``_axis_values``). For the
+    timelike-axis family the axis coordinate is anchored at s_ref = 0 when
+    B > 1, else at the domain edge plus ``edge_offset`` (default 1e-6/H);
+    the profile is defined up to axis translation.
     """
-    _require_in_domain(params, s)
-    radius, drad, ddrad, dax, ddax = _closed_pieces(params, s)
-    axis = _axis_integral(params, s, edge_offset)
+    grid = [float(s) for s in s_grid]
+    _require_in_domain(params, grid)
+    pieces = []
+    for s in grid:
+        radius, drad, _, dax, _ = _closed_pieces(params, s)
+        pieces.append(_finite(params, s, (radius, drad, dax)))
+    axes = _axis_values(params, grid, edge_offset)
     if params.family is Family.LORENTZ_TIMELIKE_AXIS:
         # Profile is (x, z) = (radius, axis).
-        return CurveSample(s=s, x=radius, second=axis, dx=drad, dsecond=dax)
-    return CurveSample(s=s, x=axis, second=radius, dx=dax, dsecond=drad)
+        return [CurveSample(s=s, x=radius, second=axis, dx=drad, dsecond=dax)
+                for s, (radius, drad, dax), axis in zip(grid, pieces, axes)]
+    return [CurveSample(s=s, x=axis, second=radius, dx=dax, dsecond=drad)
+            for s, (radius, drad, dax), axis in zip(grid, pieces, axes)]
+
+
+def profile_point(params: CmcParams, s: float,
+                  edge_offset: float | None = None) -> CurveSample:
+    """Profile sample at arc length s: the one-sample ``profile_points``."""
+    return profile_points(params, [s], edge_offset)[0]
 
 
 def surface_point(params: CmcParams, s: float, theta: float,
                   edge_offset: float | None = None) -> tuple[float, float, float]:
     """The rotation-orbit map applied to the profile point."""
     cs = profile_point(params, s, edge_offset)
-    return _orbit(params, cs, theta)
+    return _orbit(params, cs, [_rotation(params, theta)])[0]
+
+
+def _rotation(params: CmcParams, theta: float) -> tuple[float, float]:
+    """(cos, sin) of a circular angle, (sinh, cosh) of the hyperbolic one."""
+    if params.family is Family.LORENTZ_SPACELIKE_AXIS:
+        try:
+            ch = math.cosh(theta)
+        except OverflowError:
+            ch = math.inf
+        if not math.isfinite(ch):
+            raise RangeError(
+                f"hyperbolic angle {theta!r} overflows the float range")
+        return math.sinh(theta), ch
+    return math.cos(theta), math.sin(theta)
 
 
 def _orbit(params: CmcParams, cs: CurveSample,
-           theta: float) -> tuple[float, float, float]:
-    if params.family is Family.EUCLIDEAN:
-        return (cs.x, cs.second * math.cos(theta), cs.second * math.sin(theta))
-    if params.family is Family.LORENTZ_SPACELIKE_AXIS:
-        return (cs.x, cs.second * math.sinh(theta), cs.second * math.cosh(theta))
-    return (cs.x * math.cos(theta), cs.x * math.sin(theta), cs.second)
+           rotations: Sequence[tuple[float, float]]
+           ) -> list[tuple[float, float, float]]:
+    """The profile point's orbit at each precomputed ``_rotation``."""
+    if params.family is Family.LORENTZ_TIMELIKE_AXIS:
+        r, z = cs.x, cs.second
+        return [(r * c, r * sn, z) for c, sn in rotations]
+    x, r = cs.x, cs.second
+    return [(x, r * c, r * sn) for c, sn in rotations]
 
 
 def mean_curvature(params: CmcParams, s: float) -> float:
@@ -304,8 +419,9 @@ def mean_curvature(params: CmcParams, s: float) -> float:
     (no finite differences); orientation is fixed so the cylinder case
     returns +H, and by continuity every profile of the family returns +H.
     """
-    _require_in_domain(params, s)
-    radius, drad, ddrad, dax, ddax = _closed_pieces(params, s)
+    _require_in_domain(params, [s])
+    radius, drad, ddrad, dax, ddax = _finite(params, s,
+                                             _closed_pieces(params, s))
     if params.family is Family.EUCLIDEAN:
         # (1/2) [x'/y + x'' y' - x' y'']
         return 0.5 * (dax / radius + ddax * drad - dax * ddrad)
@@ -385,11 +501,10 @@ def mesh(params: CmcParams, s_range: tuple[float, float], n_s: int,
         theta_samples = np.linspace(-angle_range, angle_range, n_theta)
     else:
         theta_samples = np.linspace(0.0, 2 * math.pi, n_theta)
+    rotations = [_rotation(params, float(t)) for t in theta_samples]
     vertices: list[tuple[float, float, float]] = []
-    for s in s_samples:
-        cs = profile_point(params, float(s), edge_offset)
-        for theta in theta_samples:
-            vertices.append(_orbit(params, cs, float(theta)))
+    for cs in profile_points(params, s_samples, edge_offset):
+        vertices += _orbit(params, cs, rotations)
     faces: list[tuple[int, int, int]] = []
     for i in range(n_s - 1):
         for j in range(n_theta - 1):

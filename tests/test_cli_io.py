@@ -8,7 +8,8 @@ import json
 
 import pytest
 
-from cmc_elliptic.cli_io import main
+from cmc_elliptic.cli_io import _json, main
+from cmc_elliptic.errors import RangeError
 
 
 def run(capsys, *argv):
@@ -53,6 +54,49 @@ class TestExitCodes:
         rc, _, err = run(capsys, "reduce", "--family", "timelike", "--B", "0")
         assert rc == 1
         assert "domain" in json.loads(err)["error"]
+
+    def test_hyperbolic_overflow_exits_one_with_range_error(self, capsys):
+        rc, out, err = run(capsys, "profile", "--family", "timelike-axis",
+                           "--H", "1", "--B", "2", "--s-min", "0",
+                           "--s-max", "400")
+        assert rc == 1 and out == ""
+        assert json.loads(err)["error"] == "range"
+
+    @pytest.mark.parametrize("angle", ["1000", "inf"])
+    def test_hyperbolic_angle_overflow_exits_one(self, capsys, angle):
+        rc, out, err = run(capsys, "surface", "--family", "spacelike",
+                           "--B", "2", "--s-min", "-0.1", "--s-max", "0.1",
+                           "--angle-range", angle)
+        assert rc == 1 and out == ""
+        assert json.loads(err)["error"] == "range"
+
+    def test_infinite_h_exits_one(self, capsys):
+        rc, _, err = run(capsys, "profile", "--family", "euclid",
+                         "--H", "inf")
+        assert rc == 1
+        assert json.loads(err)["error"] == "domain"
+
+    def test_reduce_rejects_nan_b(self, capsys):
+        rc, out, err = run(capsys, "reduce", "--family", "timelike",
+                           "--B", "nan")
+        assert rc == 1 and out == ""
+        assert json.loads(err)["error"] == "domain"
+
+    def test_reduce_overflow_exits_one_with_range_error(self, capsys):
+        rc, out, err = run(capsys, "reduce", "--family", "timelike",
+                           "--B", "1e-300")
+        assert rc == 1 and out == ""
+        assert json.loads(err)["error"] == "range"
+
+    def test_non_finite_report_is_a_range_error(self):
+        with pytest.raises(RangeError):
+            _json({"g2": float("nan")})
+
+    @pytest.mark.parametrize("fmt", ["csv", "obj", "json"])
+    def test_verify_rejects_any_format(self, capsys, fmt):
+        rc, out, err = run(capsys, "verify", "--format", fmt)
+        assert rc == 2 and out == ""
+        assert "format" in err
 
     def test_success_exits_zero(self, capsys):
         rc, out, _ = run(capsys, "reduce", "--family", "euclid", "--B", "2")

@@ -19,7 +19,7 @@ from cmc_elliptic.elliptic_reduction import (
     shifted_cubic_identity,
     singular_B,
 )
-from cmc_elliptic.errors import DomainError
+from cmc_elliptic.errors import DomainError, RangeError
 from cmc_elliptic.profiles import Family
 
 F = Fraction
@@ -77,6 +77,17 @@ class TestReduce:
     def test_b_zero_rejected(self):
         with pytest.raises(DomainError):
             reduce(Family.LORENTZ_TIMELIKE_AXIS, 0.0)
+
+    @pytest.mark.parametrize("B", [math.nan, math.inf])
+    def test_non_finite_b_rejected(self, B):
+        with pytest.raises(DomainError):
+            reduce(Family.LORENTZ_TIMELIKE_AXIS, B)
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("B", [1e-300, 1e300])
+    def test_overflow_is_a_range_error(self, family, B):
+        with pytest.raises(RangeError):
+            reduce(family, B)
 
     def test_report_shape(self):
         rep = reduction_report(reduce(Family.LORENTZ_TIMELIKE_AXIS, 1.0))

@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from cmc_elliptic.errors import DomainError, EmptyDomainError, UnsupportedCaseError
+from cmc_elliptic.errors import (DomainError, EmptyDomainError, RangeError,
+                                 UnsupportedCaseError)
 from cmc_elliptic.profiles import (
     CmcParams,
     Family,
@@ -73,6 +74,12 @@ class TestDomain:
         with pytest.raises(DomainError):
             CmcParams(Family.EUCLIDEAN, 1.0, -0.1)
 
+    @pytest.mark.parametrize("H,B", [(math.inf, 1.0), (math.nan, 1.0),
+                                     (1.0, math.inf), (1.0, math.nan)])
+    def test_params_must_be_finite(self, H, B):
+        with pytest.raises(DomainError):
+            CmcParams(Family.EUCLIDEAN, H, B)
+
 
 class TestProfilePoint:
     def test_spacelike_b_zero_line(self):
@@ -106,6 +113,21 @@ class TestProfilePoint:
         params = CmcParams(Family.LORENTZ_SPACELIKE_AXIS, 0.5, 2.0)
         with pytest.raises(DomainError):
             profile_point(params, domain(params).hi + 0.1)
+
+    @pytest.mark.parametrize("family,s", [
+        (Family.LORENTZ_TIMELIKE_AXIS, 400.0),
+        (Family.EUCLIDEAN, 1e308),
+    ])
+    def test_float_overflow_is_a_range_error(self, family, s):
+        with pytest.raises(RangeError):
+            profile_point(CmcParams(family, 1.0, 2.0), s)
+
+    def test_mean_curvature_needs_finite_second_derivatives(self):
+        # At s = 200 the profile is representable (see test_axis.py) but
+        # the second derivatives overflow.
+        params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 1.0, 2.0)
+        with pytest.raises(RangeError):
+            mean_curvature(params, 200.0)
 
     def test_radius_positive_inside_domain(self):
         for family, B in [(Family.LORENTZ_SPACELIKE_AXIS, 0.7),
