@@ -240,9 +240,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out}: {exc.strerror}") from None
 
 
 def main(argv=None) -> int:
@@ -250,6 +253,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.func(args)
+        text, status = result if isinstance(result, tuple) else (result, 0)
+        _emit(text, args.out)
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
@@ -259,11 +264,6 @@ def main(argv=None) -> int:
             payload["achieved"] = exc.achieved
         print(json.dumps(payload), file=sys.stderr)
         return 1
-    if isinstance(result, tuple):
-        text, status = result
-    else:
-        text, status = result, 0
-    _emit(text, args.out)
     return status
 
 

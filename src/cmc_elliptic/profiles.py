@@ -11,25 +11,22 @@ fixed mean curvature H > 0:
   timelike z-axis, orbit (x cos(theta), x sin(theta), z).
 
 In every family the radius coordinate is an explicit square root of a
-trigonometric/hyperbolic expression in s and the axis coordinate is the
-integral of a closed-form derivative; first and second derivatives are
-analytic throughout.  The square-root factor vanishes at the domain edges,
-so axis integrals near a finite edge are computed under the substitution
-s = edge +/- sigma^2, which makes the integrand smooth.
+trigonometric/hyperbolic expression in s, and the axis coordinate is a sum
+of incomplete elliptic integrals, evaluated in Carlson's symmetric form
+(``_carlson``); first and second derivatives are analytic throughout.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import (AccuracyError, DomainError, EmptyDomainError, RangeError,
+from ._carlson import rd, rf
+from .errors import (DomainError, EmptyDomainError, RangeError,
                      UnsupportedCaseError)
 
 
@@ -193,64 +190,11 @@ def _finite(params: CmcParams, s: float, values: tuple) -> tuple:
     return values
 
 
-def _axis_derivative(params: CmcParams, s: float) -> float:
-    H, B = params.H, params.B
-    R = _radicand(params, s)
-    sq = math.sqrt(R)
-    if params.family is Family.EUCLIDEAN:
-        return (1 + B * math.sin(2 * H * s)) / sq
-    if params.family is Family.LORENTZ_SPACELIKE_AXIS:
-        return (B * math.cosh(2 * H * s) - 1) / sq
-    return (B * math.sinh(2 * H * s) - 1) / sq
-
-
-# ---------------------------------------------------------------------------
-# Quadrature
-
-
-def _gate(val: float) -> float:
-    """Largest quadrature error estimate accepted for an integral of val."""
-    return max(1e-9 * abs(val), 1e-10)
-
-
-def _quad(f: Callable[[float], float], a: float,
-          b: float) -> tuple[float, float]:
-    """Integral of f from a to b and its error estimate."""
-    if a == b:
-        return 0.0, 0.0
-    val, err = quad(f, a, b, epsabs=1e-13, epsrel=1e-11, limit=200)
-    if err > _gate(val):
-        val, err = quad(f, a, b, epsabs=1e-13, epsrel=1e-11, limit=800)
-        if err > _gate(val):
-            raise AccuracyError(
-                f"quadrature error estimate {err:.3e} over [{a!r}, {b!r}]",
-                achieved=err)
-    return val, err
-
-
-def _integral_from_edge(params: CmcParams, edge: float, sign: int,
-                        a: float, b: float) -> tuple[float, float]:
-    """Integral of the axis derivative from a to b via s = edge + sign*sigma^2.
-
-    Both a and b must lie on the sign side of the edge; the substituted
-    integrand 2*sigma*f(edge + sign*sigma^2) stays smooth as the radicand's
-    simple zero at the edge is approached. Returns (value, error estimate).
-    """
-    sa = math.sqrt(sign * (a - edge))
-    sb = math.sqrt(sign * (b - edge))
-
-    def g(sigma: float) -> float:
-        return 2.0 * sigma * _axis_derivative(params, edge + sign * sigma * sigma)
-
-    val, err = _quad(g, sa, sb)
-    return sign * val, err
-
-
 def anchor(params: CmcParams, edge_offset: float | None = None) -> float:
-    """Base point of the axis integral (0 whenever 0 is in the open domain).
+    """Base point of the axis coordinate (0 whenever 0 is in the open domain).
 
     Only the timelike-axis family with B <= 1 needs a shifted base point:
-    there the domain edge sits at s >= 0 and the integral is anchored at
+    there the domain edge sits at s >= 0 and the axis coordinate vanishes at
     edge + edge_offset (default 1e-6/H). Profiles are defined up to a
     translation along the axis, so the anchor is a pure convention shared
     with the Weierstrass-path reconstruction.
@@ -264,84 +208,107 @@ def anchor(params: CmcParams, edge_offset: float | None = None) -> float:
     return dom.lo + delta
 
 
-@functools.lru_cache(maxsize=64)
-def _euclidean_period(H: float, B: float) -> tuple[float, float]:
-    """Axis advance over one period pi/H of the Euclidean rate (B != 1)."""
-    params = CmcParams(Family.EUCLIDEAN, H, B)
-    return _quad(lambda t: _axis_derivative(params, t), 0.0, math.pi / H)
+# ---------------------------------------------------------------------------
+# Axis coordinate: incomplete elliptic integrals in Carlson's form
 
 
-def _split_step(params: CmcParams, a: float, m: float,
-                b: float) -> tuple[float, float]:
-    val_a, err_a = _axis_step(params, a, m)
-    val_b, err_b = _axis_step(params, m, b)
-    return val_a + val_b, err_a + err_b
+def _legendre(sn: float, c2: float, m: float,
+              m1: float) -> tuple[float, float]:
+    """F(phi|m) and D = F - E from sin(phi) and cos(phi)^2, |phi| <= pi/2.
 
-
-def _axis_step(params: CmcParams, a: float, b: float) -> tuple[float, float]:
-    """Integral of the axis derivative from a to b (either order), with error.
-
-    Each family keeps the substitution that makes its integrand smooth:
-    timelike axis, s = edge + sigma^2 at the left edge; spacelike axis, the
-    rate is even, so each side of 0 folds onto [0, s_max) against the right
-    edge; Euclidean B = 1, each side of the equator pi/(4H) against its own
-    edge. Off B = 1 the Euclidean rate has period pi/H, so whole periods
-    come from the cached one-period integral.
+    m1 = 1 - m comes separately so that it keeps its digits near m = 1.
     """
-    H, B = params.H, params.B
-    fam = params.family
-    if fam is Family.LORENTZ_TIMELIKE_AXIS:
-        return _integral_from_edge(params, domain(params).lo, +1, a, b)
-    if fam is Family.LORENTZ_SPACELIKE_AXIS:
-        if a * b < 0:
-            return _split_step(params, a, 0.0, b)
-        val, err = _integral_from_edge(params, domain(params).hi, -1,
-                                       abs(a), abs(b))
-        return (val if a + b >= 0 else -val), err
-    if B == 1.0:
-        mid = math.pi / (4 * H)
-        if (a - mid) * (b - mid) < 0:
-            return _split_step(params, a, mid, b)
-        dom = domain(params)
-        if max(a, b) <= mid:
-            return _integral_from_edge(params, dom.lo, +1, a, b)
-        return _integral_from_edge(params, dom.hi, -1, a, b)
-    k = math.trunc((b - a) * H / math.pi)
-    val, err = _quad(lambda t: _axis_derivative(params, t),
-                     a, b - k * math.pi / H)
-    if k:
-        period, period_err = _euclidean_period(H, B)
-        val, err = k * period + val, abs(k) * period_err + err
-    return val, err
+    d2 = c2 + m1 * sn * sn  # 1 - m sin^2(phi)
+    return sn * rf(c2, d2, 1.0), m / 3 * sn ** 3 * rd(c2, d2, 1.0)
 
 
-def _axis_values(params: CmcParams, s_grid: Sequence[float],
+def _euclidean_axis(H: float, B: float) -> Callable[[float], float]:
+    """x(s), x(0) = 0: Delaunay's unduloids and nodoids.
+
+    With theta = pi/4 - Hs and m = 4B/(1+B)^2 the rate is
+    [(1-B)/dn + (1+B) dn]/2, dn = sqrt(1 - m sin^2(theta)), so
+    x = [2 (F(pi/4) - F(theta)) - (1+B) (D(pi/4) - D(theta))]/(2H). A
+    half-turn of theta adds 2K to F and 2(K - E) to D; at B = 1, where K
+    is infinite, the domain keeps theta inside (-pi/2, pi/2).
+    """
+    m, m1 = 4 * B / (1 + B) ** 2, ((1 - B) / (1 + B)) ** 2
+    f0, d0 = _legendre(math.sqrt(0.5), 0.5, m, m1)
+    sphere = B == 1.0
+    if not sphere:
+        half_k, half_d = 2 * rf(0.0, m1, 1.0), 2 * m / 3 * rd(0.0, m1, 1.0)
+
+    def axis(s: float) -> float:
+        theta = math.pi / 4 - H * s
+        phi = theta if sphere else math.remainder(theta, math.pi)
+        f, d = _legendre(math.sin(phi), math.cos(phi) ** 2, m, m1)
+        turns = round((theta - phi) / math.pi)
+        if turns:
+            f, d = f + turns * half_k, d + turns * half_d
+        return (2 * (f0 - f) - (1 + B) * (d0 - d)) / (2 * H)
+
+    return axis
+
+
+def _spacelike_axis(H: float, B: float) -> Callable[[float], float]:
+    """x(s), x(0) = 0; B = 0 is the line x = -s.
+
+    With v = sinh(Hs) and n = 4B/(1-B)^2,
+    x = int_0^v (B - 1 + 2B t^2) dt / sqrt((1 - nt^2)(1 + t^2)) / (H|1-B|),
+    and the integrals of 1 and t^2 there are v R_F(1, 1 - nv^2, 1 + v^2)
+    and (v^3/3) R_D(1 - nv^2, 1 + v^2, 1).
+    """
+    if B == 0.0:
+        return lambda s: -s
+    n = 4 * B / (1 - B) ** 2
+
+    def axis(s: float) -> float:
+        v = math.sinh(H * s)
+        y, z = 1 - n * v * v, 1 + v * v
+        return ((B - 1) * v * rf(1.0, y, z)
+                + 2 * B * v / 3 * v * v * rd(y, z, 1.0)) / (H * abs(1 - B))
+
+    return axis
+
+
+def _timelike_axis(H: float, B: float, edge: float,
+                   start: float) -> Callable[[float], float]:
+    """z(s), z(start) = 0.
+
+    Under e^(Hs) = 1/(sqrt(B) cos(phi)), i.e. cos(phi) = e^(-H(s - edge)),
+    z = G(s) - G(start) with G = sqrt(1+B^2)/(2H)
+    [sqrt(1 - k^2 sin^2(phi)) tan(phi) - 2 E(phi|k^2)], k^2 = B^2/(1+B^2).
+    """
+    k2, k1 = B / (B + 1 / B), 1 / B / (B + 1 / B)  # k^2 and 1 - k^2
+    scale = math.hypot(1.0, B) / (2 * H)
+
+    def g(s: float) -> float:
+        d = H * (s - edge)
+        sec, c2, sn2 = math.exp(d), math.exp(-2 * d), -math.expm1(-2 * d)
+        sn = math.sqrt(sn2)
+        f, dd = _legendre(sn, c2, k2, k1)
+        return scale * (math.sqrt(c2 + k1 * sn2) * sn * sec - 2 * (f - dd))
+
+    g_start = g(start)
+    return lambda s: g(s) - g_start
+
+
+def _axis_values(params: CmcParams, grid: Sequence[float],
                  edge_offset: float | None) -> list[float]:
-    """Axis coordinate at every sample of s_grid, one integral per step.
-
-    The first sample is integrated from the anchor, each later one adds the
-    integral from its predecessor, so a monotone grid (ascending or
-    descending) costs one short integral per sample. The summed error
-    estimates of the steps behind a sample must pass the gate of a single
-    quadrature of the largest axis value reached so far: a sample where
-    the axis comes back near 0 still carries the error of the path there.
-    """
-    if params.family is Family.LORENTZ_SPACELIKE_AXIS and params.B == 0.0:
-        return [-s for s in s_grid]  # the profile is the line x = -s
+    """Axis coordinate at every sample of grid, vanishing at ``anchor``."""
+    H, B = params.H, params.B
+    if params.family is Family.EUCLIDEAN:
+        axis = _euclidean_axis(H, B)
+    elif params.family is Family.LORENTZ_SPACELIKE_AXIS:
+        axis = _spacelike_axis(H, B)
+    else:
+        axis = _timelike_axis(H, B, domain(params).lo,
+                              anchor(params, edge_offset))
     values = []
-    axis = err = scale = 0.0
-    prev = anchor(params, edge_offset)
-    for s in s_grid:
-        step, step_err = _axis_step(params, prev, s)
-        axis += step
-        err += step_err
-        scale = max(scale, abs(axis))
-        if err > _gate(scale):
-            raise AccuracyError(
-                f"summed quadrature error estimate {err:.3e} at s={s!r}",
-                achieved=err)
-        values.append(axis)
-        prev = s
+    for s in grid:
+        try:
+            values.append(_finite(params, s, (axis(s),))[0])
+        except OverflowError:  # exp past the float range
+            raise _overflow(params, s) from None
     return values
 
 
@@ -353,8 +320,7 @@ def profile_points(params: CmcParams, s_grid: Sequence[float],
                    edge_offset: float | None = None) -> list[CurveSample]:
     """Profile samples along a grid of arc lengths, in grid order.
 
-    Closed-form derivatives at every sample; the axis coordinate is
-    accumulated along the grid (see ``_axis_values``). For the
+    Closed forms at every sample, each computed on its own. For the
     timelike-axis family the axis coordinate is anchored at s_ref = 0 when
     B > 1, else at the domain edge plus ``edge_offset`` (default 1e-6/H);
     the profile is defined up to axis translation.
@@ -443,18 +409,6 @@ def maximal_profile(c: float, x: float) -> float:
     return c * math.cos(x / c)
 
 
-_EQUATOR_CACHE: dict[float, float] = {}
-
-
-def _sphere_center(H: float) -> float:
-    """x-offset of the Euclidean B=1 sphere: axis value at the equator."""
-    if H not in _EQUATOR_CACHE:
-        params = CmcParams(Family.EUCLIDEAN, H, 1.0)
-        s_eq = math.pi / (4 * H)
-        _EQUATOR_CACHE[H] = profile_point(params, s_eq).x
-    return _EQUATOR_CACHE[H]
-
-
 def implicit_residual(params: CmcParams, pt: Sequence[float]) -> float:
     """Residual of the algebraic special-case surface equation at a point.
 
@@ -471,7 +425,7 @@ def implicit_residual(params: CmcParams, pt: Sequence[float]) -> float:
         return abs(x1 * x1 + x2 * x2 - 1 / (4 * H * H))
     if B == 1.0:
         if params.family is Family.EUCLIDEAN:
-            x0 = _sphere_center(H)
+            x0 = math.sqrt(2) / (2 * H)  # axis value at the equator
             return abs((x1 - x0) ** 2 + x2 * x2 + x3 * x3 - 1 / (H * H))
         return abs(x1 * x1 + x2 * x2 - x3 * x3 + 1 / (H * H))
     raise UnsupportedCaseError(
@@ -498,6 +452,9 @@ def mesh(params: CmcParams, s_range: tuple[float, float], n_s: int,
         raise DomainError(f"s_range {s_range!r} not inside open domain")
     s_samples = np.linspace(lo, hi, n_s)
     if params.family is Family.LORENTZ_SPACELIKE_AXIS:
+        if not math.isfinite(angle_range):
+            raise RangeError(f"hyperbolic angle range {angle_range!r} "
+                             "is not finite")
         theta_samples = np.linspace(-angle_range, angle_range, n_theta)
     else:
         theta_samples = np.linspace(0.0, 2 * math.pi, n_theta)

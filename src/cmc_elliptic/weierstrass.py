@@ -1,11 +1,13 @@
 """Real-axis evaluation of the Weierstrass P-function and its companions.
 
 A :class:`WpEvaluator` is bound to one invariant pair (g2, g3) with nonzero
-discriminant. P and P' are computed from the truncated Laurent series inside
-a safe radius and extended by repeated argument duplication; the inverse is
-the decreasing elliptic integral from the argument to infinity, and the
-antiderivative is adaptive quadrature of P. Only real arguments on the
-branch P(z) >= e_max (e_max the largest real root of 4x^3 - g2*x - g3) are
+discriminant. P, P' and the Weierstrass zeta function are computed from
+their truncated Laurent series inside a safe radius and extended by
+repeated argument duplication. The inverse is the elliptic integral from
+the argument to infinity, R_F(w - e1, w - e2, w - e3) in Carlson's form
+(DLMF 19.29.i; e2, e3 a complex pair when the discriminant is negative),
+and the antiderivative of P is -zeta. Only real arguments on the branch
+P(z) >= e_max (e_max the largest real root of 4x^3 - g2*x - g3) are
 supported; that is the branch on which P takes real values on the real axis.
 """
 
@@ -13,8 +15,7 @@ from __future__ import annotations
 
 import math
 
-from scipy.integrate import quad
-
+from ._carlson import rf
 from ._ratpoly import real_cbrt
 from .errors import (AccuracyError, BranchError, DomainError, PoleError,
                      SingularError)
@@ -39,6 +40,14 @@ class WpEvaluator:
         self.laurent = self._laurent_coeffs()
         self.r0 = self._series_radius()
         self.e_max = self._largest_cubic_root()
+        # The other two roots, from the cubic deflated by e_max: their
+        # squared difference is g2 - 3 e_max^2.
+        e1, h = self.e_max, self.g2 - 3.0 * self.e_max ** 2
+        if h >= 0:
+            self._others = ((-e1 + math.sqrt(h)) / 2, (-e1 - math.sqrt(h)) / 2)
+        else:
+            e2 = complex(-e1 / 2, math.sqrt(-h) / 2)
+            self._others = (e2, e2.conjugate())
 
     # -- construction helpers ------------------------------------------------
 
@@ -90,21 +99,30 @@ class WpEvaluator:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _series(self, u: float) -> tuple[float, float]:
+    def _series(self, u: float) -> tuple[float, float, float]:
         v = u * u
         p_tail = 0.0
         dp_tail = 0.0
+        zeta_tail = 0.0
         for k in range(_N_LAURENT + 1, 1, -1):
             ck = self.laurent[k - 2]
             p_tail = p_tail * v + ck
             dp_tail = dp_tail * v + (2 * k - 2) * ck
+            zeta_tail = zeta_tail * v + ck / (2 * k - 1)
         # p = 1/v + v * p_tail_as_series: c_k v^(k-1) = v * (c_k v^(k-2))
         p = 1.0 / v + v * p_tail
         pp = -2.0 / (v * u) + u * dp_tail
-        return p, pp
+        # zeta = 1/u - sum c_k u^(2k-1) / (2k-1), the antiderivative of -P
+        zeta = 1.0 / u - v * u * zeta_tail
+        return p, pp, zeta
 
     def wp(self, z: float) -> tuple[float, float]:
         """(P(z), P'(z)) by Laurent series plus argument duplication."""
+        p, pp, _ = self._wp_zeta(z)
+        return p, pp
+
+    def _wp_zeta(self, z: float) -> tuple[float, float, float]:
+        """(P(z), P'(z), zeta(z)), duplicated together from the series."""
         if z == 0.0:
             raise PoleError("P has a pole at z=0")
         if not math.isfinite(z):
@@ -117,72 +135,50 @@ class WpEvaluator:
             if n_dup > _MAX_DUPLICATIONS:
                 raise AccuracyError(
                     f"|z|={abs(z)!r} needs more than {_MAX_DUPLICATIONS} duplications")
-        p, pp = self._series(zz)
+        p, pp, zeta = self._series(zz)
         for _ in range(n_dup):
             if abs(pp) < 1e-14:
                 raise BranchError(
                     "argument duplication hit a half-period (P' vanished)")
-            q = (6.0 * p * p - self.g2 / 2.0) / (2.0 * pp)
+            q = (6.0 * p * p - self.g2 / 2.0) / (2.0 * pp)  # P''/(2P')
             p, pp = -2.0 * p + q * q, -pp + 6.0 * p * q - 2.0 * q ** 3
-        return p, pp
+            zeta = 2.0 * zeta + q
+        return p, pp, zeta
 
     def wp_second(self, z: float) -> float:
         """P''(z) = 6 P(z)^2 - g2/2."""
         p, _ = self.wp(z)
         return 6.0 * p * p - self.g2 / 2.0
 
-    def _cubic(self, t: float) -> float:
-        return 4.0 * t ** 3 - self.g2 * t - self.g3
+    def _branch_integral(self, w: float) -> float:
+        """int_w^inf dt / sqrt(4t^3 - g2 t - g3) for w >= e_max."""
+        e2, e3 = self._others
+        return rf(w - self.e_max, w - e2, w - e3)
 
     def wp_inverse(self, w: float) -> float:
-        """The positive z with P(z) = w, via the integral of 1/sqrt(cubic).
-
-        Integrates from w to infinity: substitution t = w + tau^2 removes the
-        square-root endpoint behavior, and sigma = t^(-1/2) maps the tail to
-        a finite smooth integral.
-        """
+        """The positive z with P(z) = w: R_F(w - e1, w - e2, w - e3)."""
         if not math.isfinite(w):
             raise DomainError(f"w must be finite, got {w!r}")
         if w < self.e_max - 1e-12 * max(1.0, abs(self.e_max)):
             raise BranchError(
                 f"w={w!r} below the real branch (e_max={self.e_max!r})")
-        w = max(w, self.e_max)
-        t_mid = max(1.0, 2.0 * abs(self.e_max) + 1.0, w + max(1.0, 0.5 * abs(w)))
-        fp = 12.0 * w * w - self.g2        # f'(w)
-        fpp_half = 12.0 * w                # f''(w)/2
-        f0 = max(self._cubic(w), 0.0)      # >= 0 on the branch; clamp roundoff
-
-        def near(tau: float) -> float:
-            t2 = tau * tau
-            phi = f0 / t2 + fp + fpp_half * t2 + 4.0 * t2 * t2 if t2 > 0 else fp
-            if phi <= 0:
-                phi = abs(fp)
-            return 2.0 / math.sqrt(phi)
-
-        def tail(sigma: float) -> float:
-            s2 = sigma * sigma
-            return 2.0 / math.sqrt(4.0 - self.g2 * s2 * s2 - self.g3 * s2 * s2 * s2)
-
-        z1, e1 = quad(near, 0.0, math.sqrt(t_mid - w), epsabs=1e-13,
-                      epsrel=1e-11, limit=200)
-        z2, e2 = quad(tail, 0.0, 1.0 / math.sqrt(t_mid), epsabs=1e-13,
-                      epsrel=1e-11, limit=200)
-        z = z1 + z2
-        err = e1 + e2
-        if err > max(1e-9 * abs(z), 1e-10):
-            raise AccuracyError(
-                f"inverse integral error estimate {err:.3e}", achieved=err)
-        return z
+        return self._branch_integral(max(w, self.e_max))
 
     def wp_integral(self, t0: float, t1: float) -> float:
-        """Integral of P over [t0, t1] on a pole-free stretch of the real axis."""
+        """Integral of P over [t0, t1] on a pole-free stretch of the real axis.
+
+        P = -zeta', so the integral is zeta(t0) - zeta(t1). The poles on
+        the real axis sit at the multiples of the real period 2 omega,
+        omega = wp_inverse(e_max).
+        """
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise DomainError(f"bounds must be finite, got {t0!r}, {t1!r}")
         if t0 == t1:
             return 0.0
-        if min(t0, t1) <= 0.0 <= max(t0, t1):
-            raise PoleError("integration interval contains the pole at 0")
-        val, err = quad(lambda t: self.wp(t)[0], t0, t1, epsabs=1e-12,
-                        epsrel=1e-10, limit=200)
-        if err > max(1e-8 * abs(val), 1e-9):
-            raise AccuracyError(
-                f"P-integral error estimate {err:.3e}", achieved=err)
-        return val
+        period = 2.0 * self._branch_integral(self.e_max)
+        lo, hi = min(t0, t1), max(t0, t1)
+        if math.ceil(lo / period) <= math.floor(hi / period):
+            raise PoleError(
+                f"integration interval [{lo!r}, {hi!r}] contains a pole "
+                f"(real period {period!r})")
+        return self._wp_zeta(t0)[2] - self._wp_zeta(t1)[2]

@@ -13,9 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cmc_elliptic import profiles
 from cmc_elliptic.cli_io import main
-from cmc_elliptic.errors import AccuracyError
 from cmc_elliptic.profiles import (CmcParams, Family, anchor, domain, mesh,
                                    profile_point, profile_points)
 
@@ -169,6 +167,23 @@ class TestFarEuclideanWindow:
         assert rc == 0
         assert capsys.readouterr().out.count("\nv ") == 21 * 17 - 1
 
+    def test_huge_h_profile_matches_mpmath(self, capsys):
+        # At H = 1e20 the window [-1, 1] spans 6e19 periods, so x(s) is s
+        # times the mean rate, up to a periodic part of size 1/H.
+        argv = ["profile", "--family", "euclidean", "--H", "1e20", "--B",
+                "0.5"]
+        assert main(argv) == 0
+        with mp.workdps(30):
+            u = mp.linspace(0, mp.pi, 5)
+            mean = mp.quad(lambda t: _rate(CmcParams(Family.EUCLIDEAN, 1.0,
+                                                     0.5), t), u) / mp.pi
+        assert abs(mean - mp.mpf("0.93421545766769411")) < 1e-16
+        rows = [list(map(float, line.split(",")))
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows[0][0] == -1.0
+        for s, x, *_ in rows:
+            assert abs(x - s * mean) <= 1e-15
+
 
 class TestLargeTimelikeArcLength:
     def test_profile_where_second_derivatives_overflow(self):
@@ -184,19 +199,3 @@ class TestLargeTimelikeArcLength:
         for got, ref in zip((cs.x, cs.second, cs.dx, cs.dsecond), refs):
             assert abs(got - ref) <= TOL * abs(ref)
 
-
-class TestErrorGate:
-    def test_summed_step_estimates_meet_the_point_gate(self, monkeypatch):
-        # Each step passes its own gate (6e-11 < 1e-10), but two of them sum
-        # past the gate of an axis value near 1e-4.
-        params = CmcParams(Family.LORENTZ_SPACELIKE_AXIS, 1.0, 2.0)
-        real_quad = profiles.quad
-
-        def quad_with_estimate(f, a, b, **kw):
-            return real_quad(f, a, b, **kw)[0], 6e-11
-
-        monkeypatch.setattr(profiles, "quad", quad_with_estimate)
-        profile_point(params, 2e-4)
-        with pytest.raises(AccuracyError) as exc:
-            profile_points(params, [1e-4, 2e-4])
-        assert exc.value.achieved == pytest.approx(1.2e-10)

@@ -70,6 +70,27 @@ class TestExitCodes:
         assert rc == 1 and out == ""
         assert json.loads(err)["error"] == "range"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
+    def test_non_finite_angle_range_raises_before_any_warning(self, capsys,
+                                                              angle):
+        rc, out, err = run(capsys, "surface", "--family", "spacelike",
+                           "--B", "2", "--s-min", "-0.1", "--s-max", "0.1",
+                           f"--angle-range={angle}")
+        assert rc == 1 and out == ""
+        assert json.loads(err)["error"] == "range"
+
+    @pytest.mark.parametrize("argv", [
+        ("surface", "--family", "euclid", "--B", "0.5"), ("verify",)])
+    def test_unwritable_out_exits_two_with_one_line(self, capsys, tmp_path,
+                                                    argv):
+        target = tmp_path / "missing" / "out.txt"
+        rc, out, err = run(capsys, *argv, "--out", str(target))
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1
+        assert f"error: cannot write --out {target}: " in err
+        assert not target.parent.exists()
+
     def test_infinite_h_exits_one(self, capsys):
         rc, _, err = run(capsys, "profile", "--family", "euclid",
                          "--H", "inf")
