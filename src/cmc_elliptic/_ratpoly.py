@@ -4,10 +4,11 @@ Provides the pieces the reduction and derivative-chain modules need and no
 more: dense polynomials with ``Fraction`` coefficients, Sturm-sequence real
 root counting and isolation on (0, inf), bisection+Newton root refinement,
 and exact arithmetic in the cubic radical extension Q(t) with t**3 rational
-(the scalar field of the exact derivative chain).
+(an independent oracle for the derivative chain, which itself runs over Q).
 
 Also hosts small generic coefficient-list helpers that work over any scalar
-ring (floats or exact scalars) through a thin :class:`Ring` adapter.
+ring (floats, Fractions or Q(t) elements) through a thin :class:`Ring`
+adapter.
 """
 
 from __future__ import annotations
@@ -436,10 +437,6 @@ class CubicField:
             return x.is_zero()
         return x == 0
 
-    @staticmethod
-    def to_float(x) -> float:
-        return float(x)
-
 
 # ---------------------------------------------------------------------------
 # Generic coefficient-list helpers (shared by float and exact chain modes)
@@ -452,16 +449,16 @@ class Ring:
     polynomial code runs on floats, Fractions and CbrtNum values.
     """
 
-    def __init__(self, zero, one, div: Callable, is_zero: Callable,
-                 to_float: Callable):
+    def __init__(self, zero, one, div: Callable, is_zero: Callable):
         self.zero = zero
         self.one = one
         self.div = div
         self.is_zero = is_zero
-        self.to_float = to_float
 
 
-FLOAT_RING = Ring(0.0, 1.0, lambda x, y: x / y, lambda x: x == 0.0, float)
+FLOAT_RING = Ring(0.0, 1.0, lambda x, y: x / y, lambda x: x == 0.0)
+RATIONAL_RING = Ring(Fraction(0), Fraction(1), lambda x, y: x / y,
+                     lambda x: x == 0)
 
 
 def exact_ring(field: CubicField) -> Ring:
@@ -470,8 +467,7 @@ def exact_ring(field: CubicField) -> Ring:
             return (x if isinstance(x, CbrtNum) else field.element(x)) * y.inv()
         return x / y
 
-    return Ring(field.element(0), field.element(1), div, field.is_zero,
-                field.to_float)
+    return Ring(field.element(0), field.element(1), div, field.is_zero)
 
 
 def pl_trim(cs: list, ring: Ring) -> list:

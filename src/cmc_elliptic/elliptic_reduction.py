@@ -24,6 +24,7 @@ variant is the one ruling existence of the Weierstrass function.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,14 +176,20 @@ def exact_discriminant_poly(family: Family) -> DiscPoly:
     return _assemble(family, -1)
 
 
+@functools.cache
+def _screening_roots(family: Family) -> tuple[float, ...]:
+    num = discriminant_poly(family).numerator
+    return tuple(sorted(refine_root(num, *b) for b in isolate_positive_roots(num)))
+
+
 def singular_B(family: Family) -> list[float]:
     """All positive real roots of the screening polynomial, sorted.
 
     Roots are isolated by Sturm-count bisection and refined to better than
-    1e-9 (exact bisection plus a Newton polish).
+    1e-9 (exact bisection plus a Newton polish), once per family; each call
+    returns a fresh list.
     """
-    num = discriminant_poly(family).numerator
-    return sorted(refine_root(num, lo, hi) for lo, hi in isolate_positive_roots(num))
+    return list(_screening_roots(family))
 
 
 def positive_root_count(family: Family) -> int:
@@ -192,7 +199,8 @@ def positive_root_count(family: Family) -> int:
 
 def is_singular_value(family: Family, B: float, rel_tol: float = 1e-5) -> bool:
     """Whether B lies within rel_tol of a singular (screening-root) value."""
-    return any(abs(B - r) <= rel_tol * max(1.0, r) for r in singular_B(family))
+    return any(abs(B - r) <= rel_tol * max(1.0, r)
+               for r in _screening_roots(family))
 
 
 def reduction_report(data: ReductionData) -> dict:

@@ -103,7 +103,8 @@ def domain(params: CmcParams) -> SInterval:
             return SInterval(-math.inf, math.inf)
         if B == 1.0:
             return SInterval(0.0, 0.0, degenerate=True)
-        s_max = math.acosh((1 + B * B) / (2 * B)) / (2 * H)
+        # cosh(2Hs) = (1 + B^2)/(2B) through sinh(Hs): no cancellation at B ~ 1.
+        s_max = math.asinh(abs(1 - B) / (2 * math.sqrt(B))) / H
         return SInterval(-s_max, s_max)
     if B == 0.0:
         raise EmptyDomainError(
@@ -132,7 +133,8 @@ def _radicand(params: CmcParams, s: float) -> float:
     if params.family is Family.EUCLIDEAN:
         return 1 + B * B + 2 * B * math.sin(2 * H * s)
     if params.family is Family.LORENTZ_SPACELIKE_AXIS:
-        return 1 + B * B - 2 * B * math.cosh(2 * H * s)
+        # 1 + B^2 - 2B cosh(2Hs), free of the cancellation as B -> 1.
+        return (1 - B) ** 2 - 4 * B * math.sinh(H * s) ** 2
     return B * B + 2 * B * math.sinh(2 * H * s) - 1
 
 

@@ -9,12 +9,16 @@ stays inside a small closed system: rewriting P'' = 6P^2 - g2/2 and
     d^k r / dx3^k = N_k(P) * (P')^(k mod 2) / (alpha + beta*P)^(2k-1).
 
 If r were a polynomial in x3 of degree d, the numerator N_{d+1} would be
-identically zero. ``polynomiality_probe`` certifies (with exact rational
-coefficient arithmetic in Q(lambda)) that no numerator collapses, which is
-the computational content of the non-algebraicity argument.
+identically zero. ``polynomiality_probe`` certifies in exact rational
+arithmetic that no numerator collapses, which is the computational content
+of the non-algebraicity argument.
 
-Float coefficients are the working representation; the first four chain
-steps are cross-checked against the exact ring on every run.
+The exact chain runs over Q in the unscaled cubic variable X = lambda*P,
+where (P')^2 = n*X^3 + m*X + l and alpha + beta*P = lambda*(a + b*X) with
+a = -p/(2H), b = B/(2H). Every step is homogeneous in lambda, so the P^i
+coefficient of N_k over denominator power j is lambda^(j-1+i) times the
+rational one. Float coefficients are the working representation, checked
+against the exact pass at orders 1-4 on every run.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import profiles
-from ._ratpoly import (FLOAT_RING, CubicField, Ring, exact_ring, pl_add,
-                       pl_degree, pl_deriv, pl_divmod_linear, pl_is_zero,
-                       pl_mul, pl_scale, pl_sub, pl_trim)
+from ._ratpoly import (FLOAT_RING, RATIONAL_RING, Ring, pl_add, pl_degree,
+                       pl_deriv, pl_divmod_linear, pl_is_zero, pl_mul,
+                       pl_scale, pl_sub, pl_trim, real_cbrt)
 from .elliptic_reduction import (ReductionData, _shift_and_depress,
                                  is_singular_value)
 from .errors import AccuracyError, DomainError, NearPoleError, SingularError
@@ -90,7 +95,7 @@ class ChainTerm:
     has_wp_prime: bool
 
 
-def _family_constants(family: Family, c, B, lam, ring_one=1):
+def _family_constants(family: Family, c, B):
     """(p, c1_raw, c2_sign) over the ring of c and B.
 
     p is chosen so that the axis-coordinate derivative along the path is
@@ -98,12 +103,12 @@ def _family_constants(family: Family, c, B, lam, ring_one=1):
     forms fix c1 and the sign of c2 = sign * 2*B*lam.
     """
     if family is Family.LORENTZ_TIMELIKE_AXIS:
-        return (ring_one + B * c), (B * B - 2 * B * c - ring_one), +1
+        return (1 + B * c), (B * B - 2 * B * c - 1), +1
     if family is Family.LORENTZ_SPACELIKE_AXIS:
-        return (ring_one + B * c), (ring_one + B * B + 2 * B * c), -1
+        return (1 + B * c), (1 + B * B + 2 * B * c), -1
     # Euclidean: the rotation radius sits on the other leg of the unit-speed
     # identity, which flips the sign pattern of the axis derivative.
-    return (B * c - ring_one), (ring_one + B * B - 2 * B * c), +1
+    return (B * c - 1), (1 + B * B - 2 * B * c), +1
 
 
 def chain_config(data: ReductionData, H: float) -> ChainConfig:
@@ -128,7 +133,7 @@ def chain_config(data: ReductionData, H: float) -> ChainConfig:
             f"B={data.B!r} is a classification root of the {data.family.value} "
             "screening polynomial")
     B, lam, c = data.B, data.lam, data.c_shift
-    p, c1, c2_sign = _family_constants(data.family, c, B, lam)
+    p, c1, c2_sign = _family_constants(data.family, c, B)
     alpha = -p * lam / (2.0 * H)
     beta = B * lam * lam / (2.0 * H)
     c2 = c2_sign * 2.0 * B * lam
@@ -143,19 +148,19 @@ def chain_config(data: ReductionData, H: float) -> ChainConfig:
 # Core chain recursion (generic over the coefficient ring)
 
 
-def _chain_core(alpha, beta, g2, g3, seed, upto_k: int, ring: Ring):
+def _chain_core(alpha, beta, cubic, seed, upto_k: int, ring: Ring):
     """Numerators of d^k r/dx3^k for k = 1..upto_k, starting from r' = seed*P'/D.
 
     Returns a list of (k, num_coeffs, den_power, has_wp_prime). Each step
     applies d/dt followed by the 1/(alpha + beta*P) factor of d/dx3; the
-    substitutions (P')^2 -> 4P^3 - g2 P - g3 and P'' -> 6P^2 - g2/2 close
-    the system. The denominator is (alpha + beta*P)^den_power; an exact-zero
+    substitutions (P')^2 -> cubic(P) and P'' -> cubic'(P)/2 close the
+    system. The denominator is (alpha + beta*P)^den_power; an exact-zero
     remainder lets a linear factor cancel (never observed for regular
     configurations, but the reduction keeps the representation gcd-free).
     """
-    two = ring.one + ring.one
-    P = [ring.zero - g3, ring.zero - g2, ring.zero, ring.one * 4]
-    S = [ring.zero - ring.div(g2, two), ring.zero, ring.one * 6]
+    P = list(cubic)
+    S = pl_scale(pl_deriv(P, ring), ring.div(ring.one, ring.one + ring.one),
+                 ring)
     D = [alpha, beta]
     N = [seed]
     j = 1
@@ -186,52 +191,19 @@ def _chain_core(alpha, beta, g2, g3, seed, upto_k: int, ring: Ring):
     return out
 
 
-def _exact_setup(cfg: ChainConfig):
-    """Exact counterparts (ring, alpha, beta, g2, g3) in Q(lambda).
+def _exact_chain(cfg: ChainConfig, upto_k: int):
+    """Unit-seed chain over Q in X = lambda*P, and the float lambda.
 
     Derived from (family, B, H) alone: floats are exact rationals, so the
-    canonical reduction re-run over Fraction gives the true field values.
-    c2 is handled separately because the chain is linear in its seed.
+    canonical reduction re-run over Fraction gives the true values.
     """
     B = Fraction(cfg.B)
     H2 = 2 * Fraction(cfg.H)
     c, l, m, n = _shift_and_depress(cfg.family, B)
-    field = CubicField(Fraction(4) / n)
-    ring = exact_ring(field)
-    g2 = field.element(0, -m, 0)
-    g3 = field.element(-l)
-    p, _, _ = _family_constants(cfg.family, c, B, field.lam, Fraction(1))
-    alpha = field.element(0, -p / H2, 0)
-    beta = field.element(0, 0, B / H2)
-    return ring, alpha, beta, g2, g3
-
-
-def _check_against_exact(cfg: ChainConfig, float_terms, upto_k: int) -> None:
-    """Exact-arithmetic guard on the first chain steps.
-
-    Runs the recursion with unit seed over Q(lambda) and compares; the float
-    chain is seed-linear, so each float coefficient must match cfg.c2 times
-    the exact unit coefficient to within roundoff.
-    """
-    ring, alpha, beta, g2, g3 = _exact_setup(cfg)
-    exact = _chain_core(alpha, beta, g2, g3, ring.one, upto_k, ring)
-    for (k, num_f, j_f, _), (_, num_e, j_e, _) in zip(float_terms, exact):
-        if cfg.c2 == 0.0:
-            expected = [0.0] * len(num_f)
-        else:
-            if j_f != j_e:
-                raise AccuracyError(
-                    f"chain step {k}: denominator power {j_f} != exact {j_e}")
-            expected = [cfg.c2 * ring.to_float(cc) for cc in num_e]
-        n = max(len(num_f), len(expected))
-        num_f = list(num_f) + [0.0] * (n - len(num_f))
-        expected = expected + [0.0] * (n - len(expected))
-        tol = 1e-9 * max(1.0, max(abs(e) for e in expected))
-        for cf, ce in zip(num_f, expected):
-            if abs(cf - ce) > tol:
-                raise AccuracyError(
-                    f"chain step {k}: float coefficient {cf!r} drifted from "
-                    f"exact value {ce!r}", achieved=abs(cf - ce))
+    p, _, _ = _family_constants(cfg.family, c, B)
+    terms = _chain_core(-p / H2, B / H2, [l, m, Fraction(0), n], Fraction(1),
+                        upto_k, RATIONAL_RING)
+    return terms, real_cbrt(float(4 / n))
 
 
 def _den_poly(alpha: float, beta: float, j: int) -> tuple[float, ...]:
@@ -254,14 +226,37 @@ def differentiate_chain(cfg: ChainConfig, upto_k: int,
         raise DomainError(f"upto_k must be >= 1, got {upto_k}")
     if upto_k > max_k:
         raise DomainError(f"upto_k={upto_k} exceeds the configured max {max_k}")
-    raw = _chain_core(cfg.alpha, cfg.beta, cfg.g2, cfg.g3, cfg.c2, upto_k,
-                      FLOAT_RING)
-    _check_against_exact(cfg, raw[:4], min(upto_k, 4))
-    terms = []
-    for k, num, j, has_prime in raw:
-        rat = PRational(num=tuple(num), den=_den_poly(cfg.alpha, cfg.beta, j))
-        terms.append(ChainTerm(k=k, rat=rat, has_wp_prime=has_prime))
-    return terms
+    return _checked_terms(cfg, upto_k, *_exact_chain(cfg, min(upto_k, 4)))
+
+
+def _checked_terms(cfg: ChainConfig, upto_k: int, exact, lam):
+    """Float chain terms for k = 1..upto_k, guarded by the exact chain.
+
+    The chain is seed-linear, so each float coefficient of the first four
+    orders must match cfg.c2 times the graded exact unit coefficient to
+    within roundoff.
+    """
+    raw = _chain_core(cfg.alpha, cfg.beta, [-cfg.g3, -cfg.g2, 0.0, 4.0],
+                      cfg.c2, upto_k, FLOAT_RING)
+    for (k, num_f, j_f, _), (_, num_e, j_e, _) in zip(raw[:4], exact):
+        if cfg.c2 == 0.0:
+            expected = [0.0] * len(num_f)
+        else:
+            if j_f != j_e:
+                raise AccuracyError(
+                    f"chain step {k}: denominator power {j_f} != exact {j_e}")
+            expected = [cfg.c2 * lam ** (j_e - 1 + i) * float(cc)
+                        for i, cc in enumerate(num_e)]
+        tol = 1e-9 * max(1.0, max(abs(e) for e in expected))
+        for cf, ce in zip_longest(num_f, expected, fillvalue=0.0):
+            if abs(cf - ce) > tol:
+                raise AccuracyError(
+                    f"chain step {k}: float coefficient {cf!r} drifted from "
+                    f"exact value {ce!r}", achieved=abs(cf - ce))
+    return [ChainTerm(k=k, rat=PRational(num=tuple(num),
+                                         den=_den_poly(cfg.alpha, cfg.beta, j)),
+                      has_wp_prime=has_prime)
+            for k, num, j, has_prime in raw]
 
 
 def _horner(coeffs, x: float) -> float:
@@ -349,14 +344,13 @@ def polynomiality_probe(cfg: ChainConfig, K: int) -> dict:
     """
     if K < 3:
         raise DomainError(f"K must be >= 3 for a meaningful probe, got {K}")
-    terms = differentiate_chain(cfg, K, max_k=max(K, _DEFAULT_MAX_K))
-    ring, alpha, beta, g2, g3 = _exact_setup(cfg)
-    unit = _chain_core(alpha, beta, g2, g3, ring.one, K, ring)
+    unit, lam = _exact_chain(cfg, K)
+    terms = _checked_terms(cfg, K, unit, lam)
     ev = WpEvaluator(cfg.g2, cfg.g3)
     ts = [ev.wp_inverse(ev.e_max + off) for off in _PROBE_OFFSETS]
     report_terms = []
     for term, (_, num_e, _, _) in zip(terms, unit):
-        zero = cfg.c2 == 0.0 or pl_is_zero(num_e, ring)
+        zero = cfg.c2 == 0.0 or pl_is_zero(num_e, RATIONAL_RING)
         values = []
         for t in ts:
             try:

@@ -190,6 +190,15 @@ class TestSingularValues:
         assert roots[0] == pytest.approx(ROOT_LO, rel=1e-12)
         assert roots[1] == pytest.approx(ROOT_HI, rel=1e-12)
 
+    def test_returned_list_is_a_copy(self):
+        roots = singular_B(Family.LORENTZ_TIMELIKE_AXIS)
+        expected = list(roots)
+        roots.append(99.0)
+        roots[0] = -1.0
+        assert singular_B(Family.LORENTZ_TIMELIKE_AXIS) == expected
+        assert is_singular_value(Family.LORENTZ_TIMELIKE_AXIS, expected[0])
+        assert not is_singular_value(Family.LORENTZ_TIMELIKE_AXIS, 99.0)
+
     def test_roots_are_reciprocal_pair(self):
         # Palindromic numerator in B^2 pairs roots as B <-> 1/B.
         lo, hi = singular_B(Family.LORENTZ_TIMELIKE_AXIS)

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -45,6 +46,30 @@ class TestDomain:
         dom = domain(CmcParams(Family.LORENTZ_SPACELIKE_AXIS, H, B))
         s_max = math.acosh((1 + B * B) / (2 * B)) / (2 * H)
         assert dom.lo == -s_max and dom.hi == s_max
+
+    @pytest.mark.parametrize("B", [1 - 1e-6, 1 + 1e-6])
+    def test_spacelike_edge_near_b_one_matches_mpmath(self, B):
+        # acosh((1+B^2)/(2B)) keeps about four digits here: its argument is
+        # 1 + 5e-13, rounded to 1e-16.
+        H = 1.0
+        dom = domain(CmcParams(Family.LORENTZ_SPACELIKE_AXIS, H, B))
+        with mp.workdps(40):
+            ref = mp.acosh((1 + mp.mpf(B) ** 2) / (2 * mp.mpf(B))) / (2 * H)
+            assert abs(dom.hi - ref) <= 1e-14 * ref
+        assert dom.lo == -dom.hi
+
+    @pytest.mark.parametrize("B", [1 - 1e-6, 1 + 1e-6])
+    def test_spacelike_radius_near_b_one_matches_mpmath(self, B):
+        H = 1.0
+        params = CmcParams(Family.LORENTZ_SPACELIKE_AXIS, H, B)
+        edge = domain(params).hi
+        for f in (-0.9, -0.5, 0.1, 0.5, 0.9):
+            s = f * edge
+            with mp.workdps(40):
+                ref = mp.sqrt(1 + mp.mpf(B) ** 2 - 2 * mp.mpf(B)
+                              * mp.cosh(2 * H * mp.mpf(s))) / (2 * H)
+                got = profile_point(params, s).second
+                assert abs(got - ref) <= 1e-14 * ref, f
 
     def test_spacelike_b_zero_full_line(self):
         dom = domain(CmcParams(Family.LORENTZ_SPACELIKE_AXIS, 1.0, 0.0))

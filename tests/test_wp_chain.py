@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
+from cmc_elliptic._ratpoly import CubicField, exact_ring
 from cmc_elliptic.acceptance import fd_chain_reference
-from cmc_elliptic.elliptic_reduction import reduce
+from cmc_elliptic.elliptic_reduction import _shift_and_depress, reduce
 from cmc_elliptic.errors import (
     AccuracyError,
     BranchError,
@@ -18,6 +20,9 @@ from cmc_elliptic.profiles import CmcParams, Family, anchor, profile_point
 from cmc_elliptic.weierstrass import WpEvaluator
 from cmc_elliptic.wp_chain import (
     ChainConfig,
+    _chain_core,
+    _exact_chain,
+    _family_constants,
     chain_config,
     curve_from_wp,
     differentiate_chain,
@@ -146,6 +151,40 @@ class TestDifferentiateChain:
             assert ts.rat.den == tb.rat.den
 
 
+class TestExactChain:
+    @pytest.mark.parametrize("family,B,H", [
+        (Family.LORENTZ_TIMELIKE_AXIS, 2.0, 0.5),  # lam = 1: collapsed field
+        (Family.LORENTZ_TIMELIKE_AXIS, 2.3, 1.0),
+        (Family.LORENTZ_SPACELIKE_AXIS, 0.75, 0.5),
+        (Family.EUCLIDEAN, 0.5, 1.0),  # lam^3 = -4: a genuine cubic field
+    ])
+    def test_graded_rational_chain_equals_q_lambda_chain(self, family, B, H):
+        # The rational chain in X = lam*P, each X^i coefficient over the
+        # denominator power j times lam^(j-1+i), must equal the chain run
+        # directly in P over Q(lam), element for element.
+        cfg = config(family, B, H)
+        rational, lam = _exact_chain(cfg, 12)
+        assert lam == cfg.lam
+        Bq, H2 = Fraction(B), 2 * Fraction(H)
+        c, l, m, n = _shift_and_depress(family, Bq)
+        field = CubicField(Fraction(4) / n)
+        ring = exact_ring(field)
+        p, _, _ = _family_constants(family, c, Bq)
+        # (P')^2 = 4P^3 - g2*P - g3 with g2 = -m*lam and g3 = -l.
+        cubic = [field.element(l), field.element(0, m, 0), ring.zero,
+                 field.element(4)]
+        oracle = _chain_core(field.element(0, -p / H2, 0),
+                             field.element(0, 0, Bq / H2), cubic, ring.one,
+                             12, ring)
+        powers = [ring.one]
+        for _ in range(64):
+            powers.append(powers[-1] * field.lam)
+        assert len(rational) == len(oracle) == 12
+        for (k, num, j, prime), expected in zip(rational, oracle):
+            graded = [powers[j - 1 + i] * cc for i, cc in enumerate(num)]
+            assert (k, graded, j, prime) == expected
+
+
 class TestEvalChainTerm:
     def test_first_term_matches_direct_expression(self, cfg_t2):
         ev = WpEvaluator(cfg_t2.g2, cfg_t2.g3)
@@ -238,7 +277,8 @@ class TestPolynomialityProbe:
             assert term["den_degree"] >= term["num_degree"]
 
     def test_euclidean_all_terms_nonzero(self):
-        # lam^3 = -8 here, a genuine cubic irrationality in the exact pass.
+        # lam^3 = -4 here, a genuine cubic irrationality (graded out of the
+        # rational exact pass).
         cfg = config(Family.EUCLIDEAN, 0.5, 1.0)
         report = polynomiality_probe(cfg, 8)
         assert all(not t["identically_zero"] for t in report["terms"])
