@@ -1,14 +1,10 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Dense univariate polynomials, Sturm root isolation and the field Q(cbrt d).
 
-Provides the pieces the reduction and derivative-chain modules need and no
-more: dense polynomials with ``Fraction`` coefficients, Sturm-sequence real
-root counting and isolation on (0, inf), bisection+Newton root refinement,
-and exact arithmetic in the cubic radical extension Q(t) with t**3 rational
-(an independent oracle for the derivative chain, which itself runs over Q).
-
-Also hosts small generic coefficient-list helpers that work over any scalar
-ring (floats, Fractions or Q(t) elements) through a thin :class:`Ring`
-adapter.
+``Poly`` works over the scalars it is given: exactly for integer or
+``Fraction`` input (Sturm-sequence root counting and isolation on (0, inf),
+bisection+Newton refinement), in floats for the working derivative chain,
+and in Q(t) with t**3 rational through ``CbrtNum``, the independent oracle
+for the derivative chain, which itself runs over Q.
 """
 
 from __future__ import annotations
@@ -16,25 +12,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import zip_longest
+from typing import Sequence
 
 
 # ---------------------------------------------------------------------------
-# Fraction polynomials
+# Dense polynomials
 
 
 class Poly:
-    """Dense polynomial with exact rational coefficients, ascending order."""
+    """Dense polynomial in ascending order, over whatever scalars it is given.
+
+    Int coefficients become ``Fraction`` so integer input stays exact (the
+    Sturm machinery relies on it); floats, Fractions and :class:`CbrtNum`
+    values are kept as given and combine through their own operators.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(cs) if cs else (Fraction(0),)
 
     # -- structure ---------------------------------------------------------
 
@@ -48,7 +48,7 @@ class Poly:
     def is_zero(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0] == 0
 
-    def leading(self) -> Fraction:
+    def leading(self):
         return self.coeffs[-1]
 
     def __eq__(self, other) -> bool:
@@ -61,64 +61,64 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
     # -- arithmetic ---------------------------------------------------------
+    # Zeros are made as c - c so they keep the scalar type of c.
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Poly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                     for i in range(n)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return _poly([x + y for x, y in pairs])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return _poly([x - y for x, y in pairs])
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _poly([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
-        return Poly([c * Fraction(other) for c in self.coeffs])
+        a = self.coeffs
+        if not isinstance(other, Poly):
+            return _poly([c * other for c in a])
+        b = other.coeffs
+        out = [a[-1] - a[-1]] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x == 0:
+                continue
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+        return _poly(out)
 
     __rmul__ = __mul__
 
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction x, float for float x."""
-        acc = self.coeffs[-1] if isinstance(x, Fraction) else float(self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + (c if isinstance(x, Fraction) else float(c))
+        """Horner evaluation in the arithmetic of the coefficients and x."""
+        cs = self.coeffs
+        acc = cs[-1]
+        for c in reversed(cs[:-1]):
+            acc = acc * x + c
         return acc
 
     def derivative(self) -> "Poly":
-        if len(self.coeffs) == 1:
-            return Poly([0])
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        cs = self.coeffs
+        if len(cs) == 1:
+            return _poly([cs[0] - cs[0]])
+        return _poly([i * c for i, c in enumerate(cs[1:], 1)])
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact polynomial division with remainder."""
+        """Synthetic division with remainder; exact over exact scalars."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        q = [Fraction(0)] * max(1, len(self.coeffs) - len(other.coeffs) + 1)
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.leading()
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while len(rem) > 1 and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lead
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
-        return Poly(q), Poly(rem)
+        a, b = self.coeffs, other.coeffs
+        d = len(b) - 1
+        if len(a) <= d:
+            return _poly([a[-1] - a[-1]]), self
+        low, lead = b[:-1], b[-1]
+        rem = list(a)
+        q = [None] * (len(a) - d)
+        for k in range(len(q) - 1, -1, -1):
+            f = q[k] = rem[k + d] / lead
+            for i, c in enumerate(low, k):
+                rem[i] -= f * c
+        return _poly(q), _poly(rem[:d] or [a[-1] - a[-1]])
 
     # -- normal forms --------------------------------------------------------
 
@@ -143,6 +143,15 @@ class Poly:
             return self
         lead = self.leading()
         return Poly([c / lead for c in self.coeffs])
+
+
+def _poly(cs: list) -> Poly:
+    """Poly from arithmetic results: trimmed, without the int coercion."""
+    while cs[-1] == 0 and len(cs) > 1:
+        cs.pop()
+    p = object.__new__(Poly)
+    p.coeffs = tuple(cs)
+    return p
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -316,7 +325,7 @@ def rational_cbrt(d: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CbrtNum:
     """Element a + b*t + c*t**2 of Q(t) with t**3 = d (d a rational non-cube)."""
 
@@ -393,8 +402,18 @@ class CbrtNum:
             return NotImplemented
         return o * self.inv()
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.a == other and self.b == 0 and self.c == 0
+        if isinstance(other, CbrtNum):
+            return (self.a, self.b, self.c, self.d) == \
+                (other.a, other.b, other.c, other.d)
+        return NotImplemented
+
+    def __hash__(self):
+        if self.b == 0 and self.c == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.c, self.d))
 
     def __float__(self) -> float:
         t = real_cbrt(float(self.d))
@@ -430,114 +449,3 @@ class CubicField:
     def lam(self):
         """The generator t = cbrt(d) itself."""
         return self.element(0, 1, 0)
-
-    @staticmethod
-    def is_zero(x) -> bool:
-        if isinstance(x, CbrtNum):
-            return x.is_zero()
-        return x == 0
-
-
-# ---------------------------------------------------------------------------
-# Generic coefficient-list helpers (shared by float and exact chain modes)
-
-
-class Ring:
-    """Scalar adapter: zero/one construction plus division and predicates.
-
-    Arithmetic itself goes through the scalars' own operators so the same
-    polynomial code runs on floats, Fractions and CbrtNum values.
-    """
-
-    def __init__(self, zero, one, div: Callable, is_zero: Callable):
-        self.zero = zero
-        self.one = one
-        self.div = div
-        self.is_zero = is_zero
-
-
-FLOAT_RING = Ring(0.0, 1.0, lambda x, y: x / y, lambda x: x == 0.0)
-RATIONAL_RING = Ring(Fraction(0), Fraction(1), lambda x, y: x / y,
-                     lambda x: x == 0)
-
-
-def exact_ring(field: CubicField) -> Ring:
-    def div(x, y):
-        if isinstance(y, CbrtNum):
-            return (x if isinstance(x, CbrtNum) else field.element(x)) * y.inv()
-        return x / y
-
-    return Ring(field.element(0), field.element(1), div, field.is_zero)
-
-
-def pl_trim(cs: list, ring: Ring) -> list:
-    cs = list(cs)
-    while len(cs) > 1 and ring.is_zero(cs[-1]):
-        cs.pop()
-    return cs or [ring.zero]
-
-
-def pl_is_zero(cs: list, ring: Ring) -> bool:
-    return all(ring.is_zero(c) for c in cs)
-
-
-def pl_degree(cs: list, ring: Ring) -> int:
-    cs = pl_trim(cs, ring)
-    if pl_is_zero(cs, ring):
-        return -1
-    return len(cs) - 1
-
-
-def pl_add(a: list, b: list, ring: Ring) -> list:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else ring.zero) + (b[i] if i < len(b) else ring.zero)
-            for i in range(n)]
-
-
-def pl_sub(a: list, b: list, ring: Ring) -> list:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else ring.zero) - (b[i] if i < len(b) else ring.zero)
-            for i in range(n)]
-
-
-def pl_mul(a: list, b: list, ring: Ring) -> list:
-    out = [ring.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if ring.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def pl_scale(a: list, s, ring: Ring) -> list:
-    return [c * s for c in a]
-
-
-def pl_deriv(a: list, ring: Ring) -> list:
-    if len(a) == 1:
-        return [ring.zero]
-    return [c * i for i, c in enumerate(a[1:], start=1)]
-
-
-def pl_eval(a: list, x, ring: Ring):
-    acc = a[-1]
-    for c in reversed(a[:-1]):
-        acc = acc * x + c
-    return acc
-
-
-def pl_divmod_linear(a: list, c0, c1, ring: Ring) -> tuple[list, object]:
-    """Divide by the linear polynomial c1*X + c0 (c1 invertible).
-
-    Returns (quotient coefficients, remainder scalar).
-    """
-    a = pl_trim(a, ring)
-    if pl_is_zero(a, ring):
-        return [ring.zero], ring.zero
-    q = [ring.zero] * max(1, len(a) - 1)
-    rem = a[-1]
-    for i in range(len(a) - 2, -1, -1):
-        q[i] = ring.div(rem, c1)
-        rem = a[i] - q[i] * c0
-    return pl_trim(q, ring), rem

@@ -28,6 +28,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from time import perf_counter
 
 from ._ratpoly import (Poly, count_positive_roots, isolate_positive_roots,
                        real_cbrt, refine_root)
@@ -177,9 +178,12 @@ def exact_discriminant_poly(family: Family) -> DiscPoly:
 
 
 @functools.cache
-def _screening_roots(family: Family) -> tuple[float, ...]:
+def _screening_roots(family: Family) -> tuple[tuple[float, ...], float]:
+    """Sorted screening roots and the seconds their isolation took."""
+    t0 = perf_counter()
     num = discriminant_poly(family).numerator
-    return tuple(sorted(refine_root(num, *b) for b in isolate_positive_roots(num)))
+    roots = sorted(refine_root(num, *b) for b in isolate_positive_roots(num))
+    return tuple(roots), perf_counter() - t0
 
 
 def singular_B(family: Family) -> list[float]:
@@ -189,7 +193,12 @@ def singular_B(family: Family) -> list[float]:
     1e-9 (exact bisection plus a Newton polish), once per family; each call
     returns a fresh list.
     """
-    return list(_screening_roots(family))
+    return list(_screening_roots(family)[0])
+
+
+def isolation_seconds(family: Family) -> float:
+    """Wall time of the family's one-time screening-root isolation."""
+    return _screening_roots(family)[1]
 
 
 def positive_root_count(family: Family) -> int:
@@ -200,7 +209,7 @@ def positive_root_count(family: Family) -> int:
 def is_singular_value(family: Family, B: float, rel_tol: float = 1e-5) -> bool:
     """Whether B lies within rel_tol of a singular (screening-root) value."""
     return any(abs(B - r) <= rel_tol * max(1.0, r)
-               for r in _screening_roots(family))
+               for r in _screening_roots(family)[0])
 
 
 def reduction_report(data: ReductionData) -> dict:

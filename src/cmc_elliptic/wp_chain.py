@@ -17,8 +17,9 @@ The exact chain runs over Q in the unscaled cubic variable X = lambda*P,
 where (P')^2 = n*X^3 + m*X + l and alpha + beta*P = lambda*(a + b*X) with
 a = -p/(2H), b = B/(2H). Every step is homogeneous in lambda, so the P^i
 coefficient of N_k over denominator power j is lambda^(j-1+i) times the
-rational one. Float coefficients are the working representation, checked
-against the exact pass at orders 1-4 on every run.
+rational one. The float, exact and Q(lambda) chains are one recursion over
+``Poly`` with different scalars. Float coefficients are the working
+representation, checked against the exact pass at every order it covers.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 
 from . import profiles
-from ._ratpoly import (FLOAT_RING, RATIONAL_RING, Ring, pl_add, pl_degree,
-                       pl_deriv, pl_divmod_linear, pl_is_zero, pl_mul,
-                       pl_scale, pl_sub, pl_trim, real_cbrt)
+from ._ratpoly import Poly, real_cbrt
 from .elliptic_reduction import (ReductionData, _shift_and_depress,
                                  is_singular_value)
 from .errors import AccuracyError, DomainError, NearPoleError, SingularError
@@ -77,13 +77,18 @@ class PRational:
     num: tuple[float, ...]
     den: tuple[float, ...]
 
+    @cached_property
+    def polys(self) -> tuple[Poly, Poly]:
+        """(num, den) as Poly, built once per term for repeated evaluation."""
+        return Poly(self.num), Poly(self.den)
+
     @property
     def num_degree(self) -> int:
-        return pl_degree(list(self.num), FLOAT_RING)
+        return self.polys[0].degree
 
     @property
     def den_degree(self) -> int:
-        return pl_degree(list(self.den), FLOAT_RING)
+        return self.polys[1].degree
 
 
 @dataclass(frozen=True)
@@ -145,47 +150,46 @@ def chain_config(data: ReductionData, H: float) -> ChainConfig:
 
 
 # ---------------------------------------------------------------------------
-# Core chain recursion (generic over the coefficient ring)
+# Core chain recursion (one code path for floats, Q and Q(lambda))
 
 
-def _chain_core(alpha, beta, cubic, seed, upto_k: int, ring: Ring):
+def _chain_core(alpha, beta, cubic, seed, upto_k: int):
     """Numerators of d^k r/dx3^k for k = 1..upto_k, starting from r' = seed*P'/D.
 
-    Returns a list of (k, num_coeffs, den_power, has_wp_prime). Each step
-    applies d/dt followed by the 1/(alpha + beta*P) factor of d/dx3; the
-    substitutions (P')^2 -> cubic(P) and P'' -> cubic'(P)/2 close the
+    Returns a list of (k, numerator Poly, den_power, has_wp_prime). Each
+    step applies d/dt followed by the 1/(alpha + beta*P) factor of d/dx3;
+    the substitutions (P')^2 -> cubic(P) and P'' -> cubic'(P)/2 close the
     system. The denominator is (alpha + beta*P)^den_power; an exact-zero
     remainder lets a linear factor cancel (never observed for regular
     configurations, but the reduction keeps the representation gcd-free).
+    The scalars' own arithmetic decides the mode: float coefficients give
+    the working chain, Fractions the exact one over Q, CbrtNum values the
+    chain over Q(lambda).
     """
-    P = list(cubic)
-    S = pl_scale(pl_deriv(P, ring), ring.div(ring.one, ring.one + ring.one),
-                 ring)
-    D = [alpha, beta]
-    N = [seed]
+    P = Poly(cubic)
+    S = P.derivative() * Fraction(1, 2)
+    D = Poly([alpha, beta])
+    N = Poly([seed])
     j = 1
     has_prime = True
     out = []
     for k in range(1, upto_k + 1):
-        out.append((k, pl_trim(N, ring), j, has_prime))
+        out.append((k, N, j, has_prime))
         if k == upto_k:
             break
-        dN = pl_deriv(N, ring)
+        dN = N.derivative()
         if has_prime:
-            part = pl_add(pl_mul(dN, P, ring), pl_mul(N, S, ring), ring)
-            N = pl_sub(pl_mul(part, D, ring),
-                       pl_scale(pl_mul(N, P, ring), beta * j, ring), ring)
+            N = (dN * P + N * S) * D - N * P * (beta * j)
         else:
-            N = pl_sub(pl_mul(dN, D, ring), pl_scale(N, beta * j, ring), ring)
+            N = dN * D - N * (beta * j)
         has_prime = not has_prime
         j += 2
-        N = pl_trim(N, ring)
-        if pl_is_zero(N, ring):
-            N, j = [ring.zero], 0
+        if N.is_zero():
+            j = 0
             continue
-        while j > 1 and pl_degree(N, ring) >= 1:
-            q, rem = pl_divmod_linear(N, alpha, beta, ring)
-            if not ring.is_zero(rem):
+        while j > 1 and N.degree >= 1:
+            q, rem = N.divmod(D)
+            if not rem.is_zero():
                 break
             N, j = q, j - 1
     return out
@@ -201,16 +205,15 @@ def _exact_chain(cfg: ChainConfig, upto_k: int):
     H2 = 2 * Fraction(cfg.H)
     c, l, m, n = _shift_and_depress(cfg.family, B)
     p, _, _ = _family_constants(cfg.family, c, B)
-    terms = _chain_core(-p / H2, B / H2, [l, m, Fraction(0), n], Fraction(1),
-                        upto_k, RATIONAL_RING)
+    terms = _chain_core(-p / H2, B / H2, [l, m, 0, n], 1, upto_k)
     return terms, real_cbrt(float(4 / n))
 
 
 def _den_poly(alpha: float, beta: float, j: int) -> tuple[float, ...]:
-    den = [1.0]
+    den, D = Poly([1.0]), Poly([alpha, beta])
     for _ in range(j):
-        den = pl_mul(den, [alpha, beta], FLOAT_RING)
-    return tuple(den)
+        den = den * D
+    return den.coeffs
 
 
 def differentiate_chain(cfg: ChainConfig, upto_k: int,
@@ -218,7 +221,8 @@ def differentiate_chain(cfg: ChainConfig, upto_k: int,
     """Symbolic d^k r/dx3^k for k = 1..upto_k as rational functions of P.
 
     The first min(upto_k, 4) steps are re-derived in exact arithmetic and
-    compared coefficient-by-coefficient; disagreement raises AccuracyError.
+    compared coefficient-by-coefficient (polynomiality_probe compares all
+    of them); disagreement raises AccuracyError.
     cfg.c2 may be overridden (e.g. the c2 = 0 degenerate control): the chain
     scales linearly with it. Other fields must come from chain_config.
     """
@@ -232,48 +236,42 @@ def differentiate_chain(cfg: ChainConfig, upto_k: int,
 def _checked_terms(cfg: ChainConfig, upto_k: int, exact, lam):
     """Float chain terms for k = 1..upto_k, guarded by the exact chain.
 
-    The chain is seed-linear, so each float coefficient of the first four
-    orders must match cfg.c2 times the graded exact unit coefficient to
-    within roundoff.
+    The chain is seed-linear, so each float coefficient of every order the
+    exact chain covers must match cfg.c2 times the graded exact unit
+    coefficient to within roundoff.
     """
     raw = _chain_core(cfg.alpha, cfg.beta, [-cfg.g3, -cfg.g2, 0.0, 4.0],
-                      cfg.c2, upto_k, FLOAT_RING)
-    for (k, num_f, j_f, _), (_, num_e, j_e, _) in zip(raw[:4], exact):
+                      cfg.c2, upto_k)
+    for (k, num_f, j_f, _), (_, num_e, j_e, _) in zip(raw, exact):
         if cfg.c2 == 0.0:
-            expected = [0.0] * len(num_f)
+            expected = [0.0] * len(num_f.coeffs)
         else:
             if j_f != j_e:
                 raise AccuracyError(
                     f"chain step {k}: denominator power {j_f} != exact {j_e}")
             expected = [cfg.c2 * lam ** (j_e - 1 + i) * float(cc)
-                        for i, cc in enumerate(num_e)]
+                        for i, cc in enumerate(num_e.coeffs)]
         tol = 1e-9 * max(1.0, max(abs(e) for e in expected))
-        for cf, ce in zip_longest(num_f, expected, fillvalue=0.0):
+        for cf, ce in zip_longest(num_f.coeffs, expected, fillvalue=0.0):
             if abs(cf - ce) > tol:
                 raise AccuracyError(
                     f"chain step {k}: float coefficient {cf!r} drifted from "
                     f"exact value {ce!r}", achieved=abs(cf - ce))
-    return [ChainTerm(k=k, rat=PRational(num=tuple(num),
+    return [ChainTerm(k=k, rat=PRational(num=num.coeffs,
                                          den=_den_poly(cfg.alpha, cfg.beta, j)),
                       has_wp_prime=has_prime)
             for k, num, j, has_prime in raw]
 
 
-def _horner(coeffs, x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def eval_chain_term(term: ChainTerm, ev: WpEvaluator, t: float) -> float:
     """Numeric value of one chain term at parameter t."""
     p, pp = ev.wp(t)
-    den = _horner(term.rat.den, p)
-    if abs(den) < _NEAR_POLE_DEN:
+    num, den = term.rat.polys
+    d = den(p)
+    if abs(d) < _NEAR_POLE_DEN:
         raise NearPoleError(
-            f"denominator {den!r} below {_NEAR_POLE_DEN} at P={p!r}")
-    val = _horner(term.rat.num, p) / den
+            f"denominator {d!r} below {_NEAR_POLE_DEN} at P={p!r}")
+    val = num(p) / d
     if term.has_wp_prime:
         val *= pp
     return val
@@ -350,7 +348,7 @@ def polynomiality_probe(cfg: ChainConfig, K: int) -> dict:
     ts = [ev.wp_inverse(ev.e_max + off) for off in _PROBE_OFFSETS]
     report_terms = []
     for term, (_, num_e, _, _) in zip(terms, unit):
-        zero = cfg.c2 == 0.0 or pl_is_zero(num_e, RATIONAL_RING)
+        zero = cfg.c2 == 0.0 or num_e.is_zero()
         values = []
         for t in ts:
             try:

@@ -7,9 +7,11 @@ are meant to: the point of the gate is an honest scorecard, so nothing
 here is loosened to force green. Run with -s to see every line.
 """
 
+import time
+
 import pytest
 
-from cmc_elliptic import acceptance
+from cmc_elliptic import acceptance, elliptic_reduction
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +39,25 @@ def test_scorecard_structure(results, capsys):
     assert len(lines) == 12
     assert all(l.startswith(("PASS", "FAIL")) for l in lines[:11])
     assert lines[11].endswith("criteria passed")
+
+
+def test_root_time_gate_keeps_the_first_isolation_time(monkeypatch):
+    # Criteria 1 and 2 gate the root isolation, which runs once per family;
+    # a later call is a cache hit and must report the first run's time.
+    isolate = elliptic_reduction.isolate_positive_roots
+
+    def slow_isolate(p):
+        time.sleep(1.05)
+        return isolate(p)
+
+    monkeypatch.setattr(elliptic_reduction, "isolate_positive_roots",
+                        slow_isolate)
+    elliptic_reduction._screening_roots.cache_clear()
+    try:
+        first = acceptance.criterion_1()
+        second = acceptance.criterion_1()
+    finally:
+        elliptic_reduction._screening_roots.cache_clear()
+    assert not first.passed, first.detail
+    assert not second.passed, second.detail
+    assert second.detail == first.detail

@@ -5,23 +5,13 @@ from fractions import Fraction
 import pytest
 
 from cmc_elliptic._ratpoly import (
-    FLOAT_RING,
     CbrtNum,
     CubicField,
     Poly,
     cauchy_root_bound,
     count_positive_roots,
     count_roots_in,
-    exact_ring,
     isolate_positive_roots,
-    pl_add,
-    pl_deriv,
-    pl_divmod_linear,
-    pl_eval,
-    pl_is_zero,
-    pl_mul,
-    pl_sub,
-    pl_trim,
     poly_gcd,
     rational_cbrt,
     real_cbrt,
@@ -169,41 +159,63 @@ class TestCubicField:
         assert float(x) == pytest.approx(1 / 3 + 2 * t - t * t / 5, rel=1e-15)
 
 
-class TestCoefficientLists:
+class TestPolyOverFloats:
     def test_trim_and_zero_predicate(self):
-        assert pl_trim([1.0, 0.0, 0.0], FLOAT_RING) == [1.0]
-        assert pl_is_zero([0.0, 0.0], FLOAT_RING)
-        assert not pl_is_zero([0.0, 1e-30], FLOAT_RING)
+        assert Poly([1.0, 0.0, 0.0]).coeffs == (1.0,)
+        assert Poly([0.0, 0.0]).is_zero()
+        assert not Poly([0.0, 1e-30]).is_zero()
+        assert all(type(c) is float for c in Poly([0.5, 0.0, 2.0]).coeffs)
 
     def test_add_sub_mul_eval(self):
-        a = [1.0, 2.0]
-        b = [3.0, 0.0, 1.0]
-        s = pl_add(a, b, FLOAT_RING)
-        assert pl_eval(s, 2.0, FLOAT_RING) == pl_eval(a, 2.0, FLOAT_RING) + pl_eval(b, 2.0, FLOAT_RING)
-        assert pl_is_zero(pl_sub(a, a, FLOAT_RING), FLOAT_RING)
-        prod = pl_mul(a, b, FLOAT_RING)
-        assert pl_eval(prod, -1.5, FLOAT_RING) == pytest.approx(
-            pl_eval(a, -1.5, FLOAT_RING) * pl_eval(b, -1.5, FLOAT_RING))
+        a = Poly([1.0, 2.0])
+        b = Poly([3.0, 0.0, 1.0])
+        assert (a + b)(2.0) == a(2.0) + b(2.0)
+        assert (a - a).is_zero()
+        assert (a * b)(-1.5) == pytest.approx(a(-1.5) * b(-1.5))
+        for p in (a + b, a - a, a * b, a * 0.5):
+            assert all(type(c) is float for c in p.coeffs)
 
-    def test_deriv(self):
-        assert pl_deriv([5.0, 1.0, 0.0, 2.0], FLOAT_RING) == [1.0, 0.0, 6.0]
+    def test_derivative(self):
+        assert Poly([5.0, 1.0, 0.0, 2.0]).derivative().coeffs == (1.0, 0.0, 6.0)
+        # A constant's derivative is a float zero, not a Fraction.
+        [zero] = Poly([-3.0]).derivative().coeffs
+        assert type(zero) is float and repr(zero) == "0.0"
 
-    def test_divmod_linear_float(self):
-        n = [2.0, -3.0, 0.5, 1.0]
-        c0, c1 = 0.7, -1.3
-        q, rem = pl_divmod_linear(n, c0, c1, FLOAT_RING)
+    def test_divmod_by_linear(self):
+        n = Poly([2.0, -3.0, 0.5, 1.0])
+        d = Poly([0.7, -1.3])
+        q, rem = n.divmod(d)
+        assert q.degree == 2 and rem.degree <= 0
         x = 0.31
-        recomposed = pl_eval(q, x, FLOAT_RING) * (c0 + c1 * x) + rem
-        assert recomposed == pytest.approx(pl_eval(n, x, FLOAT_RING), rel=1e-14)
+        assert q(x) * d(x) + rem(x) == pytest.approx(n(x), rel=1e-14)
 
-    def test_divmod_linear_exact_field(self):
+    def test_fraction_coefficients_at_a_float_give_float_horner_bits(self):
+        p = Poly([F(1, 3), F(-2, 7), F(5, 11), F(9, 13)])
+        x = 0.37
+        acc = float(p.coeffs[-1])
+        for c in reversed(p.coeffs[:-1]):
+            acc = acc * x + float(c)
+        assert type(p(x)) is float and p(x) == acc
+
+
+class TestPolyOverCubicField:
+    def test_equality_with_rationals(self):
+        # Trimming compares coefficients with 0, so Q(t) zeros must say so.
         field = CubicField(2)
-        ring = exact_ring(field)
+        assert field.element(3) == 3 and field.element(F(1, 2)) == F(1, 2)
+        assert field.element(0) == 0 and F(0) == field.element(0)
+        assert field.lam != 0 and field.element(1, 0, 1) != 1
+        assert hash(field.element(F(1, 2))) == hash(F(1, 2))
+        assert Poly([field.lam, field.element(0)]).coeffs == (field.lam,)
+
+    def test_divmod_by_linear(self):
+        field = CubicField(2)
         t = field.lam
         # (1 + t x) * (t^2 + x) + 3
-        q_true = [t * t, field.element(1)]
-        n = pl_add(pl_mul([field.element(1), t], q_true, ring),
-                   [field.element(3)], ring)
-        q, rem = pl_divmod_linear(n, field.element(1), t, ring)
+        linear = Poly([field.element(1), t])
+        q_true = Poly([t * t, field.element(1)])
+        n = linear * q_true + Poly([field.element(3)])
+        q, rem = n.divmod(linear)
         assert q == q_true
-        assert rem == field.element(3)
+        assert rem == Poly([field.element(3)])
+        assert all(isinstance(c, CbrtNum) for c in q.coeffs + rem.coeffs)

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from cmc_elliptic._ratpoly import CubicField, exact_ring
+from cmc_elliptic import wp_chain
+from cmc_elliptic._ratpoly import CubicField, Poly
 from cmc_elliptic.acceptance import fd_chain_reference
 from cmc_elliptic.elliptic_reduction import _shift_and_depress, reduce
 from cmc_elliptic.errors import (
@@ -141,6 +142,25 @@ class TestDifferentiateChain:
         with pytest.raises(AccuracyError):
             differentiate_chain(bad, 2)
 
+    def test_probe_checks_every_order_against_the_exact_chain(
+            self, cfg_t2, monkeypatch):
+        # One exact coefficient at order 6, past the four orders that
+        # differentiate_chain re-derives, is off by one part in a million.
+        exact_chain = wp_chain._exact_chain
+
+        def tampered(cfg, upto_k):
+            terms, lam = exact_chain(cfg, upto_k)
+            k, num, j, prime = terms[5]
+            cs = list(num.coeffs)
+            i = max(range(len(cs)), key=lambda i: abs(cs[i]))
+            cs[i] *= 1 + Fraction(1, 10 ** 6)
+            terms[5] = (k, Poly(cs), j, prime)
+            return terms, lam
+
+        monkeypatch.setattr(wp_chain, "_exact_chain", tampered)
+        with pytest.raises(AccuracyError, match="chain step 6"):
+            polynomiality_probe(cfg_t2, 8)
+
     def test_c2_scales_chain_linearly(self, cfg_t2):
         doubled = dataclasses.replace(cfg_t2, c2=2 * cfg_t2.c2)
         base = differentiate_chain(cfg_t2, 4)
@@ -168,20 +188,20 @@ class TestExactChain:
         Bq, H2 = Fraction(B), 2 * Fraction(H)
         c, l, m, n = _shift_and_depress(family, Bq)
         field = CubicField(Fraction(4) / n)
-        ring = exact_ring(field)
         p, _, _ = _family_constants(family, c, Bq)
         # (P')^2 = 4P^3 - g2*P - g3 with g2 = -m*lam and g3 = -l.
-        cubic = [field.element(l), field.element(0, m, 0), ring.zero,
+        cubic = [field.element(l), field.element(0, m, 0), field.element(0),
                  field.element(4)]
         oracle = _chain_core(field.element(0, -p / H2, 0),
-                             field.element(0, 0, Bq / H2), cubic, ring.one,
-                             12, ring)
-        powers = [ring.one]
+                             field.element(0, 0, Bq / H2), cubic,
+                             field.element(1), 12)
+        powers = [field.element(1)]
         for _ in range(64):
             powers.append(powers[-1] * field.lam)
         assert len(rational) == len(oracle) == 12
         for (k, num, j, prime), expected in zip(rational, oracle):
-            graded = [powers[j - 1 + i] * cc for i, cc in enumerate(num)]
+            graded = Poly([powers[j - 1 + i] * cc
+                           for i, cc in enumerate(num.coeffs)])
             assert (k, graded, j, prime) == expected
 
 
