@@ -19,9 +19,6 @@ from .profiles import (CmcParams, CurveSample, Family, SInterval, SurfaceMesh,
                        anchor, domain, hyperboloid_vertices, implicit_residual,
                        maximal_profile, mean_curvature, mesh, profile_point,
                        surface_point)
-from .split_algebra import (ProfileOdeSample, SplitComplex, closed_form_Y,
-                            ode_residual, samples_from_closed_form,
-                            samples_from_profile, split_exp, split_mul)
 from .weierstrass import WpEvaluator
 from .wp_chain import (ChainConfig, ChainTerm, PRational, chain_config,
                        curve_from_wp, differentiate_chain, eval_chain_term,
@@ -31,17 +28,15 @@ __all__ = [
     "AccuracyError", "BranchError", "ChainConfig", "ChainTerm", "CmcError",
     "CmcParams", "CurveSample", "DiscPoly", "DomainError", "EmptyDomainError",
     "Family", "InsufficientDataError", "NearPoleError", "PRational",
-    "PoleError", "ProfileOdeSample", "RangeError", "ReductionData",
-    "SInterval", "SingularError", "SplitComplex", "SurfaceMesh",
-    "UnsupportedCaseError", "UsageError", "WpEvaluator", "anchor",
-    "chain_config", "closed_form_Y", "curve_from_wp", "differentiate_chain",
+    "PoleError", "RangeError", "ReductionData", "SInterval", "SingularError",
+    "SurfaceMesh", "UnsupportedCaseError", "UsageError", "WpEvaluator",
+    "anchor", "chain_config", "curve_from_wp", "differentiate_chain",
     "discriminant_poly", "domain", "eval_chain_term",
     "exact_discriminant_poly", "hyperboloid_vertices", "implicit_residual",
     "is_singular_value", "maximal_profile", "mean_curvature", "mesh",
-    "ode_residual", "polynomiality_probe", "positive_root_count",
-    "profile_point", "reduce", "reduction_report", "samples_from_closed_form",
-    "samples_from_profile", "shifted_cubic_identity", "singular_B",
-    "split_exp", "split_mul", "surface_point",
+    "polynomiality_probe", "positive_root_count", "profile_point", "reduce",
+    "reduction_report", "shifted_cubic_identity", "singular_B",
+    "surface_point",
 ]
 
 __version__ = "0.1.0"

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from ._carlson import rd, rf
 from .errors import (DomainError, EmptyDomainError, RangeError,
                      UnsupportedCaseError)
@@ -83,7 +81,7 @@ class SurfaceMesh:
     vertices: list[tuple[float, float, float]]
     faces: list[tuple[int, int, int]]
     params: CmcParams
-    grid: tuple[np.ndarray, np.ndarray]
+    grid: tuple[list[float], list[float]]
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +432,22 @@ def implicit_residual(params: CmcParams, pt: Sequence[float]) -> float:
         f"no known implicit polynomial for B={B!r} (need B in {{0, 1}})")
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced floats from lo to hi: i*step + lo, then hi.
+
+    A step that underflows to zero (a subnormal span) falls back to
+    i/(n-1) * (hi-lo) + lo. These are the array-library linspace values,
+    bit for bit, signed zeros included.
+    """
+    step = (hi - lo) / (n - 1)
+    if step == 0:
+        out = [i / (n - 1) * (hi - lo) + lo for i in range(n)]
+    else:
+        out = [i * step + lo for i in range(n)]
+    out[-1] = float(hi)
+    return out
+
+
 def mesh(params: CmcParams, s_range: tuple[float, float], n_s: int,
          n_theta: int, angle_range: float = 2.0,
          edge_offset: float | None = None) -> SurfaceMesh:
@@ -452,15 +466,15 @@ def mesh(params: CmcParams, s_range: tuple[float, float], n_s: int,
     lo, hi = s_range
     if not (dom.contains(lo) and dom.contains(hi)) or not lo < hi:
         raise DomainError(f"s_range {s_range!r} not inside open domain")
-    s_samples = np.linspace(lo, hi, n_s)
+    s_samples = _linspace(lo, hi, n_s)
     if params.family is Family.LORENTZ_SPACELIKE_AXIS:
         if not math.isfinite(angle_range):
             raise RangeError(f"hyperbolic angle range {angle_range!r} "
                              "is not finite")
-        theta_samples = np.linspace(-angle_range, angle_range, n_theta)
+        theta_samples = _linspace(-angle_range, angle_range, n_theta)
     else:
-        theta_samples = np.linspace(0.0, 2 * math.pi, n_theta)
-    rotations = [_rotation(params, float(t)) for t in theta_samples]
+        theta_samples = _linspace(0.0, 2 * math.pi, n_theta)
+    rotations = [_rotation(params, t) for t in theta_samples]
     vertices: list[tuple[float, float, float]] = []
     for cs in profile_points(params, s_samples, edge_offset):
         vertices += _orbit(params, cs, rotations)
@@ -487,9 +501,11 @@ def hyperboloid_vertices(H: float, n_s: int, n_theta: int,
     degenerates (spacelike-axis family): points
     (x, z sinh(theta), z cosh(theta)) with z = sqrt(x^2 + 1/H^2).
     """
+    if n_s < 2 or n_theta < 2:
+        raise DomainError("n_s and n_theta must both be at least 2")
     out = []
-    for x in np.linspace(x_range[0], x_range[1], n_s):
+    for x in _linspace(x_range[0], x_range[1], n_s):
         z = math.sqrt(x * x + 1 / (H * H))
-        for theta in np.linspace(-angle_range, angle_range, n_theta):
-            out.append((float(x), z * math.sinh(theta), z * math.cosh(theta)))
+        for theta in _linspace(-angle_range, angle_range, n_theta):
+            out.append((x, z * math.sinh(theta), z * math.cosh(theta)))
     return out

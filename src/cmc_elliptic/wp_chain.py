@@ -34,7 +34,8 @@ from . import profiles
 from ._ratpoly import Poly, real_cbrt
 from .elliptic_reduction import (ReductionData, _shift_and_depress,
                                  is_singular_value)
-from .errors import AccuracyError, DomainError, NearPoleError, SingularError
+from .errors import (AccuracyError, DomainError, NearPoleError, RangeError,
+                     SingularError)
 from .profiles import CmcParams, Family
 from .weierstrass import WpEvaluator
 
@@ -246,11 +247,11 @@ def _checked_terms(cfg: ChainConfig, upto_k: int, exact, lam):
         if cfg.c2 == 0.0:
             expected = [0.0] * len(num_f.coeffs)
         else:
+            expected = [_true_coefficient(k, i, cfg.c2, lam, j_e - 1 + i, cc)
+                        for i, cc in enumerate(num_e.coeffs)]
             if j_f != j_e:
                 raise AccuracyError(
                     f"chain step {k}: denominator power {j_f} != exact {j_e}")
-            expected = [cfg.c2 * lam ** (j_e - 1 + i) * float(cc)
-                        for i, cc in enumerate(num_e.coeffs)]
         tol = 1e-9 * max(1.0, max(abs(e) for e in expected))
         for cf, ce in zip_longest(num_f.coeffs, expected, fillvalue=0.0):
             if abs(cf - ce) > tol:
@@ -261,6 +262,29 @@ def _checked_terms(cfg: ChainConfig, upto_k: int, exact, lam):
                                          den=_den_poly(cfg.alpha, cfg.beta, j)),
                       has_wp_prime=has_prime)
             for k, num, j, has_prime in raw]
+
+
+def _true_coefficient(k: int, i: int, c2: float, lam: float, power: int,
+                      cc: Fraction) -> float:
+    """c2 * lam**power * cc as a float; RangeError when it has no float value.
+
+    The float product serves unless it overflows, or underflows to zero while
+    cc does not vanish. Then the exact product decides, so that a chain whose
+    true coefficients leave the float range is not reported as drift.
+    """
+    try:
+        value = c2 * lam ** power * float(cc)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value) or (value == 0.0 and cc != 0):
+        try:
+            value = float(Fraction(c2) * Fraction(lam) ** power * cc)
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value) or (value == 0.0 and cc != 0):
+            raise RangeError(f"chain step {k}: exact coefficient of P^{i} "
+                             "is outside the float range")
+    return value
 
 
 def eval_chain_term(term: ChainTerm, ev: WpEvaluator, t: float) -> float:

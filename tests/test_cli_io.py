@@ -5,11 +5,19 @@ between stdout (payload) and stderr (diagnostics) are covered too.
 """
 
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
 
+import numpy as np
 import pytest
 
+import cmc_elliptic
 from cmc_elliptic.cli_io import _json, main
 from cmc_elliptic.errors import RangeError
+from cmc_elliptic.profiles import CmcParams, Family, surface_point
 
 
 def run(capsys, *argv):
@@ -207,6 +215,22 @@ class TestSurfaceCommand:
                 val = float(x3) ** 2 - float(x2) ** 2
                 assert val == pytest.approx(0.25, abs=1e-12)
 
+    def test_subnormal_span_samples_like_numpy(self, capsys):
+        # The grid step 5e-324/4 underflows to zero; the samples must still
+        # be numpy.linspace's i/(n-1) * span, not all 0 but the last. The
+        # B = 0 spacelike profile is the line x = -s, so every sample shows.
+        rc, out, _ = run(capsys, "surface", "--family", "spacelike",
+                         "--B", "0", "--s-min", "0", "--s-max", "5e-324",
+                         "--samples", "5")
+        params = CmcParams(Family.LORENTZ_SPACELIKE_AXIS, 1.0, 0.0)
+        expected = [surface_point(params, s, t)
+                    for s in np.linspace(0.0, 5e-324, 5).tolist()
+                    for t in np.linspace(-2.0, 2.0, 17).tolist()]
+        vertices = [tuple(map(float, line.split()[1:]))
+                    for line in out.splitlines() if line.startswith("v ")]
+        assert rc == 0
+        assert vertices == expected
+
 
 class TestReduceCommand:
     def test_report_fields(self, capsys):
@@ -256,6 +280,22 @@ class TestChainCommand:
         assert [t["k"] for t in report["terms"]] == list(range(1, 9))
         assert not any(t["identically_zero"] for t in report["terms"])
 
+    @pytest.mark.parametrize("argv", [
+        # An exact coefficient past 1.8e308.
+        ("--family", "timelike", "--B", "2", "--H", "1e-100", "--upto-k", "12"),
+        ("--family", "timelike", "--B", "2", "--H", "1e-200", "--upto-k", "3"),
+        ("--family", "timelike", "--B", "2", "--H", "0.5", "--upto-k", "120"),
+        # An exact coefficient that underflows to zero.
+        ("--family", "euclid", "--B", "0.3", "--H", "1e200", "--upto-k", "12"),
+        ("--family", "spacelike", "--B", "2", "--H", "1e150", "--upto-k", "8"),
+    ])
+    def test_chain_past_float_range_is_a_range_error(self, capsys, argv):
+        rc, out, err = run(capsys, "chain", *argv)
+        assert rc == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "range"
+
 
 class TestVerifyCommand:
     def test_exits_nonzero_with_one_line_per_criterion(self, capsys):
@@ -267,3 +307,32 @@ class TestVerifyCommand:
                            if l.startswith(("PASS", "FAIL"))]
         assert len(criterion_lines) == 11
         assert lines[-1] == "8/11 criteria passed"
+
+
+def test_commands_run_on_the_standard_library_alone():
+    # A fresh interpreter: the test process itself has numpy loaded.
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from cmc_elliptic import cli_io
+        for argv in (
+            ["profile", "--family", "timelike", "--B", "2", "--H", "0.5",
+             "--s-min", "0.1", "--s-max", "1.5"],
+            ["surface", "--family", "spacelike", "--B", "0.5",
+             "--s-min", "-0.3", "--s-max", "0.3"],
+            ["reduce", "--family", "spacelike", "--B", "2"],
+            ["roots", "--family", "timelike"],
+            ["wp-check", "--family", "timelike", "--B", "2"],
+            ["chain", "--family", "timelike", "--B", "2", "--H", "0.5"],
+            ["verify"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli_io.main(argv)
+        print(sorted(m for m in sys.modules
+                     if m.split(".")[0] in ("numpy", "scipy")))
+    """)
+    src = os.path.dirname(os.path.dirname(cmc_elliptic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"

@@ -6,6 +6,8 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cmc_elliptic.errors import (DomainError, EmptyDomainError, RangeError,
                                  UnsupportedCaseError)
@@ -22,6 +24,7 @@ from cmc_elliptic.profiles import (
     profile_point,
     surface_point,
 )
+from cmc_elliptic.profiles import _linspace
 
 
 def in_domain_samples(params, n, seed=0, margin=0.05):
@@ -338,6 +341,29 @@ class TestImplicitResidual:
         params = CmcParams(Family.EUCLIDEAN, 1.0, 0.5)
         with pytest.raises(UnsupportedCaseError):
             implicit_residual(params, (0.0, 0.0, 0.0))
+
+    def test_hyperboloid_needs_two_samples_per_direction(self):
+        with pytest.raises(DomainError):
+            hyperboloid_vertices(0.5, 1, 5)
+        with pytest.raises(DomainError):
+            hyperboloid_vertices(0.5, 7, 0)
+
+
+# Finite endpoints of any size, plus spans of a few hundred subnormal units,
+# where (hi - lo)/(n - 1) underflows to zero for most n.
+_ENDPOINTS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(min_value=-1e-321, max_value=1e-321))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=_ENDPOINTS, hi=_ENDPOINTS, n=st.integers(2, 300))
+@example(lo=0.0, hi=5e-324, n=5)
+@example(lo=-0.0, hi=0.0, n=3)
+def test_linspace_matches_numpy(lo, hi, n):
+    with np.errstate(all="ignore"):  # spans past the float range give inf/nan
+        want = np.linspace(lo, hi, n).tolist()
+    # repr tells signed zeros apart and lets nan equal nan.
+    assert [repr(x) for x in _linspace(lo, hi, n)] == [repr(y) for y in want]
 
 
 class TestMesh:

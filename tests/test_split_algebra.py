@@ -1,7 +1,20 @@
-"""Split-complex arithmetic and the first-order profile equation."""
+"""Split-complex arithmetic and the first-order profile equation.
+
+An independent oracle for the spacelike-axis family: numbers x + k*y with
+k**2 = +1, in which the Lorentzian profile geometry linearizes. The
+combination Y = z*z' + k*z*x' built along a unit-speed profile satisfies the
+first-order equation Y' + 2kH*Y + 1 = 0, whose closed solution is
+parametrized by a single non-negative constant B. The oracle below provides
+the arithmetic, the closed solution, and a residual check for that equation
+on sampled data; the tests run it against the package's profiles.
+"""
+
+from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
+from typing import Sequence
 
 import pytest
 
@@ -11,19 +24,157 @@ from cmc_elliptic.errors import (
     RangeError,
     UnsupportedCaseError,
 )
-from cmc_elliptic.profiles import CmcParams, Family
-from cmc_elliptic.split_algebra import (
-    K,
-    ONE,
-    ProfileOdeSample,
-    SplitComplex,
-    closed_form_Y,
-    ode_residual,
-    samples_from_closed_form,
-    samples_from_profile,
-    split_exp,
-    split_mul,
-)
+from cmc_elliptic.profiles import CmcParams, Family, profile_point
+
+
+@dataclass(frozen=True)
+class SplitComplex:
+    """Number re + k*im with k**2 = 1."""
+
+    re: float
+    im: float
+
+    def __add__(self, other: "SplitComplex") -> "SplitComplex":
+        return SplitComplex(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "SplitComplex") -> "SplitComplex":
+        return SplitComplex(self.re - other.re, self.im - other.im)
+
+    def __neg__(self) -> "SplitComplex":
+        return SplitComplex(-self.re, -self.im)
+
+    def __mul__(self, other: "SplitComplex") -> "SplitComplex":
+        return split_mul(self, other)
+
+    def scaled(self, f: float) -> "SplitComplex":
+        return SplitComplex(f * self.re, f * self.im)
+
+    def conj(self) -> "SplitComplex":
+        return SplitComplex(self.re, -self.im)
+
+    def sq_modulus(self) -> float:
+        """re**2 - im**2; may be negative or zero (null cone)."""
+        return self.re * self.re - self.im * self.im
+
+    def max_abs(self) -> float:
+        return max(abs(self.re), abs(self.im))
+
+
+ONE = SplitComplex(1.0, 0.0)
+K = SplitComplex(0.0, 1.0)
+
+
+def split_mul(a: SplitComplex, b: SplitComplex) -> SplitComplex:
+    """Product in R[k]: (a.re*b.re + a.im*b.im, a.re*b.im + a.im*b.re)."""
+    return SplitComplex(a.re * b.re + a.im * b.im,
+                        a.re * b.im + a.im * b.re)
+
+
+def split_exp(theta: float) -> SplitComplex:
+    """Exponential e^(k*theta) = cosh(theta) + k*sinh(theta).
+
+    The result always has squared modulus 1.
+    """
+    try:
+        return SplitComplex(math.cosh(theta), math.sinh(theta))
+    except OverflowError as exc:
+        raise RangeError(f"split_exp overflow at theta={theta!r}") from exc
+
+
+def closed_form_Y(H: float, B: float, s: float) -> SplitComplex:
+    """Closed solution (B*e^(-2kHs) - 1) * k / (2H) of Y' + 2kH*Y + 1 = 0.
+
+    Division by 2kH is realized as multiplication by k/(2H), using k**(-1)=k.
+    For the spacelike-axis profile family this equals z*z' + k*z*x' exactly.
+    """
+    if H <= 0:
+        raise DomainError(f"H must be positive, got {H!r}")
+    if B < 0:
+        raise DomainError(f"B must be non-negative, got {B!r}")
+    e = split_exp(-2.0 * H * s)
+    inner = SplitComplex(B * e.re - 1.0, B * e.im)
+    return split_mul(inner, K).scaled(1.0 / (2.0 * H))
+
+
+@dataclass(frozen=True)
+class ProfileOdeSample:
+    """One sampled value of Y (and its numeric derivative) along a profile."""
+
+    s: float
+    Y: SplitComplex
+    dY: SplitComplex
+
+
+def ode_residual(samples: Sequence[ProfileOdeSample], H: float) -> float:
+    """Max componentwise residual of dY + 2kH*Y + 1 over the samples.
+
+    H may be 0, in which case the checked equation degenerates to dY + 1 = 0.
+    """
+    if len(samples) < 3:
+        raise InsufficientDataError(
+            f"need at least 3 samples, got {len(samples)}")
+    worst = 0.0
+    for smp in samples:
+        r = smp.dY + split_mul(K, smp.Y).scaled(2.0 * H) + ONE
+        worst = max(worst, r.max_abs())
+    return worst
+
+
+def _stencil_derivative(f, s: float, h: float) -> SplitComplex:
+    """Fourth-order five-point first derivative of a SplitComplex-valued f."""
+    fp2, fp1 = f(s + 2 * h), f(s + h)
+    fm1, fm2 = f(s - h), f(s - 2 * h)
+    return SplitComplex(
+        (-fp2.re + 8 * fp1.re - 8 * fm1.re + fm2.re) / (12 * h),
+        (-fp2.im + 8 * fp1.im - 8 * fm1.im + fm2.im) / (12 * h),
+    )
+
+
+def samples_from_closed_form(H: float, B: float, s_values: Sequence[float],
+                             h: float = 1e-3) -> list[ProfileOdeSample]:
+    """Samples of the closed solution with five-point numeric derivatives.
+
+    The wide stencil keeps the derivative truncation+roundoff error near
+    1e-13 so residual checks at the 1e-12 level are meaningful.
+    """
+    out = []
+    for s in s_values:
+        out.append(ProfileOdeSample(
+            s=s,
+            Y=closed_form_Y(H, B, s),
+            dY=_stencil_derivative(lambda t: closed_form_Y(H, B, t), s, h),
+        ))
+    return out
+
+
+def samples_from_profile(params, s_values: Sequence[float],
+                         h: float = 1e-3) -> list[ProfileOdeSample]:
+    """Builds Y = z*z' + k*z*x' from actual profile samples.
+
+    Only the spacelike-axis family carries this exact combination (there z is
+    the radius coordinate); other families are rejected. All inputs must keep
+    the five-point stencil inside the open domain.
+    """
+    if params.family is not Family.LORENTZ_SPACELIKE_AXIS:
+        raise UnsupportedCaseError(
+            "Y = z z' + k z x' is the spacelike-axis combination; "
+            f"got family {params.family}")
+
+    def y_of(s: float) -> SplitComplex:
+        cs = profile_point(params, s)
+        if cs.second <= 0:
+            raise DomainError("profile sample has non-positive radius")
+        return SplitComplex(cs.second * cs.dsecond, cs.second * cs.dx)
+
+    out = []
+    for s in s_values:
+        out.append(ProfileOdeSample(
+            s=s, Y=y_of(s), dY=_stencil_derivative(y_of, s, h)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Tests
 
 
 def close(a: SplitComplex, b: SplitComplex, tol: float = 1e-12) -> bool:

@@ -15,6 +15,7 @@ from cmc_elliptic.errors import (
     BranchError,
     DomainError,
     NearPoleError,
+    RangeError,
     SingularError,
 )
 from cmc_elliptic.profiles import CmcParams, Family, anchor, profile_point
@@ -160,6 +161,22 @@ class TestDifferentiateChain:
         monkeypatch.setattr(wp_chain, "_exact_chain", tampered)
         with pytest.raises(AccuracyError, match="chain step 6"):
             polynomiality_probe(cfg_t2, 8)
+
+    @pytest.mark.parametrize("c2, cc", [
+        # float(cc) overflows; the true coefficient is about 2e300.
+        (1e-10, Fraction(10 ** 310)),
+        # float(cc) underflows to zero; the true coefficient is 2e-320.
+        (1e10, Fraction(1, 10 ** 330)),
+        (1.0, Fraction(0)),
+    ])
+    def test_true_coefficient_falls_back_to_the_exact_product(self, c2, cc):
+        assert wp_chain._true_coefficient(1, 0, c2, 2.0, 1, cc) == \
+            float(Fraction(c2) * 2 * cc)
+
+    @pytest.mark.parametrize("cc", [Fraction(10 ** 400), Fraction(1, 10 ** 400)])
+    def test_unrepresentable_true_coefficient_is_a_range_error(self, cc):
+        with pytest.raises(RangeError, match="chain step 3"):
+            wp_chain._true_coefficient(3, 0, 1.0, 2.0, 1, cc)
 
     def test_c2_scales_chain_linearly(self, cfg_t2):
         doubled = dataclasses.replace(cfg_t2, c2=2 * cfg_t2.c2)
