@@ -12,31 +12,27 @@ from .elliptic_reduction import (DiscPoly, ReductionData, discriminant_poly,
                                  reduction_report, shifted_cubic_identity,
                                  singular_B)
 from .errors import (AccuracyError, BranchError, CmcError, DomainError,
-                     EmptyDomainError, InsufficientDataError, NearPoleError,
-                     PoleError, RangeError, SingularError, UnsupportedCaseError,
-                     UsageError)
+                     EmptyDomainError, NearPoleError, PoleError, RangeError,
+                     SingularError, UnsupportedCaseError, UsageError)
 from .profiles import (CmcParams, CurveSample, Family, SInterval, SurfaceMesh,
                        anchor, domain, hyperboloid_vertices, implicit_residual,
-                       maximal_profile, mean_curvature, mesh, profile_point,
-                       surface_point)
+                       mean_curvature, mesh, profile_point, surface_point)
 from .weierstrass import WpEvaluator
-from .wp_chain import (ChainConfig, ChainTerm, PRational, chain_config,
-                       curve_from_wp, differentiate_chain, eval_chain_term,
+from .wp_chain import (ChainConfig, ChainTerm, chain_config, curve_from_wp,
+                       differentiate_chain, eval_chain_term,
                        polynomiality_probe)
 
 __all__ = [
     "AccuracyError", "BranchError", "ChainConfig", "ChainTerm", "CmcError",
     "CmcParams", "CurveSample", "DiscPoly", "DomainError", "EmptyDomainError",
-    "Family", "InsufficientDataError", "NearPoleError", "PRational",
-    "PoleError", "RangeError", "ReductionData", "SInterval", "SingularError",
-    "SurfaceMesh", "UnsupportedCaseError", "UsageError", "WpEvaluator",
-    "anchor", "chain_config", "curve_from_wp", "differentiate_chain",
-    "discriminant_poly", "domain", "eval_chain_term",
+    "Family", "NearPoleError", "PoleError", "RangeError", "ReductionData",
+    "SInterval", "SingularError", "SurfaceMesh", "UnsupportedCaseError",
+    "UsageError", "WpEvaluator", "anchor", "chain_config", "curve_from_wp",
+    "differentiate_chain", "discriminant_poly", "domain", "eval_chain_term",
     "exact_discriminant_poly", "hyperboloid_vertices", "implicit_residual",
-    "is_singular_value", "maximal_profile", "mean_curvature", "mesh",
-    "polynomiality_probe", "positive_root_count", "profile_point", "reduce",
-    "reduction_report", "shifted_cubic_identity", "singular_B",
-    "surface_point",
+    "is_singular_value", "mean_curvature", "mesh", "polynomiality_probe",
+    "positive_root_count", "profile_point", "reduce", "reduction_report",
+    "shifted_cubic_identity", "singular_B", "surface_point",
 ]
 
 __version__ = "0.1.0"

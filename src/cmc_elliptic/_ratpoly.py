@@ -1,16 +1,14 @@
-"""Dense univariate polynomials, Sturm root isolation and the field Q(cbrt d).
+"""Dense univariate polynomials, Sturm root isolation and the real cube root.
 
 ``Poly`` works over the scalars it is given: exactly for integer or
 ``Fraction`` input (Sturm-sequence root counting and isolation on (0, inf),
-bisection+Newton refinement), in floats for the working derivative chain,
-and in Q(t) with t**3 rational through ``CbrtNum``, the independent oracle
-for the derivative chain, which itself runs over Q.
+bisection+Newton refinement, the exact derivative chain over Q), and in
+floats for the working derivative chain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
@@ -24,8 +22,8 @@ class Poly:
     """Dense polynomial in ascending order, over whatever scalars it is given.
 
     Int coefficients become ``Fraction`` so integer input stays exact (the
-    Sturm machinery relies on it); floats, Fractions and :class:`CbrtNum`
-    values are kept as given and combine through their own operators.
+    Sturm machinery relies on it); floats and Fractions are kept as given
+    and combine through their own operators.
     """
 
     __slots__ = ("coeffs",)
@@ -289,163 +287,9 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, tol: float = 1e-12) -> floa
 
 
 # ---------------------------------------------------------------------------
-# Cubic radical field Q(cbrt(d))
+# Real cube root
 
 
 def real_cbrt(x: float) -> float:
     """Real cube root, valid for negative arguments."""
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
-def _icbrt(n: int) -> int:
-    """Floor integer cube root of n >= 0."""
-    if n < 0:
-        raise ValueError("negative argument")
-    if n == 0:
-        return 0
-    x = 1 << ((n.bit_length() + 2) // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            break
-        x = y
-    while x * x * x > n:
-        x -= 1
-    return x
-
-
-def rational_cbrt(d: Fraction) -> Fraction | None:
-    """Exact cube root of d when d is a perfect rational cube, else None."""
-    d = Fraction(d)
-    sign = -1 if d < 0 else 1
-    num, den = abs(d.numerator), d.denominator
-    rn, rd = _icbrt(num), _icbrt(den)
-    if rn ** 3 == num and rd ** 3 == den:
-        return Fraction(sign * rn, rd)
-    return None
-
-
-@dataclass(frozen=True, eq=False)
-class CbrtNum:
-    """Element a + b*t + c*t**2 of Q(t) with t**3 = d (d a rational non-cube)."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-    def _coerce(self, other):
-        if isinstance(other, CbrtNum):
-            if other.d != self.d:
-                raise ValueError("mixing incompatible cubic extensions")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CbrtNum(Fraction(other), Fraction(0), Fraction(0), self.d)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CbrtNum(self.a + o.a, self.b + o.b, self.c + o.c, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CbrtNum(-self.a, -self.b, -self.c, self.d)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a1, b1, c1, d = self.a, self.b, self.c, self.d
-        a2, b2, c2 = o.a, o.b, o.c
-        return CbrtNum(
-            a1 * a2 + d * (b1 * c2 + c1 * b2),
-            a1 * b2 + b1 * a2 + d * c1 * c2,
-            a1 * c2 + b1 * b2 + c1 * a2,
-            d,
-        )
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "CbrtNum":
-        a, b, c, d = self.a, self.b, self.c, self.d
-        norm = a ** 3 + d * b ** 3 + d * d * c ** 3 - 3 * d * a * b * c
-        if norm == 0:
-            raise ZeroDivisionError("zero (or non-invertible) cubic field element")
-        return CbrtNum((a * a - d * b * c) / norm,
-                       (d * c * c - a * b) / norm,
-                       (b * b - a * c) / norm, d)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.a == other and self.b == 0 and self.c == 0
-        if isinstance(other, CbrtNum):
-            return (self.a, self.b, self.c, self.d) == \
-                (other.a, other.b, other.c, other.d)
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0 and self.c == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __float__(self) -> float:
-        t = real_cbrt(float(self.d))
-        return float(self.a) + float(self.b) * t + float(self.c) * t * t
-
-
-class CubicField:
-    """Factory for exact scalars in Q(cbrt(d)).
-
-    When d is a perfect rational cube the extension collapses and elements
-    are plain Fractions (keeps real-number equality decidable); otherwise
-    elements are :class:`CbrtNum` triples and the ring is a genuine field.
-    """
-
-    def __init__(self, d):
-        self.d = Fraction(d)
-        if self.d == 0:
-            raise ValueError("d must be nonzero")
-        self.root = rational_cbrt(self.d)
-
-    @property
-    def collapsed(self) -> bool:
-        return self.root is not None
-
-    def element(self, a=0, b=0, c=0):
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        if self.collapsed:
-            r = self.root
-            return a + b * r + c * r * r
-        return CbrtNum(a, b, c, self.d)
-
-    @property
-    def lam(self):
-        """The generator t = cbrt(d) itself."""
-        return self.element(0, 1, 0)

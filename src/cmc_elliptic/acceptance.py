@@ -21,8 +21,9 @@ from .elliptic_reduction import (discriminant_poly, isolation_seconds,
                                  positive_root_count, reduce, singular_B)
 from .profiles import CmcParams, Family
 from .weierstrass import WpEvaluator
-from .wp_chain import (chain_config, curve_from_wp, differentiate_chain,
-                       eval_chain_term, polynomiality_probe)
+from .wp_chain import (_path_axis, _path_parameter, chain_config,
+                       curve_from_wp, differentiate_chain, eval_chain_term,
+                       polynomiality_probe)
 
 
 @dataclass(frozen=True)
@@ -179,10 +180,8 @@ def criterion_6() -> CriterionResult:
 # 7: algebraic special cases
 
 
-def _mesh_vertices(params: CmcParams, s_lo: float, s_hi: float,
-                   edge_offset: float | None = None):
-    m = profiles.mesh(params, (s_lo, s_hi), 40, 25, edge_offset=edge_offset)
-    return m.vertices
+def _mesh_vertices(params: CmcParams, s_lo: float, s_hi: float):
+    return profiles.mesh(params, (s_lo, s_hi), 40, 25).vertices
 
 
 def _fitted_hyperboloid_residual(vertices, H: float) -> float:
@@ -337,15 +336,11 @@ def criterion_9() -> CriterionResult:
 # 10: derivative chain
 
 
-def _z_of_t(cfg, ev, t0, t):
-    return cfg.alpha * (t - t0) + cfg.beta * ev.wp_integral(t0, t)
-
-
 def _solve_t(cfg, ev, t0, z_target, t_guess):
     """Invert z(t) by Newton; dz/dt = alpha + beta*P(t) must not vanish."""
     t = t_guess
     for _ in range(60):
-        g = _z_of_t(cfg, ev, t0, t) - z_target
+        g = _path_axis(cfg, ev, t0, t) - z_target
         dg = cfg.alpha + cfg.beta * ev.wp(t)[0]
         step = g / dg
         t -= step
@@ -362,12 +357,9 @@ def fd_chain_reference(cfg, params, s_center: float, delta: float):
     and delta/2.
     """
     ev = WpEvaluator(cfg.g2, cfg.g3)
-    s_ref = profiles.anchor(params)
-    w_ref = (math.sinh(2 * cfg.H * s_ref) + cfg.c_shift) / cfg.lam
-    t0 = -ev.wp_inverse(w_ref)
-    w_c = (math.sinh(2 * cfg.H * s_center) + cfg.c_shift) / cfg.lam
-    t_c = -ev.wp_inverse(w_c)
-    z_c = _z_of_t(cfg, ev, t0, t_c)
+    t0 = _path_parameter(cfg, ev, profiles.anchor(params))
+    t_c = _path_parameter(cfg, ev, s_center)
+    z_c = _path_axis(cfg, ev, t0, t_c)
 
     cache: dict[float, float] = {}
 

@@ -19,7 +19,9 @@ Two discriminant-like polynomials in B are exposed:
 
 The two differ by the sign of the 27l**2 term; the screening variant is the
 one whose roots reproduce the reference classification values, and the true
-variant is the one ruling existence of the Weierstrass function.
+variant is the one ruling existence of the Weierstrass function. The
+screening value is g2**3 + 27*g3**2, so its roots are the B where Klein's
+J = g2**3/disc equals 1/2, and disc does not vanish there.
 """
 
 from __future__ import annotations
@@ -206,9 +208,9 @@ def positive_root_count(family: Family) -> int:
     return count_positive_roots(discriminant_poly(family).numerator)
 
 
-def is_singular_value(family: Family, B: float, rel_tol: float = 1e-5) -> bool:
-    """Whether B lies within rel_tol of a singular (screening-root) value."""
-    return any(abs(B - r) <= rel_tol * max(1.0, r)
+def is_singular_value(family: Family, B: float) -> bool:
+    """Whether B lies within 1e-5 (relative) of a screening root."""
+    return any(abs(B - r) <= 1e-5 * max(1.0, r)
                for r in _screening_roots(family)[0])
 
 

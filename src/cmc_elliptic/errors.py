@@ -38,10 +38,6 @@ class RangeError(CmcError):
     """Input magnitude exceeds the representable floating-point range."""
 
 
-class InsufficientDataError(CmcError):
-    """Too few samples to carry out the requested computation."""
-
-
 class UnsupportedCaseError(CmcError):
     """The operation is only defined for specific parameter values."""
 

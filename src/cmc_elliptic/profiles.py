@@ -190,22 +190,21 @@ def _finite(params: CmcParams, s: float, values: tuple) -> tuple:
     return values
 
 
-def anchor(params: CmcParams, edge_offset: float | None = None) -> float:
+def anchor(params: CmcParams) -> float:
     """Base point of the axis coordinate (0 whenever 0 is in the open domain).
 
     Only the timelike-axis family with B <= 1 needs a shifted base point:
     there the domain edge sits at s >= 0 and the axis coordinate vanishes at
-    edge + edge_offset (default 1e-6/H). Profiles are defined up to a
-    translation along the axis, so the anchor is a pure convention shared
-    with the Weierstrass-path reconstruction.
+    edge + 1e-6/H. Profiles are defined up to a translation along the axis,
+    so the anchor is a pure convention shared with the Weierstrass-path
+    reconstruction.
     """
     if params.family is not Family.LORENTZ_TIMELIKE_AXIS:
         return 0.0
     dom = domain(params)
     if dom.lo < 0:
         return 0.0
-    delta = edge_offset if edge_offset is not None else 1e-6 / params.H
-    return dom.lo + delta
+    return dom.lo + 1e-6 / params.H
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +291,7 @@ def _timelike_axis(H: float, B: float, edge: float,
     return lambda s: g(s) - g_start
 
 
-def _axis_values(params: CmcParams, grid: Sequence[float],
-                 edge_offset: float | None) -> list[float]:
+def _axis_values(params: CmcParams, grid: Sequence[float]) -> list[float]:
     """Axis coordinate at every sample of grid, vanishing at ``anchor``."""
     H, B = params.H, params.B
     if params.family is Family.EUCLIDEAN:
@@ -301,8 +299,7 @@ def _axis_values(params: CmcParams, grid: Sequence[float],
     elif params.family is Family.LORENTZ_SPACELIKE_AXIS:
         axis = _spacelike_axis(H, B)
     else:
-        axis = _timelike_axis(H, B, domain(params).lo,
-                              anchor(params, edge_offset))
+        axis = _timelike_axis(H, B, domain(params).lo, anchor(params))
     values = []
     for s in grid:
         try:
@@ -316,14 +313,13 @@ def _axis_values(params: CmcParams, grid: Sequence[float],
 # Public profile operations
 
 
-def profile_points(params: CmcParams, s_grid: Sequence[float],
-                   edge_offset: float | None = None) -> list[CurveSample]:
+def profile_points(params: CmcParams,
+                   s_grid: Sequence[float]) -> list[CurveSample]:
     """Profile samples along a grid of arc lengths, in grid order.
 
-    Closed forms at every sample, each computed on its own. For the
-    timelike-axis family the axis coordinate is anchored at s_ref = 0 when
-    B > 1, else at the domain edge plus ``edge_offset`` (default 1e-6/H);
-    the profile is defined up to axis translation.
+    Closed forms at every sample, each computed on its own. The axis
+    coordinate vanishes at ``anchor``; the profile is defined up to axis
+    translation.
     """
     grid = [float(s) for s in s_grid]
     _require_in_domain(params, grid)
@@ -331,7 +327,7 @@ def profile_points(params: CmcParams, s_grid: Sequence[float],
     for s in grid:
         radius, drad, _, dax, _ = _closed_pieces(params, s)
         pieces.append(_finite(params, s, (radius, drad, dax)))
-    axes = _axis_values(params, grid, edge_offset)
+    axes = _axis_values(params, grid)
     if params.family is Family.LORENTZ_TIMELIKE_AXIS:
         # Profile is (x, z) = (radius, axis).
         return [CurveSample(s=s, x=radius, second=axis, dx=drad, dsecond=dax)
@@ -340,16 +336,15 @@ def profile_points(params: CmcParams, s_grid: Sequence[float],
             for s, (radius, drad, dax), axis in zip(grid, pieces, axes)]
 
 
-def profile_point(params: CmcParams, s: float,
-                  edge_offset: float | None = None) -> CurveSample:
+def profile_point(params: CmcParams, s: float) -> CurveSample:
     """Profile sample at arc length s: the one-sample ``profile_points``."""
-    return profile_points(params, [s], edge_offset)[0]
+    return profile_points(params, [s])[0]
 
 
-def surface_point(params: CmcParams, s: float, theta: float,
-                  edge_offset: float | None = None) -> tuple[float, float, float]:
+def surface_point(params: CmcParams, s: float,
+                  theta: float) -> tuple[float, float, float]:
     """The rotation-orbit map applied to the profile point."""
-    cs = profile_point(params, s, edge_offset)
+    cs = profile_point(params, s)
     return _orbit(params, cs, [_rotation(params, theta)])[0]
 
 
@@ -400,15 +395,6 @@ def mean_curvature(params: CmcParams, s: float) -> float:
     return 0.5 * (dz / x + dx * ddz - ddx * dz)
 
 
-def maximal_profile(c: float, x: float) -> float:
-    """Zero-mean-curvature profile z = c*cos(x/c), on the branch z > 0."""
-    if c <= 0:
-        raise DomainError(f"c must be positive, got {c!r}")
-    if abs(x / c) >= math.pi / 2:
-        raise DomainError(f"|x/c| must stay below pi/2, got x={x!r}")
-    return c * math.cos(x / c)
-
-
 def implicit_residual(params: CmcParams, pt: Sequence[float]) -> float:
     """Residual of the algebraic special-case surface equation at a point.
 
@@ -449,8 +435,7 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 
 
 def mesh(params: CmcParams, s_range: tuple[float, float], n_s: int,
-         n_theta: int, angle_range: float = 2.0,
-         edge_offset: float | None = None) -> SurfaceMesh:
+         n_theta: int, angle_range: float = 2.0) -> SurfaceMesh:
     """Grid mesh of the rotation surface over s_range x angle grid.
 
     The angle grid is [0, 2pi] for circular rotations and
@@ -471,12 +456,15 @@ def mesh(params: CmcParams, s_range: tuple[float, float], n_s: int,
         if not math.isfinite(angle_range):
             raise RangeError(f"hyperbolic angle range {angle_range!r} "
                              "is not finite")
+        if not math.isfinite(2 * angle_range):
+            raise RangeError(f"hyperbolic angle range {angle_range!r} spans "
+                             "more than the float range")
         theta_samples = _linspace(-angle_range, angle_range, n_theta)
     else:
         theta_samples = _linspace(0.0, 2 * math.pi, n_theta)
     rotations = [_rotation(params, t) for t in theta_samples]
     vertices: list[tuple[float, float, float]] = []
-    for cs in profile_points(params, s_samples, edge_offset):
+    for cs in profile_points(params, s_samples):
         vertices += _orbit(params, cs, rotations)
     faces: list[tuple[int, int, int]] = []
     for i in range(n_s - 1):
@@ -491,21 +479,20 @@ def mesh(params: CmcParams, s_range: tuple[float, float], n_s: int,
                        grid=(s_samples, theta_samples))
 
 
-def hyperboloid_vertices(H: float, n_s: int, n_theta: int,
-                         x_range: tuple[float, float] = (-1.0, 1.0),
-                         angle_range: float = 2.0
-                         ) -> list[tuple[float, float, float]]:
+def hyperboloid_vertices(H: float, n_s: int,
+                         n_theta: int) -> list[tuple[float, float, float]]:
     """Canonical vertices of the hyperboloid x1^2+x2^2-x3^2 = -1/H^2.
 
     Used to expose the B=1 Lorentzian quadric where the profile integral
     degenerates (spacelike-axis family): points
-    (x, z sinh(theta), z cosh(theta)) with z = sqrt(x^2 + 1/H^2).
+    (x, z sinh(theta), z cosh(theta)) with z = sqrt(x^2 + 1/H^2) over
+    x in [-1, 1] and theta in [-2, 2].
     """
     if n_s < 2 or n_theta < 2:
         raise DomainError("n_s and n_theta must both be at least 2")
     out = []
-    for x in _linspace(x_range[0], x_range[1], n_s):
+    for x in _linspace(-1.0, 1.0, n_s):
         z = math.sqrt(x * x + 1 / (H * H))
-        for theta in _linspace(-angle_range, angle_range, n_theta):
+        for theta in _linspace(-2.0, 2.0, n_theta):
             out.append((x, z * math.sinh(theta), z * math.cosh(theta)))
     return out

@@ -17,9 +17,9 @@ The exact chain runs over Q in the unscaled cubic variable X = lambda*P,
 where (P')^2 = n*X^3 + m*X + l and alpha + beta*P = lambda*(a + b*X) with
 a = -p/(2H), b = B/(2H). Every step is homogeneous in lambda, so the P^i
 coefficient of N_k over denominator power j is lambda^(j-1+i) times the
-rational one. The float, exact and Q(lambda) chains are one recursion over
-``Poly`` with different scalars. Float coefficients are the working
-representation, checked against the exact pass at every order it covers.
+rational one. The float and exact chains are one recursion over ``Poly``
+with different scalars. Float coefficients are the working representation,
+checked against the exact pass at every order it covers.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import zip_longest
 
 from . import profiles
@@ -51,9 +50,9 @@ class ChainConfig:
     """Constants tying one profile family at (H, B) to its elliptic path.
 
     alpha and beta give dt/dx3 = 1/(alpha + beta*P(t)); c1 and c2 give the
-    rescaled squared radius r = c1 + c2*P(t); p and q are the underlying
-    shift combination and the coefficient B itself; lam is the cube-root
-    scale from the reduction and c_shift the cubic's depressing shift.
+    rescaled squared radius r = c1 + c2*P(t); p is the underlying shift
+    combination, lam the cube-root scale from the reduction and c_shift the
+    cubic's depressing shift.
     """
 
     family: Family
@@ -67,37 +66,16 @@ class ChainConfig:
     c2: float
     lam: float
     p: float
-    q: float
     c_shift: float
 
 
 @dataclass(frozen=True)
-class PRational:
-    """Rational function of one variable: num/den as ascending coefficients."""
-
-    num: tuple[float, ...]
-    den: tuple[float, ...]
-
-    @cached_property
-    def polys(self) -> tuple[Poly, Poly]:
-        """(num, den) as Poly, built once per term for repeated evaluation."""
-        return Poly(self.num), Poly(self.den)
-
-    @property
-    def num_degree(self) -> int:
-        return self.polys[0].degree
-
-    @property
-    def den_degree(self) -> int:
-        return self.polys[1].degree
-
-
-@dataclass(frozen=True)
 class ChainTerm:
-    """One derivative order: rat evaluated at P, times P' when flagged."""
+    """One derivative order: num(P)/den(P), times P' when flagged."""
 
     k: int
-    rat: PRational
+    num: Poly
+    den: Poly
     has_wp_prime: bool
 
 
@@ -147,7 +125,7 @@ def chain_config(data: ReductionData, H: float) -> ChainConfig:
         raise DomainError("beta = 0: configuration does not define a chain")
     return ChainConfig(family=data.family, H=float(H), B=B, g2=data.g2,
                        g3=data.g3, alpha=alpha, beta=beta, c1=c1, c2=c2,
-                       lam=lam, p=p, q=B, c_shift=c)
+                       lam=lam, p=p, c_shift=c)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +142,7 @@ def _chain_core(alpha, beta, cubic, seed, upto_k: int):
     remainder lets a linear factor cancel (never observed for regular
     configurations, but the reduction keeps the representation gcd-free).
     The scalars' own arithmetic decides the mode: float coefficients give
-    the working chain, Fractions the exact one over Q, CbrtNum values the
-    chain over Q(lambda).
+    the working chain, Fractions the exact one over Q.
     """
     P = Poly(cubic)
     S = P.derivative() * Fraction(1, 2)
@@ -210,15 +187,14 @@ def _exact_chain(cfg: ChainConfig, upto_k: int):
     return terms, real_cbrt(float(4 / n))
 
 
-def _den_poly(alpha: float, beta: float, j: int) -> tuple[float, ...]:
+def _den_poly(alpha: float, beta: float, j: int) -> Poly:
     den, D = Poly([1.0]), Poly([alpha, beta])
     for _ in range(j):
         den = den * D
-    return den.coeffs
+    return den
 
 
-def differentiate_chain(cfg: ChainConfig, upto_k: int,
-                        max_k: int = _DEFAULT_MAX_K) -> list[ChainTerm]:
+def differentiate_chain(cfg: ChainConfig, upto_k: int) -> list[ChainTerm]:
     """Symbolic d^k r/dx3^k for k = 1..upto_k as rational functions of P.
 
     The first min(upto_k, 4) steps are re-derived in exact arithmetic and
@@ -229,8 +205,9 @@ def differentiate_chain(cfg: ChainConfig, upto_k: int,
     """
     if upto_k < 1:
         raise DomainError(f"upto_k must be >= 1, got {upto_k}")
-    if upto_k > max_k:
-        raise DomainError(f"upto_k={upto_k} exceeds the configured max {max_k}")
+    if upto_k > _DEFAULT_MAX_K:
+        raise DomainError(
+            f"upto_k={upto_k} exceeds the configured max {_DEFAULT_MAX_K}")
     return _checked_terms(cfg, upto_k, *_exact_chain(cfg, min(upto_k, 4)))
 
 
@@ -258,8 +235,7 @@ def _checked_terms(cfg: ChainConfig, upto_k: int, exact, lam):
                 raise AccuracyError(
                     f"chain step {k}: float coefficient {cf!r} drifted from "
                     f"exact value {ce!r}", achieved=abs(cf - ce))
-    return [ChainTerm(k=k, rat=PRational(num=num.coeffs,
-                                         den=_den_poly(cfg.alpha, cfg.beta, j)),
+    return [ChainTerm(k=k, num=num, den=_den_poly(cfg.alpha, cfg.beta, j),
                       has_wp_prime=has_prime)
             for k, num, j, has_prime in raw]
 
@@ -290,12 +266,11 @@ def _true_coefficient(k: int, i: int, c2: float, lam: float, power: int,
 def eval_chain_term(term: ChainTerm, ev: WpEvaluator, t: float) -> float:
     """Numeric value of one chain term at parameter t."""
     p, pp = ev.wp(t)
-    num, den = term.rat.polys
-    d = den(p)
+    d = term.den(p)
     if abs(d) < _NEAR_POLE_DEN:
         raise NearPoleError(
             f"denominator {d!r} below {_NEAR_POLE_DEN} at P={p!r}")
-    val = num(p) / d
+    val = term.num(p) / d
     if term.has_wp_prime:
         val *= pp
     return val
@@ -305,22 +280,32 @@ def eval_chain_term(term: ChainTerm, ev: WpEvaluator, t: float) -> float:
 # Curve reconstruction through the elliptic path
 
 
-def _u_of_s(family: Family, H: float, s: float) -> float:
-    if family is Family.LORENTZ_TIMELIKE_AXIS:
-        return math.sinh(2.0 * H * s)
-    if family is Family.LORENTZ_SPACELIKE_AXIS:
-        return math.cosh(2.0 * H * s)
-    return math.sin(2.0 * H * s)
+def _path_parameter(cfg: ChainConfig, ev: WpEvaluator, s: float) -> float:
+    """t = -inverse(w) with w = (u(s) + c_shift)/lam, u the family's sin,
+    cosh or sinh of 2Hs; the minus sign orients t increasingly in s."""
+    x = 2.0 * cfg.H * s
+    if cfg.family is Family.LORENTZ_TIMELIKE_AXIS:
+        u = math.sinh(x)
+    elif cfg.family is Family.LORENTZ_SPACELIKE_AXIS:
+        u = math.cosh(x)
+    else:
+        u = math.sin(x)
+    return -ev.wp_inverse((u + cfg.c_shift) / cfg.lam)
 
 
-def curve_from_wp(cfg: ChainConfig, params: CmcParams, s: float,
-                  edge_offset: float | None = None) -> tuple[float, float]:
+def _path_axis(cfg: ChainConfig, ev: WpEvaluator, t0: float,
+               t: float) -> float:
+    """Axis coordinate at path parameter t, vanishing at t0."""
+    return cfg.alpha * (t - t0) + cfg.beta * ev.wp_integral(t0, t)
+
+
+def curve_from_wp(cfg: ChainConfig, params: CmcParams,
+                  s: float) -> tuple[float, float]:
     """(radius, axis) at arc length s, reconstructed through the P path.
 
     Must agree with profiles.profile_point up to the axis translation fixed
-    by the shared anchor. The parameter map is t = -inverse(w(s)) with
-    w = (u(s) + c_shift)/lam; the minus sign orients t increasingly in s so
-    the axis coordinate integrates forward from the anchor.
+    by the shared anchor. The parameter map is ``_path_parameter``; the axis
+    coordinate integrates forward from the anchor.
     """
     if params.family is not cfg.family:
         raise DomainError(
@@ -333,18 +318,14 @@ def curve_from_wp(cfg: ChainConfig, params: CmcParams, s: float,
     if not dom.contains(s):
         raise DomainError(f"s={s!r} outside the profile domain")
     ev = WpEvaluator(cfg.g2, cfg.g3)
-    w = (_u_of_s(cfg.family, cfg.H, s) + cfg.c_shift) / cfg.lam
-    s_ref = profiles.anchor(params, edge_offset)
-    w_ref = (_u_of_s(cfg.family, cfg.H, s_ref) + cfg.c_shift) / cfg.lam
-    t = -ev.wp_inverse(w)
-    t0 = -ev.wp_inverse(w_ref)
+    t = _path_parameter(cfg, ev, s)
+    t0 = _path_parameter(cfg, ev, profiles.anchor(params))
     radicand = cfg.c1 + cfg.c2 * ev.wp(t)[0]
     if radicand < 0:
         raise DomainError(
             f"negative squared radius {radicand!r}: s={s!r} is off the branch")
     x = math.sqrt(radicand) / (2.0 * cfg.H)
-    z = cfg.alpha * (t - t0) + cfg.beta * ev.wp_integral(t0, t)
-    return x, z
+    return x, _path_axis(cfg, ev, t0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +363,8 @@ def polynomiality_probe(cfg: ChainConfig, K: int) -> dict:
         min_abs = min(values) if values else float("nan")
         report_terms.append({
             "k": term.k,
-            "num_degree": term.rat.num_degree,
-            "den_degree": term.rat.den_degree,
+            "num_degree": term.num.degree,
+            "den_degree": term.den.degree,
             "parity": "odd" if term.has_wp_prime else "even",
             "min_abs_value": min_abs,
             "identically_zero": zero,

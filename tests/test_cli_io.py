@@ -4,6 +4,7 @@ Every command is exercised through main(argv) so exit codes and the split
 between stdout (payload) and stderr (diagnostics) are covered too.
 """
 
+import inspect
 import json
 import math
 import os
@@ -70,13 +71,18 @@ class TestExitCodes:
         assert rc == 1 and out == ""
         assert json.loads(err)["error"] == "range"
 
-    @pytest.mark.parametrize("angle", ["1000", "inf"])
+    # Past about 8.99e307 the angle grid's span 2*angle_range overflows.
+    @pytest.mark.parametrize("angle", ["1000", "inf", "1e308", "-1e308"])
     def test_hyperbolic_angle_overflow_exits_one(self, capsys, angle):
         rc, out, err = run(capsys, "surface", "--family", "spacelike",
                            "--B", "2", "--s-min", "-0.1", "--s-max", "0.1",
-                           "--angle-range", angle)
+                           f"--angle-range={angle}")
         assert rc == 1 and out == ""
-        assert json.loads(err)["error"] == "range"
+        payload = json.loads(err)
+        assert payload["error"] == "range"
+        # The message names the value passed, not a nan sampled from it.
+        assert repr(float(angle)) in payload["message"]
+        assert "nan" not in payload["message"]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
@@ -336,3 +342,12 @@ def test_commands_run_on_the_standard_library_alone():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_export_list_matches_the_public_bindings():
+    names = cmc_elliptic.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(cmc_elliptic, n) for n in names)
+    public = {n for n, v in vars(cmc_elliptic).items()
+              if not n.startswith("_") and not inspect.ismodule(v)}
+    assert public == set(names)

@@ -10,6 +10,7 @@ from cmc_elliptic._ratpoly import Poly, count_positive_roots
 from cmc_elliptic.elliptic_reduction import (
     DiscPoly,
     ReductionData,
+    _shift_and_depress,
     discriminant_poly,
     exact_discriminant_poly,
     is_singular_value,
@@ -128,6 +129,21 @@ class TestDiscriminantPolynomials:
         for fam in Family:
             cs = discriminant_poly(fam).numerator.coeffs
             assert cs == tuple(reversed(cs))
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_screening_value_is_g2_cubed_plus_27_g3_squared(self, family):
+        # g2 = -m*lam with lam^3 = 4/n and g3 = -l, so g2^3 = -4m^3/n: the
+        # screening roots are where Klein's J = g2^3/disc equals 1/2, and
+        # disc = g2^3 - 27*g3^2 does not vanish there. Times B^4 both sides
+        # are polynomials of degree <= 12 in B (6B*m and 54B^2*l have
+        # degrees 4 and 6), so agreement at 13 points is the identity.
+        screening = discriminant_poly(family)
+        true_disc = exact_discriminant_poly(family)
+        for B in (F(k, 3) for k in range(1, 14)):
+            _, l, m, n = _shift_and_depress(family, B)
+            g2_cubed, g3 = -4 * m ** 3 / n, -l
+            assert screening.evaluate(B) == g2_cubed + 27 * g3 ** 2
+            assert true_disc.evaluate(B) == g2_cubed - 27 * g3 ** 2
 
     def test_true_disc_closed_forms(self):
         # Timelike: -(B^2+1)^4 / B^2; the other families: (B^2-1)^4 / B^2.

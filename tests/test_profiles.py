@@ -18,7 +18,6 @@ from cmc_elliptic.profiles import (
     domain,
     hyperboloid_vertices,
     implicit_residual,
-    maximal_profile,
     mean_curvature,
     mesh,
     profile_point,
@@ -188,7 +187,6 @@ class TestProfilePoint:
         assert anchor(CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 1.0, 2.0)) == 0.0
         params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 2.0, 1.0)
         assert anchor(params) == pytest.approx(5e-7, rel=1e-12)
-        assert anchor(params, edge_offset=1e-3) == pytest.approx(1e-3, rel=1e-12)
 
     def test_axis_starts_at_anchor(self):
         params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.5, 2.0)
@@ -246,61 +244,6 @@ class TestMeanCurvature:
         params = CmcParams(family, H, B)
         for s in in_domain_samples(params, 12, seed=7):
             assert mean_curvature(params, s) == pytest.approx(H, rel=1e-8)
-
-
-def lorentz_mean_curvature_fd(F, a, b, h):
-    """Mean curvature of the map F(a, b) in the (+,+,-) metric, all derivatives
-    by Richardson-extrapolated central differences."""
-    J = np.diag([1.0, 1.0, -1.0])
-
-    def lor(u, v):
-        return u @ (J @ v)
-
-    def d1(g, x, step):
-        return (g(x + step) - g(x - step)) / (2 * step)
-
-    def d2(g, x, step):
-        return (g(x + step) - 2 * g(x) + g(x - step)) / step ** 2
-
-    def rich(d, g, x):
-        return (4 * d(g, x, h / 2) - d(g, x, h)) / 3
-
-    def dcross(step):
-        return (F(a + step, b + step) - F(a + step, b - step)
-                - F(a - step, b + step) + F(a - step, b - step)) / (4 * step ** 2)
-
-    Fa = rich(d1, lambda x: F(x, b), a)
-    Fb = rich(d1, lambda y: F(a, y), b)
-    Faa = rich(d2, lambda x: F(x, b), a)
-    Fbb = rich(d2, lambda y: F(a, y), b)
-    Fab = (4 * dcross(h / 2) - dcross(h)) / 3
-    E, Ff, G = lor(Fa, Fa), lor(Fa, Fb), lor(Fb, Fb)
-    N = J @ np.cross(Fa, Fb)
-    n = N / math.sqrt(abs(lor(N, N)))
-    e, f, g = lor(Faa, n), lor(Fab, n), lor(Fbb, n)
-    return (e * G - 2 * f * Ff + g * E) / (2 * (E * G - Ff * Ff))
-
-
-class TestMaximalProfile:
-    def test_value_at_origin(self):
-        assert maximal_profile(1.0, 0.0) == 1.0
-        assert maximal_profile(2.5, 0.0) == 2.5
-
-    def test_even_symmetry(self):
-        assert maximal_profile(1.3, 0.4) == maximal_profile(1.3, -0.4)
-
-    def test_domain_checks(self):
-        with pytest.raises(DomainError):
-            maximal_profile(0.0, 0.0)
-        with pytest.raises(DomainError):
-            maximal_profile(1.0, math.pi / 2)
-
-    def test_rotation_has_zero_mean_curvature(self):
-        def F(a, b):
-            z = maximal_profile(1.0, a)
-            return np.array([a, z * math.sinh(b), z * math.cosh(b)])
-
-        assert abs(lorentz_mean_curvature_fd(F, 0.3, 0.2, h=0.01)) < 1e-8
 
 
 class TestImplicitResidual:

@@ -3,17 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from cubic_field import CbrtNum, CubicField, rational_cbrt
 
 from cmc_elliptic._ratpoly import (
-    CbrtNum,
-    CubicField,
     Poly,
     cauchy_root_bound,
     count_positive_roots,
     count_roots_in,
     isolate_positive_roots,
     poly_gcd,
-    rational_cbrt,
     real_cbrt,
     refine_root,
     squarefree_part,

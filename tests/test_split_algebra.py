@@ -19,12 +19,16 @@ from typing import Sequence
 import pytest
 
 from cmc_elliptic.errors import (
+    CmcError,
     DomainError,
-    InsufficientDataError,
     RangeError,
     UnsupportedCaseError,
 )
 from cmc_elliptic.profiles import CmcParams, Family, profile_point
+
+
+class InsufficientDataError(CmcError):
+    """Too few samples to carry out the requested computation."""
 
 
 @dataclass(frozen=True)

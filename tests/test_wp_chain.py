@@ -5,9 +5,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from cubic_field import CubicField
 
 from cmc_elliptic import wp_chain
-from cmc_elliptic._ratpoly import CubicField, Poly
+from cmc_elliptic._ratpoly import Poly
 from cmc_elliptic.acceptance import fd_chain_reference
 from cmc_elliptic.elliptic_reduction import _shift_and_depress, reduce
 from cmc_elliptic.errors import (
@@ -50,7 +51,7 @@ class TestChainConfig:
         cfg = config(Family.LORENTZ_TIMELIKE_AXIS, 1.0, 0.5)
         assert cfg.c_shift == 0.0
         assert cfg.p == 1.0
-        assert cfg.q == 1.0
+        assert cfg.B == 1.0
         assert cfg.lam == pytest.approx(CBRT2, rel=1e-15)
         assert cfg.c1 == pytest.approx(0.0, abs=1e-15)
         assert cfg.c2 == pytest.approx(2 * CBRT2, rel=1e-15)
@@ -105,8 +106,8 @@ class TestDifferentiateChain:
     def test_first_term_shape(self, cfg_t2):
         [t1] = differentiate_chain(cfg_t2, 1)
         assert t1.k == 1 and t1.has_wp_prime
-        assert t1.rat.num == (cfg_t2.c2,)
-        assert t1.rat.den == (cfg_t2.alpha, cfg_t2.beta)
+        assert t1.num.coeffs == (cfg_t2.c2,)
+        assert t1.den.coeffs == (cfg_t2.alpha, cfg_t2.beta)
 
     def test_second_term_is_expanded_bracket(self, cfg_t2):
         # c2*[(12P^2-g2)/(2(a+bP)^2) - b(4P^3-g2 P-g3)/(a+bP)^3] over the
@@ -117,9 +118,9 @@ class TestDifferentiateChain:
         assert t2.k == 2 and not t2.has_wp_prime
         expected_num = (c2 * (g3 * b - g2 * a / 2), c2 * g2 * b / 2, 6 * a * c2, 2 * b * c2)
         assert expected_num == (-26.75, -13.0, -36.0, 16.0)  # frozen for this cfg
-        assert t2.rat.num == pytest.approx(expected_num, rel=1e-12)
+        assert t2.num.coeffs == pytest.approx(expected_num, rel=1e-12)
         den = (a ** 3, 3 * a * a * b, 3 * a * b * b, b ** 3)
-        assert t2.rat.den == pytest.approx(den, rel=1e-12)
+        assert t2.den.coeffs == pytest.approx(den, rel=1e-12)
 
     def test_parity_alternates(self, cfg_t2):
         terms = differentiate_chain(cfg_t2, 12)
@@ -128,7 +129,7 @@ class TestDifferentiateChain:
 
     def test_denominator_degree_strictly_grows(self, cfg_t2):
         terms = differentiate_chain(cfg_t2, 10)
-        degrees = [t.rat.den_degree for t in terms]
+        degrees = [t.den.degree for t in terms]
         assert all(b >= a + 1 for a, b in zip(degrees, degrees[1:]))
 
     def test_k_bounds(self, cfg_t2):
@@ -136,7 +137,6 @@ class TestDifferentiateChain:
             differentiate_chain(cfg_t2, 0)
         with pytest.raises(DomainError):
             differentiate_chain(cfg_t2, 13)
-        assert len(differentiate_chain(cfg_t2, 13, max_k=13)) == 13
 
     def test_exact_crosscheck_catches_tampering(self, cfg_t2):
         bad = dataclasses.replace(cfg_t2, alpha=cfg_t2.alpha * (1 + 1e-6))
@@ -183,9 +183,9 @@ class TestDifferentiateChain:
         base = differentiate_chain(cfg_t2, 4)
         scaled = differentiate_chain(doubled, 4)
         for tb, ts in zip(base, scaled):
-            assert ts.rat.num == pytest.approx(
-                tuple(2 * c for c in tb.rat.num), rel=1e-14)
-            assert ts.rat.den == tb.rat.den
+            assert ts.num.coeffs == pytest.approx(
+                tuple(2 * c for c in tb.num.coeffs), rel=1e-14)
+            assert ts.den == tb.den
 
 
 class TestExactChain:
