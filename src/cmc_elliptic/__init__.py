@@ -8,9 +8,8 @@ of d^k r/dx3^k.
 
 from .elliptic_reduction import (DiscPoly, ReductionData, discriminant_poly,
                                  exact_discriminant_poly, is_singular_value,
-                                 positive_root_count, reduce,
-                                 reduction_report, shifted_cubic_identity,
-                                 singular_B)
+                                 reduce, reduction_report,
+                                 shifted_cubic_identity, singular_B)
 from .errors import (AccuracyError, BranchError, CmcError, DomainError,
                      EmptyDomainError, NearPoleError, PoleError, RangeError,
                      SingularError, UnsupportedCaseError, UsageError)
@@ -31,7 +30,7 @@ __all__ = [
     "differentiate_chain", "discriminant_poly", "domain", "eval_chain_term",
     "exact_discriminant_poly", "hyperboloid_vertices", "implicit_residual",
     "is_singular_value", "mean_curvature", "mesh", "polynomiality_probe",
-    "positive_root_count", "profile_point", "reduce", "reduction_report",
+    "profile_point", "reduce", "reduction_report",
     "shifted_cubic_identity", "singular_B", "surface_point",
 ]
 

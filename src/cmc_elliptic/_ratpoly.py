@@ -2,8 +2,7 @@
 
 ``Poly`` works over the scalars it is given: exactly for integer or
 ``Fraction`` input (Sturm-sequence root counting and isolation on (0, inf),
-bisection+Newton refinement, the exact derivative chain over Q), and in
-floats for the working derivative chain.
+bisection+Newton refinement, the exact derivative chain over Q).
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import profiles
 from ._ratpoly import Poly
 from .elliptic_reduction import (discriminant_poly, isolation_seconds,
-                                 positive_root_count, reduce, singular_B)
+                                 reduce, singular_B)
 from .profiles import CmcParams, Family
 from .weierstrass import WpEvaluator
 from .wp_chain import (_path_axis, _path_parameter, chain_config,
@@ -79,7 +79,7 @@ def criterion_3() -> CriterionResult:
     lo_band = [0.01 + i * (0.99 - 0.01) / 249 for i in range(250)]
     hi_band = [1.01 + i * (10.0 - 1.01) / 249 for i in range(250)]
     min_abs = min(abs(num(b)) for b in lo_band + hi_band)
-    count = positive_root_count(Family.EUCLIDEAN)
+    count = len(singular_B(Family.EUCLIDEAN))
     ok = min_abs > 1e-6 and count == 0
     detail = (f"min |numerator| over 500 samples = {_fmt(min_abs)} (> 1e-06 "
               f"required); positive-root count = {count} (0 required)")
@@ -92,7 +92,7 @@ def criterion_4() -> CriterionResult:
     for fam, label in ((Family.LORENTZ_TIMELIKE_AXIS, "timelike"),
                        (Family.LORENTZ_SPACELIKE_AXIS, "spacelike")):
         deg = discriminant_poly(fam).numerator.degree
-        count = positive_root_count(fam)
+        count = len(singular_B(fam))
         good = deg == 12 and count == 2
         ok = ok and good
         parts.append(f"{label}: degree {deg}, {count} positive roots"

@@ -17,7 +17,7 @@ import sys
 from . import acceptance, profiles
 from .elliptic_reduction import (discriminant_poly, reduce, reduction_report,
                                  singular_B)
-from .errors import AccuracyError, CmcError, RangeError, UsageError
+from .errors import CmcError, RangeError, UsageError
 from .profiles import CmcParams, Family
 from .weierstrass import WpEvaluator
 from .wp_chain import chain_config, polynomiality_probe
@@ -260,8 +260,6 @@ def main(argv=None) -> int:
         return 2
     except CmcError as exc:
         payload = {"error": _error_slug(exc), "message": str(exc)}
-        if isinstance(exc, AccuracyError) and exc.achieved is not None:
-            payload["achieved"] = exc.achieved
         print(json.dumps(payload), file=sys.stderr)
         return 1
     return status

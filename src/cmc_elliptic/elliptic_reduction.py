@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
 
-from ._ratpoly import (Poly, count_positive_roots, isolate_positive_roots,
-                       real_cbrt, refine_root)
+from ._ratpoly import Poly, isolate_positive_roots, real_cbrt, refine_root
 from .errors import DomainError, RangeError
 from .profiles import Family
 
@@ -201,11 +200,6 @@ def singular_B(family: Family) -> list[float]:
 def isolation_seconds(family: Family) -> float:
     """Wall time of the family's one-time screening-root isolation."""
     return _screening_roots(family)[1]
-
-
-def positive_root_count(family: Family) -> int:
-    """Sturm count of distinct positive real roots of the screening numerator."""
-    return count_positive_roots(discriminant_poly(family).numerator)
 
 
 def is_singular_value(family: Family, B: float) -> bool:

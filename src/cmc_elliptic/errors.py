@@ -24,14 +24,7 @@ class EmptyDomainError(DomainError):
 
 
 class AccuracyError(CmcError):
-    """A numeric routine could not reach the requested accuracy.
-
-    ``achieved`` carries the best error estimate obtained.
-    """
-
-    def __init__(self, message: str, achieved: float | None = None):
-        super().__init__(message)
-        self.achieved = achieved
+    """A numeric routine could not reach the requested accuracy."""
 
 
 class RangeError(CmcError):

@@ -17,9 +17,9 @@ The exact chain runs over Q in the unscaled cubic variable X = lambda*P,
 where (P')^2 = n*X^3 + m*X + l and alpha + beta*P = lambda*(a + b*X) with
 a = -p/(2H), b = B/(2H). Every step is homogeneous in lambda, so the P^i
 coefficient of N_k over denominator power j is lambda^(j-1+i) times the
-rational one. The float and exact chains are one recursion over ``Poly``
-with different scalars. Float coefficients are the working representation,
-checked against the exact pass at every order it covers.
+rational one. That exact chain is the only recursion: the float
+coefficients are its graded values rounded once, so a coefficient that
+vanishes over Q is 0.0 and every numerator degree is exact.
 """
 
 from __future__ import annotations
@@ -27,20 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 
 from . import profiles
 from ._ratpoly import Poly, real_cbrt
 from .elliptic_reduction import (ReductionData, _shift_and_depress,
                                  is_singular_value)
-from .errors import (AccuracyError, DomainError, NearPoleError, RangeError,
-                     SingularError)
+from .errors import DomainError, NearPoleError, RangeError, SingularError
 from .profiles import CmcParams, Family
 from .weierstrass import WpEvaluator
-
-# Derivative orders beyond this need no new mathematics, only bigger
-# polynomials; the cap keeps coefficient growth inside double precision.
-_DEFAULT_MAX_K = 12
 
 _NEAR_POLE_DEN = 1e-12
 
@@ -50,9 +44,8 @@ class ChainConfig:
     """Constants tying one profile family at (H, B) to its elliptic path.
 
     alpha and beta give dt/dx3 = 1/(alpha + beta*P(t)); c1 and c2 give the
-    rescaled squared radius r = c1 + c2*P(t); p is the underlying shift
-    combination, lam the cube-root scale from the reduction and c_shift the
-    cubic's depressing shift.
+    rescaled squared radius r = c1 + c2*P(t); lam is the cube-root scale
+    from the reduction and c_shift the cubic's depressing shift.
     """
 
     family: Family
@@ -65,7 +58,6 @@ class ChainConfig:
     c1: float
     c2: float
     lam: float
-    p: float
     c_shift: float
 
 
@@ -125,11 +117,11 @@ def chain_config(data: ReductionData, H: float) -> ChainConfig:
         raise DomainError("beta = 0: configuration does not define a chain")
     return ChainConfig(family=data.family, H=float(H), B=B, g2=data.g2,
                        g3=data.g3, alpha=alpha, beta=beta, c1=c1, c2=c2,
-                       lam=lam, p=p, c_shift=c)
+                       lam=lam, c_shift=c)
 
 
 # ---------------------------------------------------------------------------
-# Core chain recursion (one code path for floats, Q and Q(lambda))
+# Core chain recursion (one code path for Q and Q(lambda))
 
 
 def _chain_core(alpha, beta, cubic, seed, upto_k: int):
@@ -141,8 +133,8 @@ def _chain_core(alpha, beta, cubic, seed, upto_k: int):
     system. The denominator is (alpha + beta*P)^den_power; an exact-zero
     remainder lets a linear factor cancel (never observed for regular
     configurations, but the reduction keeps the representation gcd-free).
-    The scalars' own arithmetic decides the mode: float coefficients give
-    the working chain, Fractions the exact one over Q.
+    The scalars' own arithmetic decides the field: the package runs it over
+    Q, the tests over Q(lambda) as an oracle.
     """
     P = Poly(cubic)
     S = P.derivative() * Fraction(1, 2)
@@ -197,47 +189,24 @@ def _den_poly(alpha: float, beta: float, j: int) -> Poly:
 def differentiate_chain(cfg: ChainConfig, upto_k: int) -> list[ChainTerm]:
     """Symbolic d^k r/dx3^k for k = 1..upto_k as rational functions of P.
 
-    The first min(upto_k, 4) steps are re-derived in exact arithmetic and
-    compared coefficient-by-coefficient (polynomiality_probe compares all
-    of them); disagreement raises AccuracyError.
-    cfg.c2 may be overridden (e.g. the c2 = 0 degenerate control): the chain
-    scales linearly with it. Other fields must come from chain_config.
+    Each numerator coefficient is cfg.c2 times the graded exact one, rounded
+    once; RangeError when one has no float value, which is the only bound on
+    upto_k. cfg.c2 may be overridden (e.g. the c2 = 0 degenerate control):
+    the chain scales linearly with it. Other fields must come from
+    chain_config.
     """
     if upto_k < 1:
         raise DomainError(f"upto_k must be >= 1, got {upto_k}")
-    if upto_k > _DEFAULT_MAX_K:
-        raise DomainError(
-            f"upto_k={upto_k} exceeds the configured max {_DEFAULT_MAX_K}")
-    return _checked_terms(cfg, upto_k, *_exact_chain(cfg, min(upto_k, 4)))
-
-
-def _checked_terms(cfg: ChainConfig, upto_k: int, exact, lam):
-    """Float chain terms for k = 1..upto_k, guarded by the exact chain.
-
-    The chain is seed-linear, so each float coefficient of every order the
-    exact chain covers must match cfg.c2 times the graded exact unit
-    coefficient to within roundoff.
-    """
-    raw = _chain_core(cfg.alpha, cfg.beta, [-cfg.g3, -cfg.g2, 0.0, 4.0],
-                      cfg.c2, upto_k)
-    for (k, num_f, j_f, _), (_, num_e, j_e, _) in zip(raw, exact):
-        if cfg.c2 == 0.0:
-            expected = [0.0] * len(num_f.coeffs)
-        else:
-            expected = [_true_coefficient(k, i, cfg.c2, lam, j_e - 1 + i, cc)
-                        for i, cc in enumerate(num_e.coeffs)]
-            if j_f != j_e:
-                raise AccuracyError(
-                    f"chain step {k}: denominator power {j_f} != exact {j_e}")
-        tol = 1e-9 * max(1.0, max(abs(e) for e in expected))
-        for cf, ce in zip_longest(num_f.coeffs, expected, fillvalue=0.0):
-            if abs(cf - ce) > tol:
-                raise AccuracyError(
-                    f"chain step {k}: float coefficient {cf!r} drifted from "
-                    f"exact value {ce!r}", achieved=abs(cf - ce))
-    return [ChainTerm(k=k, num=num, den=_den_poly(cfg.alpha, cfg.beta, j),
-                      has_wp_prime=has_prime)
-            for k, num, j, has_prime in raw]
+    unit, lam = _exact_chain(cfg, upto_k)
+    terms = []
+    for k, num, j, has_prime in unit:
+        coeffs = [0.0] if cfg.c2 == 0.0 else [
+            _true_coefficient(k, i, cfg.c2, lam, j - 1 + i, cc)
+            for i, cc in enumerate(num.coeffs)]
+        terms.append(ChainTerm(k=k, num=Poly(coeffs),
+                               den=_den_poly(cfg.alpha, cfg.beta, j),
+                               has_wp_prime=has_prime))
+    return terms
 
 
 def _true_coefficient(k: int, i: int, c2: float, lam: float, power: int,
@@ -245,8 +214,8 @@ def _true_coefficient(k: int, i: int, c2: float, lam: float, power: int,
     """c2 * lam**power * cc as a float; RangeError when it has no float value.
 
     The float product serves unless it overflows, or underflows to zero while
-    cc does not vanish. Then the exact product decides, so that a chain whose
-    true coefficients leave the float range is not reported as drift.
+    cc does not vanish. Then the exact product decides, so that a nonzero
+    coefficient never rounds to 0.0 or inf.
     """
     try:
         value = c2 * lam ** power * float(cc)
@@ -339,21 +308,19 @@ _PROBE_OFFSETS = (0.37, 0.83, 1.91, 4.3, 8.7)
 def polynomiality_probe(cfg: ChainConfig, K: int) -> dict:
     """Certify that no derivative numerator collapses for k = 1..K.
 
-    Exact coefficient arithmetic decides identically_zero per term; float
-    evaluation at five generic parameters reports the observed minimum
-    magnitude. A polynomial radius of degree d would force the k = d+1
+    The exact chain decides identically_zero per term (a nonzero exact
+    coefficient never rounds to 0.0); float evaluation at five generic
+    parameters reports the observed minimum magnitude. A polynomial radius of degree d would force the k = d+1
     numerator to vanish identically, so an all-nonzero report up to K rules
     out polynomial radii of degree < K.
     """
     if K < 3:
         raise DomainError(f"K must be >= 3 for a meaningful probe, got {K}")
-    unit, lam = _exact_chain(cfg, K)
-    terms = _checked_terms(cfg, K, unit, lam)
+    terms = differentiate_chain(cfg, K)
     ev = WpEvaluator(cfg.g2, cfg.g3)
     ts = [ev.wp_inverse(ev.e_max + off) for off in _PROBE_OFFSETS]
     report_terms = []
-    for term, (_, num_e, _, _) in zip(terms, unit):
-        zero = cfg.c2 == 0.0 or num_e.is_zero()
+    for term in terms:
         values = []
         for t in ts:
             try:
@@ -367,7 +334,7 @@ def polynomiality_probe(cfg: ChainConfig, K: int) -> dict:
             "den_degree": term.den.degree,
             "parity": "odd" if term.has_wp_prime else "even",
             "min_abs_value": min_abs,
-            "identically_zero": zero,
+            "identically_zero": term.num.is_zero(),
         })
     return {"family": cfg.family.value, "H": cfg.H, "B": cfg.B,
             "terms": report_terms}

@@ -286,6 +286,17 @@ class TestChainCommand:
         assert [t["k"] for t in report["terms"]] == list(range(1, 9))
         assert not any(t["identically_zero"] for t in report["terms"])
 
+    def test_num_degree_is_the_exact_degree(self, capsys):
+        # At B = 2.3 the P^2 and P^3 coefficients of N_3 vanish over Q just
+        # as at B = 2; a float recursion leaves round-off there.
+        degrees = []
+        for B in ("2", "2.3"):
+            rc, out, _ = run(capsys, "chain", "--family", "timelike", "--B", B,
+                             "--H", "0.5", "--upto-k", "6")
+            assert rc == 0
+            degrees.append([t["num_degree"] for t in json.loads(out)["terms"]])
+        assert degrees[0] == degrees[1] == [0, 3, 1, 4, 4, 7]
+
     @pytest.mark.parametrize("argv", [
         # An exact coefficient past 1.8e308.
         ("--family", "timelike", "--B", "2", "--H", "1e-100", "--upto-k", "12"),

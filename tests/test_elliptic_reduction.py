@@ -14,7 +14,6 @@ from cmc_elliptic.elliptic_reduction import (
     discriminant_poly,
     exact_discriminant_poly,
     is_singular_value,
-    positive_root_count,
     reduce,
     reduction_report,
     shifted_cubic_identity,
@@ -227,11 +226,13 @@ class TestSingularValues:
             assert abs(num(r)) < 1e-9 * scale
 
     def test_sturm_counts(self):
-        assert positive_root_count(Family.LORENTZ_TIMELIKE_AXIS) == 2
+        # The isolated roots are exactly the Sturm count on (0, inf).
+        for fam in Family:
+            assert count_positive_roots(discriminant_poly(fam).numerator) \
+                == len(singular_B(fam))
+        assert len(singular_B(Family.LORENTZ_TIMELIKE_AXIS)) == 2
         # The screening combination never vanishes for the other two families;
         # their true discriminant vanishes only at B=1 (degenerate profile).
-        assert positive_root_count(Family.LORENTZ_SPACELIKE_AXIS) == 0
-        assert positive_root_count(Family.EUCLIDEAN) == 0
         assert singular_B(Family.LORENTZ_SPACELIKE_AXIS) == []
         assert singular_B(Family.EUCLIDEAN) == []
 
