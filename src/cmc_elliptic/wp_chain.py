@@ -13,12 +13,14 @@ identically zero. ``polynomiality_probe`` certifies in exact rational
 arithmetic that no numerator collapses, which is the computational content
 of the non-algebraicity argument.
 
-The exact chain runs over Q in the unscaled cubic variable X = lambda*P,
-where (P')^2 = n*X^3 + m*X + l and alpha + beta*P = lambda*(a + b*X) with
+The exact chain works in the unscaled cubic variable X = lambda*P, where
+(P')^2 = n*X^3 + m*X + l and alpha + beta*P = lambda*(a + b*X) with
 a = -p/(2H), b = B/(2H). Every step is homogeneous in lambda, so the P^i
-coefficient of N_k over denominator power j is lambda^(j-1+i) times the
-rational one. That exact chain is the only recursion: the float
-coefficients are its graded values rounded once, so a coefficient that
+coefficient of N_k over denominator power j is lambda^(j-1+i) times a
+rational one. The rationals are cleared once and the chain runs over
+Python ints, each order a primitive integer numerator times one exact
+Fraction scale. That chain is the only recursion: the float coefficients
+are its graded values rounded once, order by order, so a coefficient that
 vanishes over Q is 0.0 and every numerator degree is exact.
 """
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import profiles
-from ._ratpoly import Poly, real_cbrt
+from ._ratpoly import Poly, _poly, real_cbrt
 from .elliptic_reduction import (ReductionData, _shift_and_depress,
                                  is_singular_value)
 from .errors import DomainError, NearPoleError, RangeError, SingularError
@@ -121,52 +123,73 @@ def chain_config(data: ReductionData, H: float) -> ChainConfig:
 
 
 # ---------------------------------------------------------------------------
-# Core chain recursion (one code path for Q and Q(lambda))
+# Core chain recursion (over the integers)
 
 
-def _chain_core(alpha, beta, cubic, seed, upto_k: int):
-    """Numerators of d^k r/dx3^k for k = 1..upto_k, starting from r' = seed*P'/D.
+def _chain_core(alpha, beta, cubic, upto_k: int):
+    """Numerators of d^k r/dx3^k for k = 1..upto_k, starting from r' = P'/D.
 
-    Returns a list of (k, numerator Poly, den_power, has_wp_prime). Each
-    step applies d/dt followed by the 1/(alpha + beta*P) factor of d/dx3;
-    the substitutions (P')^2 -> cubic(P) and P'' -> cubic'(P)/2 close the
-    system. The denominator is (alpha + beta*P)^den_power; an exact-zero
-    remainder lets a linear factor cancel (never observed for regular
-    configurations, but the reduction keeps the representation gcd-free).
-    The scalars' own arithmetic decides the field: the package runs it over
-    Q, the tests over Q(lambda) as an oracle.
+    Yields (k, N, scale, den_power, has_wp_prime) one order at a time; the
+    numerator is scale*N, with N an int Poly of unit content and scale a
+    Fraction. Each step applies d/dt followed by the 1/(alpha + beta*P)
+    factor of d/dx3; the substitutions (P')^2 -> C(P) and P'' -> C'(P)/2
+    close the system. The rational inputs are cleared once: with q the lcm
+    of their denominators, a = q*alpha, b = q*beta and c = q*C are integer,
+    an odd step (doubled, so C'/2 stays integral) puts 1/(2q^2) into the
+    scale and an even step 1/q, and each order's content moves there too.
+    The denominator is (alpha + beta*P)^den_power; a zero of N at -a/b lets
+    a linear factor cancel (never observed for regular configurations, but
+    the reduction keeps the representation gcd-free).
     """
-    P = Poly(cubic)
-    S = P.derivative() * Fraction(1, 2)
-    D = Poly([alpha, beta])
-    N = Poly([seed])
+    q = math.lcm(*(Fraction(x).denominator for x in (alpha, beta, *cubic)))
+    a, b = int(q * alpha), int(q * beta)
+    c = _poly([int(q * x) for x in cubic])
+    dc = c.derivative()
+    D = _poly([a, b])
+    N = _poly([1])
+    scale = Fraction(1)
     j = 1
     has_prime = True
-    out = []
     for k in range(1, upto_k + 1):
-        out.append((k, N, j, has_prime))
+        yield k, N, scale, j, has_prime
         if k == upto_k:
-            break
+            return
         dN = N.derivative()
         if has_prime:
-            N = (dN * P + N * S) * D - N * P * (beta * j)
+            N = (dN * c * 2 + N * dc) * D - N * c * (2 * j * b)
+            scale /= 2 * q * q
         else:
-            N = dN * D - N * (beta * j)
+            N = dN * D - N * (j * b)
+            scale /= q
         has_prime = not has_prime
         j += 2
-        if N.is_zero():
+        g = math.gcd(*N.coeffs)
+        if g == 0:
             j = 0
             continue
-        while j > 1 and N.degree >= 1:
-            q, rem = N.divmod(D)
-            if not rem.is_zero():
-                break
-            N, j = q, j - 1
-    return out
+        if g > 1:
+            N = _poly([x // g for x in N.coeffs])
+            scale *= g
+        while j > 1 and N.degree >= 1 and _at_pole(N, a, b) == 0:
+            quo = Poly(N.coeffs).divmod(Poly([alpha, beta]))[0]
+            prim = quo.primitive()
+            N = _poly([int(x) for x in prim.coeffs])
+            scale *= quo.leading() / prim.leading()
+            j -= 1
+
+
+def _at_pole(N: Poly, a: int, b: int) -> int:
+    """b**deg(N) * N(-a/b), by Horner over the integers."""
+    acc, bp = 0, 1
+    for x in reversed(N.coeffs):
+        acc = acc * -a + x * bp
+        bp *= b
+    return acc
 
 
 def _exact_chain(cfg: ChainConfig, upto_k: int):
-    """Unit-seed chain over Q in X = lambda*P, and the float lambda.
+    """Unit-seed chain in X = lambda*P, a generator of orders, and the float
+    lambda.
 
     Derived from (family, B, H) alone: floats are exact rationals, so the
     canonical reduction re-run over Fraction gives the true values.
@@ -175,58 +198,56 @@ def _exact_chain(cfg: ChainConfig, upto_k: int):
     H2 = 2 * Fraction(cfg.H)
     c, l, m, n = _shift_and_depress(cfg.family, B)
     p, _, _ = _family_constants(cfg.family, c, B)
-    terms = _chain_core(-p / H2, B / H2, [l, m, 0, n], 1, upto_k)
-    return terms, real_cbrt(float(4 / n))
-
-
-def _den_poly(alpha: float, beta: float, j: int) -> Poly:
-    den, D = Poly([1.0]), Poly([alpha, beta])
-    for _ in range(j):
-        den = den * D
-    return den
+    chain = _chain_core(-p / H2, B / H2, [l, m, 0, n], upto_k)
+    return chain, real_cbrt(float(4 / n))
 
 
 def differentiate_chain(cfg: ChainConfig, upto_k: int) -> list[ChainTerm]:
     """Symbolic d^k r/dx3^k for k = 1..upto_k as rational functions of P.
 
     Each numerator coefficient is cfg.c2 times the graded exact one, rounded
-    once; RangeError when one has no float value, which is the only bound on
-    upto_k. cfg.c2 may be overridden (e.g. the c2 = 0 degenerate control):
-    the chain scales linearly with it. Other fields must come from
-    chain_config.
+    once as each order arrives; RangeError at the first one with no float
+    value, which is the only bound on upto_k. cfg.c2 may be overridden (e.g.
+    the c2 = 0 degenerate control): the chain scales linearly with it. Other
+    fields must come from chain_config.
     """
     if upto_k < 1:
         raise DomainError(f"upto_k must be >= 1, got {upto_k}")
-    unit, lam = _exact_chain(cfg, upto_k)
+    chain, lam = _exact_chain(cfg, upto_k)
+    D = Poly([cfg.alpha, cfg.beta])
+    dens = [Poly([1.0])]  # dens[j] = D**j, one product per power
     terms = []
-    for k, num, j, has_prime in unit:
+    for k, num, scale, j, has_prime in chain:
         coeffs = [0.0] if cfg.c2 == 0.0 else [
-            _true_coefficient(k, i, cfg.c2, lam, j - 1 + i, cc)
-            for i, cc in enumerate(num.coeffs)]
-        terms.append(ChainTerm(k=k, num=Poly(coeffs),
-                               den=_den_poly(cfg.alpha, cfg.beta, j),
+            _true_coefficient(k, i, cfg.c2, lam, j - 1 + i, x, scale)
+            for i, x in enumerate(num.coeffs)]
+        while len(dens) <= j:
+            dens.append(dens[-1] * D)
+        terms.append(ChainTerm(k=k, num=Poly(coeffs), den=dens[j],
                                has_wp_prime=has_prime))
     return terms
 
 
 def _true_coefficient(k: int, i: int, c2: float, lam: float, power: int,
-                      cc: Fraction) -> float:
-    """c2 * lam**power * cc as a float; RangeError when it has no float value.
+                      x: int, scale: Fraction) -> float:
+    """c2 * lam**power * x*scale as a float; RangeError when it has no float
+    value.
 
-    The float product serves unless it overflows, or underflows to zero while
-    cc does not vanish. Then the exact product decides, so that a nonzero
+    x*scale is the exact coefficient, rounded once by int true division. The
+    float product serves unless it overflows, or underflows to zero while x
+    does not vanish. Then the exact product decides, so that a nonzero
     coefficient never rounds to 0.0 or inf.
     """
     try:
-        value = c2 * lam ** power * float(cc)
+        value = c2 * lam ** power * (x * scale.numerator / scale.denominator)
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value) or (value == 0.0 and cc != 0):
+    if not math.isfinite(value) or (value == 0.0 and x != 0):
         try:
-            value = float(Fraction(c2) * Fraction(lam) ** power * cc)
+            value = float(Fraction(c2) * Fraction(lam) ** power * x * scale)
         except OverflowError:
             value = math.inf
-        if math.isinf(value) or (value == 0.0 and cc != 0):
+        if math.isinf(value) or (value == 0.0 and x != 0):
             raise RangeError(f"chain step {k}: exact coefficient of P^{i} "
                              "is outside the float range")
     return value

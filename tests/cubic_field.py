@@ -1,9 +1,11 @@
 """Exact arithmetic in Q(cbrt d): the oracle for the derivative chain.
 
-The package runs its exact chain over Q in X = lambda*P and grades the
-result by powers of lambda = cbrt(4/n). With ``CubicField`` scalars the same
-``_chain_core`` runs directly in P over Q(lambda), so the two can be
-compared element for element (``test_wp_chain.TestExactChain``).
+The package runs its exact chain over the integers in X = lambda*P, with a
+rational scale per order, and grades the result by powers of
+lambda = cbrt(4/n). ``field_chain`` runs the same derivative chain directly
+in P over Q(lambda) with ``CubicField`` scalars, by plain field arithmetic
+and exact division, so the two can be compared element for element
+(``test_wp_chain.TestExactChain``).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cmc_elliptic._ratpoly import real_cbrt
+from cmc_elliptic._ratpoly import Poly, real_cbrt
 
 
 def _icbrt(n: int) -> int:
@@ -166,3 +168,40 @@ class CubicField:
     def lam(self):
         """The generator t = cbrt(d) itself."""
         return self.element(0, 1, 0)
+
+
+def field_chain(alpha, beta, cubic, seed, upto_k: int):
+    """Numerators of d^k r/dx3^k for k = 1..upto_k over the given scalars.
+
+    Starts from r' = seed*P'/(alpha + beta*P) with (P')^2 = cubic(P) and
+    P'' = cubic'(P)/2; returns a list of (k, numerator Poly, den_power,
+    has_wp_prime). A numerator that (alpha + beta*P) divides exactly is
+    divided, lowering den_power, as long as the remainder is zero.
+    """
+    P = Poly(cubic)
+    S = P.derivative() * Fraction(1, 2)
+    D = Poly([alpha, beta])
+    N = Poly([seed])
+    j = 1
+    has_prime = True
+    out = []
+    for k in range(1, upto_k + 1):
+        out.append((k, N, j, has_prime))
+        if k == upto_k:
+            break
+        dN = N.derivative()
+        if has_prime:
+            N = (dN * P + N * S) * D - N * P * (beta * j)
+        else:
+            N = dN * D - N * (beta * j)
+        has_prime = not has_prime
+        j += 2
+        if N.is_zero():
+            j = 0
+            continue
+        while j > 1 and N.degree >= 1:
+            q, rem = N.divmod(D)
+            if not rem.is_zero():
+                break
+            N, j = q, j - 1
+    return out

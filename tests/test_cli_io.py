@@ -4,6 +4,7 @@ Every command is exercised through main(argv) so exit codes and the split
 between stdout (payload) and stderr (diagnostics) are covered too.
 """
 
+import hashlib
 import inspect
 import json
 import math
@@ -296,6 +297,19 @@ class TestChainCommand:
             assert rc == 0
             degrees.append([t["num_degree"] for t in json.loads(out)["terms"]])
         assert degrees[0] == degrees[1] == [0, 3, 1, 4, 4, 7]
+
+    @pytest.mark.parametrize("family,sha1", [
+        ("timelike", "c5f79f756f206f9c9990ba3d70dbe85c61f56d45"),
+        ("spacelike", "359b838aa24dd8fd1de24290d227915865fa4582"),
+        ("euclid", "c9f0c04ef0baaa15ed8a67499130b4d07e6acf61"),
+    ])
+    def test_report_bytes_are_pinned(self, capsys, family, sha1):
+        # Frozen bytes: however the exact chain is computed, every
+        # coefficient must round to the same float.
+        rc, out, err = run(capsys, "chain", "--family", family, "--B", "2.3",
+                           "--H", "0.5", "--upto-k", "12")
+        assert (rc, err) == (0, "")
+        assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
     @pytest.mark.parametrize("argv", [
         # An exact coefficient past 1.8e308.

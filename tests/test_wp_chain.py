@@ -5,7 +5,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from cubic_field import CubicField
+from cubic_field import CubicField, field_chain
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmc_elliptic import wp_chain
 from cmc_elliptic._ratpoly import Poly
@@ -141,21 +143,22 @@ class TestDifferentiateChain:
             (r["num_degree"], r["den_degree"], r["parity"] == "odd")
             for r in report]
 
-    @pytest.mark.parametrize("c2, cc", [
-        # float(cc) overflows; the true coefficient is about 2e300.
-        (1e-10, Fraction(10 ** 310)),
-        # float(cc) underflows to zero; the true coefficient is 2e-320.
-        (1e10, Fraction(1, 10 ** 330)),
-        (1.0, Fraction(0)),
+    @pytest.mark.parametrize("c2, x, scale", [
+        # float(x*scale) overflows; the true coefficient is about 2e300.
+        (1e-10, 10 ** 310, Fraction(1)),
+        # float(x*scale) underflows to zero; the true coefficient is 2e-320.
+        (1e10, 1, Fraction(1, 10 ** 330)),
+        (1.0, 0, Fraction(1)),
     ])
-    def test_true_coefficient_falls_back_to_the_exact_product(self, c2, cc):
-        assert wp_chain._true_coefficient(1, 0, c2, 2.0, 1, cc) == \
-            float(Fraction(c2) * 2 * cc)
+    def test_true_coefficient_falls_back_to_the_exact_product(self, c2, x,
+                                                              scale):
+        assert wp_chain._true_coefficient(1, 0, c2, 2.0, 1, x, scale) == \
+            float(Fraction(c2) * 2 * x * scale)
 
     @pytest.mark.parametrize("cc", [Fraction(10 ** 400), Fraction(1, 10 ** 400)])
     def test_unrepresentable_true_coefficient_is_a_range_error(self, cc):
         with pytest.raises(RangeError, match="chain step 3"):
-            wp_chain._true_coefficient(3, 0, 1.0, 2.0, 1, cc)
+            wp_chain._true_coefficient(3, 0, 1.0, 2.0, 1, 1, cc)
 
     def test_c2_scales_chain_linearly(self, cfg_t2):
         doubled = dataclasses.replace(cfg_t2, c2=2 * cfg_t2.c2)
@@ -167,6 +170,39 @@ class TestDifferentiateChain:
             assert ts.den == tb.den
 
 
+def _q_lambda_chain(family, B, H, upto_k):
+    """The chain at (family, B, H) run directly in P over Q(lam)."""
+    Bq, H2 = Fraction(B), 2 * Fraction(H)
+    c, l, m, n = _shift_and_depress(family, Bq)
+    field = CubicField(Fraction(4) / n)
+    p, _, _ = _family_constants(family, c, Bq)
+    # (P')^2 = 4P^3 - g2*P - g3 with g2 = -m*lam and g3 = -l.
+    cubic = [field.element(l), field.element(0, m, 0), field.element(0),
+             field.element(4)]
+    return field, field_chain(field.element(0, -p / H2, 0),
+                              field.element(0, 0, Bq / H2), cubic,
+                              field.element(1), upto_k)
+
+
+def _assert_graded_chain_is(cfg, field, oracle):
+    # The integer chain in X = lam*P, each X^i coefficient times its order's
+    # scale over the denominator power j and times lam^(j-1+i), must equal
+    # the chain run directly in P over Q(lam), element for element.
+    chain, lam = _exact_chain(cfg, len(oracle))
+    assert lam == cfg.lam
+    rows = list(chain)
+    assert len(rows) == len(oracle)
+    powers = [field.element(1)]
+    for _ in range(64):
+        powers.append(powers[-1] * field.lam)
+    for (k, num, scale, j, prime), expected in zip(rows, oracle):
+        assert all(type(x) is int for x in num.coeffs)
+        assert math.gcd(*num.coeffs) == 1
+        graded = Poly([powers[j - 1 + i] * (scale * x)
+                       for i, x in enumerate(num.coeffs)])
+        assert (k, graded, j, prime) == expected
+
+
 class TestExactChain:
     @pytest.mark.parametrize("family,B,H", [
         (Family.LORENTZ_TIMELIKE_AXIS, 2.0, 0.5),  # lam = 1: collapsed field
@@ -175,30 +211,9 @@ class TestExactChain:
         (Family.EUCLIDEAN, 0.5, 1.0),  # lam^3 = -4: a genuine cubic field
     ])
     def test_graded_rational_chain_equals_q_lambda_chain(self, family, B, H):
-        # The rational chain in X = lam*P, each X^i coefficient over the
-        # denominator power j times lam^(j-1+i), must equal the chain run
-        # directly in P over Q(lam), element for element.
         cfg = config(family, B, H)
-        rational, lam = _exact_chain(cfg, 12)
-        assert lam == cfg.lam
-        Bq, H2 = Fraction(B), 2 * Fraction(H)
-        c, l, m, n = _shift_and_depress(family, Bq)
-        field = CubicField(Fraction(4) / n)
-        p, _, _ = _family_constants(family, c, Bq)
-        # (P')^2 = 4P^3 - g2*P - g3 with g2 = -m*lam and g3 = -l.
-        cubic = [field.element(l), field.element(0, m, 0), field.element(0),
-                 field.element(4)]
-        oracle = _chain_core(field.element(0, -p / H2, 0),
-                             field.element(0, 0, Bq / H2), cubic,
-                             field.element(1), 12)
-        powers = [field.element(1)]
-        for _ in range(64):
-            powers.append(powers[-1] * field.lam)
-        assert len(rational) == len(oracle) == 12
-        for (k, num, j, prime), expected in zip(rational, oracle):
-            graded = Poly([powers[j - 1 + i] * cc
-                           for i, cc in enumerate(num.coeffs)])
-            assert (k, graded, j, prime) == expected
+        field, oracle = _q_lambda_chain(family, B, H, 12)
+        _assert_graded_chain_is(cfg, field, oracle)
         # The shipped float chain is c2 times the oracle, rounded.
         shipped = differentiate_chain(cfg, 12)
         for term, (_, expected, _, _) in zip(shipped, oracle):
@@ -206,6 +221,32 @@ class TestExactChain:
             assert len(term.num.coeffs) == len(want)
             assert all(math.isclose(got, w, rel_tol=1e-14, abs_tol=0.0)
                        for got, w in zip(term.num.coeffs, want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(Family)), st.floats(-1.5, 1.5),
+           st.floats(-1.5, 1.5), st.integers(1, 8))
+    def test_graded_chain_equals_q_lambda_chain_everywhere(self, family,
+                                                           log_b, log_h, k):
+        B, H = 10.0 ** log_b, 10.0 ** log_h
+        try:
+            cfg = config(family, B, H)
+        except SingularError:
+            assume(False)
+        field, oracle = _q_lambda_chain(family, B, H, k)
+        _assert_graded_chain_is(cfg, field, oracle)
+
+    def test_exact_zero_remainder_cancels_a_linear_factor(self):
+        # C(X) = (2X^3 + 3X/2 + 1)/5 vanishes at X = -1/2 = -alpha/beta, so
+        # D = (2/3)(1 + 2X) divides N_2 = (C'/2)*D - beta*C exactly.
+        alpha, beta = Fraction(2, 3), Fraction(4, 3)
+        cubic = [Fraction(1, 5), Fraction(3, 10), 0, Fraction(2, 5)]
+        rows = list(_chain_core(alpha, beta, cubic, 6))
+        oracle = field_chain(alpha, beta, cubic, Fraction(1), 6)
+        assert len(rows) == len(oracle) == 6
+        assert rows[1][3] == 2  # 3 without the cancellation
+        for (k, num, scale, j, prime), expected in zip(rows, oracle):
+            assert (k, Poly([scale * x for x in num.coeffs]), j, prime) == \
+                expected
 
 
 class TestEvalChainTerm:
