@@ -10,7 +10,9 @@ flag combinations exit with status 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import re
 import sys
 
@@ -75,7 +77,11 @@ def _cmd_profile(args) -> str:
     params = CmcParams(_family(args.family), args.H, args.B)
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
-    grid = [args.s_min + (args.s_max - args.s_min) * i / (args.samples - 1)
+    lo, hi = args.s_min, args.s_max
+    if not math.isfinite((hi - lo) * (args.samples - 1)):
+        raise RangeError(f"s range ({lo!r}, {hi!r}) over {args.samples} "
+                         "samples has no finite float grid")
+    grid = [lo + (hi - lo) * i / (args.samples - 1)
             for i in range(args.samples)]
     lines = ["s,x,second,dx,dsecond"]
     for pt in profiles.profile_points(params, grid):
@@ -117,6 +123,9 @@ def _cmd_roots(args) -> str:
 
 def _cmd_wp_check(args) -> str:
     _require_format(args, "json")
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        raise UsageError(
+            f"--tol must be positive and finite, got {args.tol!r}")
     fam = _family(args.family)
     data = reduce(fam, args.B)
     ev = WpEvaluator(data.g2, data.g3)
@@ -191,7 +200,10 @@ def _add_common(sp, *, family=True, hb=True, srange=False, tol=False):
     sp.add_argument("--format", choices=("csv", "obj", "json"), default=None)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged and
+    returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="cmc-elliptic",
         description="CMC rotation surfaces: profiles, meshes, elliptic "

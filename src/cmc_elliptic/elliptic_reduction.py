@@ -154,11 +154,13 @@ def _symbolic_parts(family: Family) -> tuple[Poly, Poly, int]:
     return M, L, -1
 
 
+@functools.cache
 def _assemble(family: Family, disc_sign: int) -> DiscPoly:
     """Numerator/denominator of -4m^3/n + disc_sign*27l^2 (exact).
 
     With M = 6B*m, L = 54B^2*l and n = n_sign*2B the expression equals
-    (-n_sign*M^3 + disc_sign*L^2) / (108*B^4).
+    (-n_sign*M^3 + disc_sign*L^2) / (108*B^4). Built once per family and
+    sign; the frozen result is shared by every caller.
     """
     M, L, n_sign = _symbolic_parts(family)
     raw = (L * L * disc_sign) - (M * M * M * n_sign)

@@ -255,7 +255,12 @@ def _true_coefficient(k: int, i: int, c2: float, lam: float, power: int,
 
 def eval_chain_term(term: ChainTerm, ev: WpEvaluator, t: float) -> float:
     """Numeric value of one chain term at parameter t."""
-    p, pp = ev.wp(t)
+    return _term_value(term, *ev.wp(t))
+
+
+def _term_value(term: ChainTerm, p: float, pp: float) -> float:
+    """One chain term at (P, P'); NearPoleError where its denominator
+    nearly vanishes."""
     d = term.den(p)
     if abs(d) < _NEAR_POLE_DEN:
         raise NearPoleError(
@@ -339,13 +344,13 @@ def polynomiality_probe(cfg: ChainConfig, K: int) -> dict:
         raise DomainError(f"K must be >= 3 for a meaningful probe, got {K}")
     terms = differentiate_chain(cfg, K)
     ev = WpEvaluator(cfg.g2, cfg.g3)
-    ts = [ev.wp_inverse(ev.e_max + off) for off in _PROBE_OFFSETS]
+    points = [ev.wp(ev.wp_inverse(ev.e_max + off)) for off in _PROBE_OFFSETS]
     report_terms = []
     for term in terms:
         values = []
-        for t in ts:
+        for p, pp in points:
             try:
-                values.append(abs(eval_chain_term(term, ev, t)))
+                values.append(abs(_term_value(term, p, pp)))
             except NearPoleError:
                 continue
         min_abs = min(values) if values else float("nan")

@@ -9,6 +9,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import cmc_elliptic
-from cmc_elliptic.cli_io import _json, main
+from cmc_elliptic.cli_io import _build_parser, _json, main
 from cmc_elliptic.errors import RangeError
 from cmc_elliptic.profiles import CmcParams, Family, surface_point
 
@@ -84,6 +85,28 @@ class TestExitCodes:
         # The message names the value passed, not a nan sampled from it.
         assert repr(float(angle)) in payload["message"]
         assert "nan" not in payload["message"]
+
+    # The grid's span s_max - s_min is checked before any sample is formed.
+    @pytest.mark.parametrize("flags", [
+        ("--s-max=inf",), ("--s-max=-inf",), ("--s-min=inf",),
+        ("--s-min=-inf",), ("--s-min=-1e308", "--s-max=1e308")])
+    def test_profile_span_overflow_exits_one(self, capsys, flags):
+        rc, out, err = run(capsys, "profile", "--family", "euclid",
+                           "--B", "0.5", *flags)
+        assert rc == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "range"
+        for flag in flags:
+            assert repr(float(flag.split("=")[1])) in payload["message"]
+        assert "nan" not in payload["message"]
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tol_exits_two_with_one_line(self, capsys, tol):
+        rc, out, err = run(capsys, "wp-check", "--family", "timelike",
+                           "--B", "2", f"--tol={tol}")
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1
+        assert f"--tol must be positive and finite, got {float(tol)!r}" in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
@@ -367,6 +390,55 @@ def test_commands_run_on_the_standard_library_alone():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout == "[]\n"
+
+
+# Each flag set away from its default comes before a run that leaves it at
+# the default, so state kept by the shared parser would show in the next run.
+REUSE_ARGV = [
+    ["surface", "--family", "spacelike", "--B", "2", "--s-min", "-0.1",
+     "--s-max", "0.1", "--samples", "3", "--theta-samples", "3",
+     "--angle-range", "5"],
+    ["surface", "--family", "spacelike", "--B", "2", "--s-min", "-0.1",
+     "--s-max", "0.1", "--samples", "3", "--theta-samples", "3"],
+    ["chain", "--family", "timelike", "--B", "2", "--H", "0.5",
+     "--upto-k", "12"],
+    ["chain", "--family", "timelike", "--B", "2", "--H", "0.5"],
+    ["profile", "--family", "euclid", "--B", "0.5", "--s-min", "-0.3",
+     "--s-max", "0.3", "--samples", "4"],
+    ["reduce", "--family", "spacelike", "--B", "2"],
+    ["roots", "--family", "timelike"],
+    ["wp-check", "--family", "timelike", "--B", "2", "--tol", "1e-6"],
+    ["wp-check", "--family", "timelike", "--B", "2"],
+    ["verify"],
+    ["reduce", "--family", "klein", "--B", "2"],
+    ["chain", "--help"],
+    ["frobnicate"],
+]
+
+
+def _strip_timings(text):
+    return re.sub(r" in \d+\.\d+s", " in <t>s", text)
+
+
+def test_one_parser_serves_every_run_in_a_process(capsys, monkeypatch):
+    # Help text wraps at the terminal width; fix it on both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    src = os.path.dirname(os.path.dirname(cmc_elliptic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    parser = _build_parser()
+    for argv in REUSE_ARGV:
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmc_elliptic.cli_io", *argv],
+            capture_output=True, text=True, env=env)
+        assert (rc, _strip_timings(captured.out), captured.err) == (
+            proc.returncode, _strip_timings(proc.stdout), proc.stderr), argv
+    assert _build_parser() is parser
 
 
 def test_export_list_matches_the_public_bindings():

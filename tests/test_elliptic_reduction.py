@@ -124,6 +124,12 @@ class TestDiscriminantPolynomials:
             assert dp.numerator == Poly(frozen)
             assert (dp.den_coeff, dp.den_power) == (54, 4)
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_polynomials_are_built_once_per_family(self, family):
+        assert discriminant_poly(family) is discriminant_poly(family)
+        assert exact_discriminant_poly(family) is \
+            exact_discriminant_poly(family)
+
     def test_screening_palindromic(self):
         for fam in Family:
             cs = discriminant_poly(fam).numerator.coeffs

@@ -348,6 +348,39 @@ class TestPolynomialityProbe:
         assert all(not t["identically_zero"] for t in report["terms"])
         assert all(t["min_abs_value"] > 0.0 for t in report["terms"])
 
+    @pytest.mark.parametrize("family,B,H", [
+        (Family.LORENTZ_TIMELIKE_AXIS, 2.3, 0.5),
+        (Family.LORENTZ_TIMELIKE_AXIS, 2.0, 0.5),
+        (Family.LORENTZ_SPACELIKE_AXIS, 0.75, 1.0),
+        (Family.EUCLIDEAN, 0.5, 1.0),
+    ])
+    def test_one_wp_evaluation_per_probe_point(self, monkeypatch, family, B,
+                                               H):
+        cfg = config(family, B, H)
+        wp = WpEvaluator.wp
+        calls = []
+
+        def counted(ev, z):
+            calls.append(z)
+            return wp(ev, z)
+
+        monkeypatch.setattr(WpEvaluator, "wp", counted)
+        report = polynomiality_probe(cfg, 12)
+        assert len(calls) == len(wp_chain._PROBE_OFFSETS)
+        # The values are those of eval_chain_term at each probe parameter,
+        # leaving out a point where the denominator is below the near-pole
+        # threshold (Euclidean B = 0.5 from k = 6 on).
+        ev = WpEvaluator(cfg.g2, cfg.g3)
+        ts = [ev.wp_inverse(ev.e_max + off) for off in wp_chain._PROBE_OFFSETS]
+        for term, row in zip(differentiate_chain(cfg, 12), report["terms"]):
+            values = []
+            for t in ts:
+                try:
+                    values.append(abs(eval_chain_term(term, ev, t)))
+                except NearPoleError:
+                    pass
+            assert row["min_abs_value"].hex() == min(values).hex()
+
     def test_degenerate_constant_radius_collapses(self, cfg_t2):
         # c2 = 0 models a constant r: every derivative is identically zero.
         control = dataclasses.replace(cfg_t2, c2=0.0)
