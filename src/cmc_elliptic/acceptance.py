@@ -395,7 +395,7 @@ def criterion_10() -> CriterionResult:
     d1, d2, d3, t_c = fd_chain_reference(cfg, params, 1.0, 0.01)
     tols = (1e-4, 1e-4, 1e-3)
     for k, (fd, tol) in enumerate(zip((d1, d2, d3), tols), start=1):
-        val = eval_chain_term(terms[k - 1], ev, t_c)
+        val = eval_chain_term(cfg, terms[k - 1], ev, t_c)
         rel = abs(val - fd) / max(abs(val), abs(fd), 1e-30)
         good = rel < tol
         ok = ok and good

@@ -80,7 +80,6 @@ class CurveSample:
 class SurfaceMesh:
     vertices: list[tuple[float, float, float]]
     faces: list[tuple[int, int, int]]
-    params: CmcParams
     grid: tuple[list[float], list[float]]
 
 
@@ -475,7 +474,7 @@ def mesh(params: CmcParams, s_range: tuple[float, float], n_s: int,
             v11 = v10 + 1
             faces.append((v00, v10, v11))
             faces.append((v00, v11, v01))
-    return SurfaceMesh(vertices=vertices, faces=faces, params=params,
+    return SurfaceMesh(vertices=vertices, faces=faces,
                        grid=(s_samples, theta_samples))
 
 

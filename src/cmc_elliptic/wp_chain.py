@@ -16,12 +16,12 @@ of the non-algebraicity argument.
 The exact chain works in the unscaled cubic variable X = lambda*P, where
 (P')^2 = n*X^3 + m*X + l and alpha + beta*P = lambda*(a + b*X) with
 a = -p/(2H), b = B/(2H). Every step is homogeneous in lambda, so the P^i
-coefficient of N_k over denominator power j is lambda^(j-1+i) times a
-rational one. The rationals are cleared once and the chain runs over
-Python ints, each order a primitive integer numerator times one exact
-Fraction scale. That chain is the only recursion: the float coefficients
-are its graded values rounded once, order by order, so a coefficient that
-vanishes over Q is 0.0 and every numerator degree is exact.
+coefficient of N_k is lambda^(2k-2+i) times a rational one. The rationals
+are cleared once and the chain runs over Python ints, each order a
+primitive integer numerator times one exact Fraction scale. That chain is
+the only recursion: the float coefficients are its graded values rounded
+once, order by order, so a coefficient that vanishes over Q is 0.0 and
+every numerator degree is exact, as is the denominator power 2k-1.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from .errors import DomainError, NearPoleError, RangeError, SingularError
 from .profiles import CmcParams, Family
 from .weierstrass import WpEvaluator
 
-_NEAR_POLE_DEN = 1e-12
+# Relative size of alpha + beta*P below which a point counts as on the pole.
+_NEAR_POLE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,11 +66,10 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class ChainTerm:
-    """One derivative order: num(P)/den(P), times P' when flagged."""
+    """One order: num(P)/(alpha + beta*P)^(2k-1), times P' when flagged."""
 
     k: int
     num: Poly
-    den: Poly
     has_wp_prime: bool
 
 
@@ -129,32 +129,40 @@ def chain_config(data: ReductionData, H: float) -> ChainConfig:
 def _chain_core(alpha, beta, cubic, upto_k: int):
     """Numerators of d^k r/dx3^k for k = 1..upto_k, starting from r' = P'/D.
 
-    Yields (k, N, scale, den_power, has_wp_prime) one order at a time; the
-    numerator is scale*N, with N an int Poly of unit content and scale a
-    Fraction. Each step applies d/dt followed by the 1/(alpha + beta*P)
-    factor of d/dx3; the substitutions (P')^2 -> C(P) and P'' -> C'(P)/2
-    close the system. The rational inputs are cleared once: with q the lcm
-    of their denominators, a = q*alpha, b = q*beta and c = q*C are integer,
-    an odd step (doubled, so C'/2 stays integral) puts 1/(2q^2) into the
-    scale and an even step 1/q, and each order's content moves there too.
-    The denominator is (alpha + beta*P)^den_power; a zero of N at -a/b lets
-    a linear factor cancel (never observed for regular configurations, but
-    the reduction keeps the representation gcd-free).
+    Yields (k, N, scale, has_wp_prime) one order at a time; the numerator
+    is scale*N, with N an int Poly of unit content and scale a Fraction,
+    over the denominator (alpha + beta*P)^(2k-1). Each step applies d/dt
+    followed by the 1/(alpha + beta*P) factor of d/dx3; the substitutions
+    (P')^2 -> C(P) and P'' -> C'(P)/2 close the system. The rational inputs
+    are cleared once: with q the lcm of their denominators, a = q*alpha,
+    b = q*beta and c = q*C are integer, an odd step (doubled, so C'/2 stays
+    integral) puts 1/(2q^2) into the scale and an even step 1/q, and each
+    order's content moves there too.
+
+    No linear factor cancels: at P0 = -a/b, with j = 2k-1, an odd step
+    leaves N_{k+1}(P0) = -2jb*N_k(P0)*c(P0) and an even step -jb*N_k(P0), so
+    no N_k vanishes there unless C(P0) = 0. In the X of _exact_chain,
+    P0 = p/B and C(P0) is (B^2+1)^2/B^2, -(B^2-1)^2/B^2 or (B^2-1)^2/B^2
+    (timelike, spacelike, Euclidean): zero only at the repeated-root B = 1
+    that chain_config rejects, a SingularError here.
     """
     q = math.lcm(*(Fraction(x).denominator for x in (alpha, beta, *cubic)))
     a, b = int(q * alpha), int(q * beta)
     c = _poly([int(q * x) for x in cubic])
+    if c(Fraction(-a, b)) == 0:
+        raise SingularError("the cubic vanishes at the zero of alpha + beta*P:"
+                            " repeated cubic root, no elliptic path")
     dc = c.derivative()
     D = _poly([a, b])
     N = _poly([1])
     scale = Fraction(1)
-    j = 1
     has_prime = True
     for k in range(1, upto_k + 1):
-        yield k, N, scale, j, has_prime
+        yield k, N, scale, has_prime
         if k == upto_k:
             return
         dN = N.derivative()
+        j = 2 * k - 1
         if has_prime:
             N = (dN * c * 2 + N * dc) * D - N * c * (2 * j * b)
             scale /= 2 * q * q
@@ -162,29 +170,10 @@ def _chain_core(alpha, beta, cubic, upto_k: int):
             N = dN * D - N * (j * b)
             scale /= q
         has_prime = not has_prime
-        j += 2
         g = math.gcd(*N.coeffs)
-        if g == 0:
-            j = 0
-            continue
         if g > 1:
             N = _poly([x // g for x in N.coeffs])
             scale *= g
-        while j > 1 and N.degree >= 1 and _at_pole(N, a, b) == 0:
-            quo = Poly(N.coeffs).divmod(Poly([alpha, beta]))[0]
-            prim = quo.primitive()
-            N = _poly([int(x) for x in prim.coeffs])
-            scale *= quo.leading() / prim.leading()
-            j -= 1
-
-
-def _at_pole(N: Poly, a: int, b: int) -> int:
-    """b**deg(N) * N(-a/b), by Horner over the integers."""
-    acc, bp = 0, 1
-    for x in reversed(N.coeffs):
-        acc = acc * -a + x * bp
-        bp *= b
-    return acc
 
 
 def _exact_chain(cfg: ChainConfig, upto_k: int):
@@ -214,17 +203,12 @@ def differentiate_chain(cfg: ChainConfig, upto_k: int) -> list[ChainTerm]:
     if upto_k < 1:
         raise DomainError(f"upto_k must be >= 1, got {upto_k}")
     chain, lam = _exact_chain(cfg, upto_k)
-    D = Poly([cfg.alpha, cfg.beta])
-    dens = [Poly([1.0])]  # dens[j] = D**j, one product per power
     terms = []
-    for k, num, scale, j, has_prime in chain:
+    for k, num, scale, has_prime in chain:
         coeffs = [0.0] if cfg.c2 == 0.0 else [
-            _true_coefficient(k, i, cfg.c2, lam, j - 1 + i, x, scale)
+            _true_coefficient(k, i, cfg.c2, lam, 2 * k - 2 + i, x, scale)
             for i, x in enumerate(num.coeffs)]
-        while len(dens) <= j:
-            dens.append(dens[-1] * D)
-        terms.append(ChainTerm(k=k, num=Poly(coeffs), den=dens[j],
-                               has_wp_prime=has_prime))
+        terms.append(ChainTerm(k=k, num=Poly(coeffs), has_wp_prime=has_prime))
     return terms
 
 
@@ -253,21 +237,33 @@ def _true_coefficient(k: int, i: int, c2: float, lam: float, power: int,
     return value
 
 
-def eval_chain_term(term: ChainTerm, ev: WpEvaluator, t: float) -> float:
-    """Numeric value of one chain term at parameter t."""
-    return _term_value(term, *ev.wp(t))
+def eval_chain_term(cfg: ChainConfig, term: ChainTerm, ev: WpEvaluator,
+                    t: float) -> float:
+    """Numeric value of one chain term of cfg at parameter t."""
+    p, pp = ev.wp(t)
+    return _term_value(term, p, pp, _linear_factor(cfg, p))
 
 
-def _term_value(term: ChainTerm, p: float, pp: float) -> float:
-    """One chain term at (P, P'); NearPoleError where its denominator
-    nearly vanishes."""
-    d = term.den(p)
-    if abs(d) < _NEAR_POLE_DEN:
-        raise NearPoleError(
-            f"denominator {d!r} below {_NEAR_POLE_DEN} at P={p!r}")
-    val = term.num(p) / d
-    if term.has_wp_prime:
-        val *= pp
+def _linear_factor(cfg: ChainConfig, p: float) -> float:
+    """alpha + beta*P; NearPoleError where the sum cancels to round-off."""
+    d = cfg.alpha + cfg.beta * p
+    if abs(d) <= _NEAR_POLE * (abs(cfg.alpha) + abs(cfg.beta * p)):
+        raise NearPoleError(f"alpha + beta*P = {d!r} cancels at P={p!r}")
+    return d
+
+
+def _term_value(term: ChainTerm, p: float, pp: float, d: float) -> float:
+    """num(P)/d^(2k-1), times P' when flagged, with d = alpha + beta*P;
+    RangeError where the power or the value leaves the float range."""
+    num = term.num(p)
+    fac = pp if term.has_wp_prime else 1.0
+    try:
+        val = num / d ** (2 * term.k - 1) * fac
+    except (OverflowError, ZeroDivisionError):
+        val = math.nan
+    if not math.isfinite(val) or (val == 0.0 and num * fac != 0.0):
+        raise RangeError(f"chain step {term.k}: value at P={p!r} is outside "
+                         "the float range")
     return val
 
 
@@ -336,28 +332,30 @@ def polynomiality_probe(cfg: ChainConfig, K: int) -> dict:
 
     The exact chain decides identically_zero per term (a nonzero exact
     coefficient never rounds to 0.0); float evaluation at five generic
-    parameters reports the observed minimum magnitude. A polynomial radius of degree d would force the k = d+1
-    numerator to vanish identically, so an all-nonzero report up to K rules
-    out polynomial radii of degree < K.
+    parameters reports the observed minimum magnitude, leaving out a point
+    where alpha + beta*P cancels. A polynomial radius of degree d would
+    force the k = d+1 numerator to vanish identically, so an all-nonzero
+    report up to K rules out polynomial radii of degree < K.
     """
     if K < 3:
         raise DomainError(f"K must be >= 3 for a meaningful probe, got {K}")
     terms = differentiate_chain(cfg, K)
     ev = WpEvaluator(cfg.g2, cfg.g3)
-    points = [ev.wp(ev.wp_inverse(ev.e_max + off)) for off in _PROBE_OFFSETS]
+    points = []
+    for off in _PROBE_OFFSETS:
+        p, pp = ev.wp(ev.wp_inverse(ev.e_max + off))
+        try:
+            points.append((p, pp, _linear_factor(cfg, p)))
+        except NearPoleError:
+            continue
     report_terms = []
     for term in terms:
-        values = []
-        for p, pp in points:
-            try:
-                values.append(abs(_term_value(term, p, pp)))
-            except NearPoleError:
-                continue
+        values = [abs(_term_value(term, *point)) for point in points]
         min_abs = min(values) if values else float("nan")
         report_terms.append({
             "k": term.k,
             "num_degree": term.num.degree,
-            "den_degree": term.den.degree,
+            "den_degree": 2 * term.k - 1,
             "parity": "odd" if term.has_wp_prime else "even",
             "min_abs_value": min_abs,
             "identically_zero": term.num.is_zero(),

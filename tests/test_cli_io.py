@@ -322,9 +322,9 @@ class TestChainCommand:
         assert degrees[0] == degrees[1] == [0, 3, 1, 4, 4, 7]
 
     @pytest.mark.parametrize("family,sha1", [
-        ("timelike", "c5f79f756f206f9c9990ba3d70dbe85c61f56d45"),
-        ("spacelike", "359b838aa24dd8fd1de24290d227915865fa4582"),
-        ("euclid", "c9f0c04ef0baaa15ed8a67499130b4d07e6acf61"),
+        ("timelike", "73e67053e5421051bff01e3f5d8f46bfbbaeb60d"),
+        ("spacelike", "ce098b83655638b0b3ecca4fbbf6baecb9476e6f"),
+        ("euclid", "f6f9b6099104772fd87a99ac7cb379a98dd79e30"),
     ])
     def test_report_bytes_are_pinned(self, capsys, family, sha1):
         # Frozen bytes: however the exact chain is computed, every
@@ -339,6 +339,10 @@ class TestChainCommand:
         ("--family", "timelike", "--B", "2", "--H", "1e-100", "--upto-k", "12"),
         ("--family", "timelike", "--B", "2", "--H", "1e-200", "--upto-k", "3"),
         ("--family", "timelike", "--B", "2", "--H", "0.5", "--upto-k", "120"),
+        # A term value past the float range while every coefficient has one:
+        # a numerator from order 91, a power of alpha + beta*P from 31.
+        ("--family", "timelike", "--B", "2", "--H", "0.5", "--upto-k", "100"),
+        ("--family", "timelike", "--B", "2", "--H", "1e5", "--upto-k", "40"),
         # An exact coefficient that underflows to zero.
         ("--family", "euclid", "--B", "0.3", "--H", "1e200", "--upto-k", "12"),
         ("--family", "spacelike", "--B", "2", "--H", "1e150", "--upto-k", "8"),

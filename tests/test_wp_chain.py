@@ -1,15 +1,17 @@
 """Derivative chain over rational functions of P and the curve reconstruction."""
 
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from cubic_field import CubicField, field_chain
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmc_elliptic import wp_chain
+from cmc_elliptic import cli_io, wp_chain
 from cmc_elliptic._ratpoly import Poly
 from cmc_elliptic.acceptance import fd_chain_reference
 from cmc_elliptic.elliptic_reduction import _shift_and_depress, reduce
@@ -106,7 +108,6 @@ class TestDifferentiateChain:
         [t1] = differentiate_chain(cfg_t2, 1)
         assert t1.k == 1 and t1.has_wp_prime
         assert t1.num.coeffs == (cfg_t2.c2,)
-        assert t1.den.coeffs == (cfg_t2.alpha, cfg_t2.beta)
 
     def test_second_term_is_expanded_bracket(self, cfg_t2):
         # c2*[(12P^2-g2)/(2(a+bP)^2) - b(4P^3-g2 P-g3)/(a+bP)^3] over the
@@ -118,18 +119,16 @@ class TestDifferentiateChain:
         expected_num = (c2 * (g3 * b - g2 * a / 2), c2 * g2 * b / 2, 6 * a * c2, 2 * b * c2)
         assert expected_num == (-26.75, -13.0, -36.0, 16.0)  # frozen for this cfg
         assert t2.num.coeffs == pytest.approx(expected_num, rel=1e-12)
-        den = (a ** 3, 3 * a * a * b, 3 * a * b * b, b ** 3)
-        assert t2.den.coeffs == pytest.approx(den, rel=1e-12)
 
     def test_parity_alternates(self, cfg_t2):
         terms = differentiate_chain(cfg_t2, 12)
         for term in terms:
             assert term.has_wp_prime == (term.k % 2 == 1)
 
-    def test_denominator_degree_strictly_grows(self, cfg_t2):
-        terms = differentiate_chain(cfg_t2, 10)
-        degrees = [t.den.degree for t in terms]
-        assert all(b >= a + 1 for a, b in zip(degrees, degrees[1:]))
+    def test_denominator_degree_is_2k_minus_1(self, cfg_t2):
+        report = polynomiality_probe(cfg_t2, 10)["terms"]
+        assert [t["den_degree"] for t in report] == \
+            [2 * k - 1 for k in range(1, 11)]
 
     def test_k_bounds(self, cfg_t2):
         with pytest.raises(DomainError):
@@ -138,7 +137,7 @@ class TestDifferentiateChain:
         terms = differentiate_chain(cfg_t2, 13)
         report = polynomiality_probe(cfg_t2, 13)["terms"]
         assert len(terms) == len(report) == 13
-        assert [(t.num.degree, t.den.degree, t.has_wp_prime)
+        assert [(t.num.degree, 2 * t.k - 1, t.has_wp_prime)
                 for t in terms] == [
             (r["num_degree"], r["den_degree"], r["parity"] == "odd")
             for r in report]
@@ -167,7 +166,6 @@ class TestDifferentiateChain:
         for tb, ts in zip(base, scaled):
             assert ts.num.coeffs == pytest.approx(
                 tuple(2 * c for c in tb.num.coeffs), rel=1e-14)
-            assert ts.den == tb.den
 
 
 def _q_lambda_chain(family, B, H, upto_k):
@@ -186,8 +184,9 @@ def _q_lambda_chain(family, B, H, upto_k):
 
 def _assert_graded_chain_is(cfg, field, oracle):
     # The integer chain in X = lam*P, each X^i coefficient times its order's
-    # scale over the denominator power j and times lam^(j-1+i), must equal
-    # the chain run directly in P over Q(lam), element for element.
+    # scale and times lam^(2k-2+i), must equal the chain run directly in P
+    # over Q(lam), element for element. The oracle cancels any linear factor
+    # it can, so its denominator power 2k-1 checks that none ever cancels.
     chain, lam = _exact_chain(cfg, len(oracle))
     assert lam == cfg.lam
     rows = list(chain)
@@ -195,12 +194,13 @@ def _assert_graded_chain_is(cfg, field, oracle):
     powers = [field.element(1)]
     for _ in range(64):
         powers.append(powers[-1] * field.lam)
-    for (k, num, scale, j, prime), expected in zip(rows, oracle):
+    for (k, num, scale, prime), expected in zip(rows, oracle):
         assert all(type(x) is int for x in num.coeffs)
         assert math.gcd(*num.coeffs) == 1
-        graded = Poly([powers[j - 1 + i] * (scale * x)
+        assert expected[2] == 2 * k - 1
+        graded = Poly([powers[2 * k - 2 + i] * (scale * x)
                        for i, x in enumerate(num.coeffs)])
-        assert (k, graded, j, prime) == expected
+        assert (k, graded, 2 * k - 1, prime) == expected
 
 
 class TestExactChain:
@@ -235,18 +235,52 @@ class TestExactChain:
         field, oracle = _q_lambda_chain(family, B, H, k)
         _assert_graded_chain_is(cfg, field, oracle)
 
-    def test_exact_zero_remainder_cancels_a_linear_factor(self):
-        # C(X) = (2X^3 + 3X/2 + 1)/5 vanishes at X = -1/2 = -alpha/beta, so
-        # D = (2/3)(1 + 2X) divides N_2 = (C'/2)*D - beta*C exactly.
+    def test_cubic_vanishing_at_the_pole_is_singular(self):
+        # C(X) = (2X^3 + 3X/2 + 1)/5 vanishes at X = -1/2 = -alpha/beta, the
+        # one case where D = (2/3)(1 + 2X) would divide a numerator.
         alpha, beta = Fraction(2, 3), Fraction(4, 3)
         cubic = [Fraction(1, 5), Fraction(3, 10), 0, Fraction(2, 5)]
-        rows = list(_chain_core(alpha, beta, cubic, 6))
-        oracle = field_chain(alpha, beta, cubic, Fraction(1), 6)
-        assert len(rows) == len(oracle) == 6
-        assert rows[1][3] == 2  # 3 without the cancellation
-        for (k, num, scale, j, prime), expected in zip(rows, oracle):
-            assert (k, Poly([scale * x for x in num.coeffs]), j, prime) == \
-                expected
+        with pytest.raises(SingularError):
+            next(_chain_core(alpha, beta, cubic, 6))
+        # Only a hand-built configuration reaches it: B = 1 is a repeated
+        # root of the Euclidean cubic, which chain_config rejects.
+        euclid_cfg = config(Family.EUCLIDEAN, 0.5, 1.0)
+        with pytest.raises(SingularError):
+            differentiate_chain(dataclasses.replace(euclid_cfg, B=1.0), 4)
+
+    @pytest.mark.parametrize("B", [Fraction(1, 3), Fraction(1), Fraction(5, 2),
+                                   Fraction(2.3)])
+    def test_cubic_at_the_pole_closed_forms(self, B):
+        # C(p/B) in the exact chain's X variable, where p/B zeroes a + b*X.
+        want = {Family.LORENTZ_TIMELIKE_AXIS: (B * B + 1) ** 2 / (B * B),
+                Family.LORENTZ_SPACELIKE_AXIS: -(B * B - 1) ** 2 / (B * B),
+                Family.EUCLIDEAN: (B * B - 1) ** 2 / (B * B)}
+        for family, value in want.items():
+            c, l, m, n = _shift_and_depress(family, B)
+            x0 = _family_constants(family, c, B)[0] / B
+            assert n * x0 ** 3 + m * x0 + l == value
+
+
+def _mp_chain_values(cfg, upto_k, p, pp):
+    """d^k r/dx3^k for k = 1..upto_k at the float (P, P'): the exact integer
+    chain evaluated in 50-digit mpmath, every constant rebuilt from
+    (family, B, H) with lambda in mpmath."""
+    B, H2 = Fraction(cfg.B), 2 * Fraction(cfg.H)
+    c, _, _, n = _shift_and_depress(cfg.family, B)
+    p_fam, _, sign = _family_constants(cfg.family, c, B)
+    chain, _ = _exact_chain(cfg, upto_k)
+    with mp.workdps(50):
+        def mpq(x):
+            return mp.mpf(x.numerator) / x.denominator
+        lam = mp.sign(mpq(4 / n)) * mp.cbrt(abs(mpq(4 / n)))
+        d = -lam * mpq(p_fam / H2) + lam * lam * mpq(B / H2) * mp.mpf(p)
+        c2 = sign * 2 * mpq(B) * lam
+        values = []
+        for k, num, scale, prime in chain:
+            v = sum(mpq(scale * x) * lam ** (2 * k - 2 + i) * mp.mpf(p) ** i
+                    for i, x in enumerate(num.coeffs))
+            values.append(c2 * v / d ** (2 * k - 1) * (pp if prime else 1))
+    return values
 
 
 class TestEvalChainTerm:
@@ -257,7 +291,8 @@ class TestEvalChainTerm:
             t = ev.wp_inverse(ev.e_max + off)
             p, pp = ev.wp(t)
             direct = cfg_t2.c2 * pp / (cfg_t2.alpha + cfg_t2.beta * p)
-            assert eval_chain_term(t1, ev, t) == pytest.approx(direct, rel=1e-14)
+            assert eval_chain_term(cfg_t2, t1, ev, t) == \
+                pytest.approx(direct, rel=1e-14)
 
     def test_near_pole_rejected(self, cfg_t2):
         # P = -alpha/beta = 0.75 lies on the real branch (e_max = -0.5).
@@ -265,7 +300,7 @@ class TestEvalChainTerm:
         t_star = ev.wp_inverse(-cfg_t2.alpha / cfg_t2.beta)
         [t1] = differentiate_chain(cfg_t2, 1)
         with pytest.raises(NearPoleError):
-            eval_chain_term(t1, ev, t_star)
+            eval_chain_term(cfg_t2, t1, ev, t_star)
 
     @pytest.mark.parametrize("k,tol", [(1, 1e-4), (2, 1e-4), (3, 1e-3)])
     def test_matches_finite_differences(self, cfg_t2, k, tol):
@@ -274,8 +309,37 @@ class TestEvalChainTerm:
         t_c = fd[3]
         ev = WpEvaluator(cfg_t2.g2, cfg_t2.g3)
         term = differentiate_chain(cfg_t2, 3)[k - 1]
-        val = eval_chain_term(term, ev, t_c)
+        val = eval_chain_term(cfg_t2, term, ev, t_c)
         assert val == pytest.approx(fd[k - 1], rel=tol)
+
+    @pytest.mark.parametrize("off", [0.37, 0.83])
+    def test_points_off_the_pole_are_kept_at_every_order(self, off):
+        # |alpha + beta*P| is 0.065 and 0.22 here: far from the pole, though
+        # (alpha + beta*P)^(2k-1) drops below 1e-12 by k = 6 and 10.
+        cfg = config(Family.EUCLIDEAN, 0.5, 1.0)
+        ev = WpEvaluator(cfg.g2, cfg.g3)
+        t = ev.wp_inverse(ev.e_max + off)
+        ref = _mp_chain_values(cfg, 12, *ev.wp(t))
+        for term in differentiate_chain(cfg, 12)[5:]:
+            val = eval_chain_term(cfg, term, ev, t)
+            assert abs(val - ref[term.k - 1]) <= 1e-9 * abs(ref[term.k - 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(Family)), st.floats(0.05, 4.0),
+           st.floats(0.25, 2.0), st.integers(1, 12))
+    def test_values_match_the_exact_chain_in_mpmath(self, family, B, H, K):
+        try:
+            cfg = config(family, B, H)
+        except SingularError:
+            assume(False)
+        ev = WpEvaluator(cfg.g2, cfg.g3)
+        terms = differentiate_chain(cfg, K)
+        for off in wp_chain._PROBE_OFFSETS:
+            t = ev.wp_inverse(ev.e_max + off)
+            ref = _mp_chain_values(cfg, K, *ev.wp(t))
+            for term, want in zip(terms, ref):
+                val = eval_chain_term(cfg, term, ev, t)
+                assert abs(val - want) <= 1e-9 * abs(want)
 
 
 class TestCurveFromWp:
@@ -368,18 +432,27 @@ class TestPolynomialityProbe:
         report = polynomiality_probe(cfg, 12)
         assert len(calls) == len(wp_chain._PROBE_OFFSETS)
         # The values are those of eval_chain_term at each probe parameter,
-        # leaving out a point where the denominator is below the near-pole
-        # threshold (Euclidean B = 0.5 from k = 6 on).
+        # all five of them at every order.
         ev = WpEvaluator(cfg.g2, cfg.g3)
         ts = [ev.wp_inverse(ev.e_max + off) for off in wp_chain._PROBE_OFFSETS]
         for term, row in zip(differentiate_chain(cfg, 12), report["terms"]):
-            values = []
-            for t in ts:
-                try:
-                    values.append(abs(eval_chain_term(term, ev, t)))
-                except NearPoleError:
-                    pass
+            values = [abs(eval_chain_term(cfg, term, ev, t)) for t in ts]
             assert row["min_abs_value"].hex() == min(values).hex()
+
+    def test_large_h_report_matches_mpmath(self, capsys):
+        # |alpha + beta*P| is about 1e-5 at every probe point: no cancellation,
+        # though its powers fall far below an absolute 1e-12 from k = 2 on.
+        rc = cli_io.main(["chain", "--family", "timelike", "--B", "2",
+                          "--H", "1e5", "--upto-k", "12"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        cfg = config(Family.LORENTZ_TIMELIKE_AXIS, 2.0, 1e5)
+        ev = WpEvaluator(cfg.g2, cfg.g3)
+        refs = [_mp_chain_values(cfg, 12, *ev.wp(ev.wp_inverse(ev.e_max + off)))
+                for off in wp_chain._PROBE_OFFSETS]
+        for row, values in zip(json.loads(out)["terms"], zip(*refs)):
+            want = min(abs(v) for v in values)
+            assert abs(row["min_abs_value"] - want) <= 1e-13 * want
 
     def test_degenerate_constant_radius_collapses(self, cfg_t2):
         # c2 = 0 models a constant r: every derivative is identically zero.
