@@ -28,17 +28,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
+from typing import NamedTuple
 
 from ._ratpoly import Poly, isolate_positive_roots, real_cbrt, refine_root
 from .errors import DomainError, RangeError
 from .profiles import Family
 
 
-@dataclass(frozen=True)
-class ReductionData:
+class ReductionData(NamedTuple):
     """Shift, depressed-cubic coefficients, scale and invariants for one B."""
 
     family: Family
@@ -118,8 +117,7 @@ def shifted_cubic_identity(data: ReductionData) -> list[Fraction]:
     return [e - a for e, a in zip(expanded, [a0, a1, a2, a3])]
 
 
-@dataclass(frozen=True)
-class DiscPoly:
+class DiscPoly(NamedTuple):
     """Exact rational function of B: numerator / (den_coeff * B**den_power)."""
 
     family: Family

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections import namedtuple
+from typing import Callable, NamedTuple, Sequence
 
 from ._carlson import rd, rf
 from .errors import (DomainError, EmptyDomainError, RangeError,
@@ -34,23 +34,24 @@ class Family(enum.Enum):
     LORENTZ_TIMELIKE_AXIS = "timelike-axis"
 
 
-@dataclass(frozen=True)
-class CmcParams:
-    """Physical input: family, mean curvature H > 0, classifying B >= 0."""
+class CmcParams(namedtuple("CmcParams", "family H B")):
+    """Family, mean curvature H > 0, classifying B >= 0; always checked."""
 
-    family: Family
-    H: float
-    B: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.H > 0 and math.isfinite(self.H)):
-            raise DomainError(f"H must be positive and finite, got {self.H!r}")
-        if not (self.B >= 0 and math.isfinite(self.B)):
-            raise DomainError(f"B must be non-negative and finite, got {self.B!r}")
+    def __new__(cls, family: Family, H: float, B: float):
+        if not (H > 0 and math.isfinite(H)):
+            raise DomainError(f"H must be positive and finite, got {H!r}")
+        if not (B >= 0 and math.isfinite(B)):
+            raise DomainError(f"B must be non-negative and finite, got {B!r}")
+        return super().__new__(cls, family, H, B)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SInterval:
+class SInterval(NamedTuple):
     """Open arc-length interval (lo, hi); degenerate marks a single point."""
 
     lo: float
@@ -61,8 +62,7 @@ class SInterval:
         return (not self.degenerate) and self.lo < s < self.hi
 
 
-@dataclass(frozen=True)
-class CurveSample:
+class CurveSample(NamedTuple):
     """Profile point: coordinates and their s-derivatives.
 
     ``second`` is the non-x coordinate (y for the Euclidean family, z for the
@@ -76,8 +76,7 @@ class CurveSample:
     dsecond: float
 
 
-@dataclass(frozen=True)
-class SurfaceMesh:
+class SurfaceMesh(NamedTuple):
     vertices: list[tuple[float, float, float]]
     faces: list[tuple[int, int, int]]
     grid: tuple[list[float], list[float]]
@@ -303,7 +302,7 @@ def _axis_values(params: CmcParams, grid: Sequence[float]) -> list[float]:
     for s in grid:
         try:
             values.append(_finite(params, s, (axis(s),))[0])
-        except OverflowError:  # exp past the float range
+        except (OverflowError, ZeroDivisionError):  # exp, or H|1-B| -> 0
             raise _overflow(params, s) from None
     return values
 

@@ -2,18 +2,23 @@
 
 A :class:`WpEvaluator` is bound to one invariant pair (g2, g3) with nonzero
 discriminant. P, P' and the Weierstrass zeta function are computed from
-their truncated Laurent series inside a safe radius and extended by
-repeated argument duplication. The inverse is the elliptic integral from
-the argument to infinity, R_F(w - e1, w - e2, w - e3) in Carlson's form
-(DLMF 19.29.i; e2, e3 a complex pair when the discriminant is negative),
-and the antiderivative of P is -zeta. Only real arguments on the branch
-P(z) >= e_max (e_max the largest real root of 4x^3 - g2*x - g3) are
-supported; that is the branch on which P takes real values on the real axis.
+their truncated Laurent series, whose coefficients are polynomials in
+(g2, g3) with positive rational coefficients (DLMF 23.9) tabled at import,
+inside a safe radius and extended by repeated argument duplication. The
+inverse is R_F(w - e1, w - e2, w - e3) in Carlson's form (DLMF 19.29.i; e2,
+e3 a complex pair when the discriminant is negative), complete at w = e1,
+where the AGM gives the real half-period (DLMF 19.8.5); the antiderivative
+of P is -zeta. Only real arguments on the branch P(z) >= e_max (e_max the
+largest real root of 4x^3 - g2*x - g3) are supported; that is the branch
+on which P takes real values on the real axis.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from itertools import accumulate
+from operator import mul
 
 from ._carlson import rf
 from ._ratpoly import real_cbrt
@@ -22,6 +27,30 @@ from .errors import (AccuracyError, BranchError, DomainError, PoleError,
 
 _N_LAURENT = 24  # series coefficients c_2..c_25
 _MAX_DUPLICATIONS = 12
+
+
+def _laurent_table() -> tuple[tuple[tuple[int, int, float], ...], ...]:
+    """Rows (a, 13 + b, q) of c_4..c_25 = sum q * g2^a * g3^b, 2a + 3b = k:
+    c_k = 3/((2k+1)(k-3)) sum_{m=2}^{k-2} c_m c_(k-m) over integer numerators
+    keyed by b, one denominator per order, so each q > 0 is rounded once; b
+    is offset past the powers g2^0..g2^12 to index one power list."""
+    c = {2: ({0: 1}, 20), 3: ({1: 1}, 28)}  # c_2 = g2/20, c_3 = g3/28
+    for k in range(4, _N_LAURENT + 2):
+        pairs = [(c[m], c[k - m]) for m in range(2, k - 1)]
+        den = math.lcm(*(d1 * d2 for (_, d1), (_, d2) in pairs))
+        num: dict[int, int] = {}
+        for (n1, d1), (n2, d2) in pairs:
+            f = 3 * den // (d1 * d2)
+            for b1, x1 in n1.items():
+                for b2, x2 in n2.items():
+                    num[b1 + b2] = num.get(b1 + b2, 0) + f * x1 * x2
+        c[k] = (num, den * (2 * k + 1) * (k - 3))
+    return tuple(tuple(((k - 3 * b) // 2, 13 + b, x / d)
+                       for b, x in sorted(n.items(), reverse=True))
+                 for k, (n, d) in c.items() if k > 3)
+
+
+_LAURENT_TABLE = _laurent_table()
 
 
 class WpEvaluator:
@@ -41,25 +70,34 @@ class WpEvaluator:
         self.r0 = self._series_radius()
         self.e_max = self._largest_cubic_root()
         # The other two roots, from the cubic deflated by e_max: their
-        # squared difference is g2 - 3 e_max^2.
-        e1, h = self.e_max, self.g2 - 3.0 * self.e_max ** 2
-        if h >= 0:
-            self._others = ((-e1 + math.sqrt(h)) / 2, (-e1 - math.sqrt(h)) / 2)
-        else:
-            e2 = complex(-e1 / 2, math.sqrt(-h) / 2)
-            self._others = (e2, e2.conjugate())
+        # squared difference is g2 - 3 e_max^2; real ones are kept as floats.
+        e1, d = self.e_max, cmath.sqrt(self.g2 - 3.0 * self.e_max ** 2)
+        roots = ((-e1 + d) / 2, (-e1 - d) / 2)
+        self._others = roots if d.imag else (roots[0].real, roots[1].real)
+        # Real half-period R_F(0, e1 - e2, e1 - e3) = pi/(2M), M the AGM of
+        # the square roots of e1 - e2, e1 - e3 (a first complex step makes a
+        # pair real); from |a - b| <= 2^-26 a the next mean is M to 2^-55 a.
+        r2, r3 = (cmath.sqrt(e1 - e) for e in roots)
+        a, b = ((r2 + r3) / 2).real, math.sqrt(abs(r2 * r3))
+        for _ in range(40):  # a ratio of 1e300 between a and b takes ~14
+            if abs(a - b) <= 2.0 ** -26 * a:
+                break
+            a, b = (a + b) / 2, math.sqrt(a * b)
+        self.omega = math.pi / (a + b)
 
     # -- construction helpers ------------------------------------------------
 
     def _laurent_coeffs(self) -> tuple[float, ...]:
         """Coefficients c_2..c_25 of P(z) = 1/z^2 + sum c_k z^(2k-2)."""
-        c = {2: self.g2 / 20.0, 3: self.g3 / 28.0}
-        for k in range(4, _N_LAURENT + 2):
+        pw = [*accumulate([1.0] + [self.g2] * 12, mul),
+              *accumulate([1.0] + [self.g3] * 8, mul)]
+        out = [self.g2 / 20.0, self.g3 / 28.0]
+        for row in _LAURENT_TABLE:
             acc = 0.0
-            for mm in range(2, k - 1):
-                acc += c[mm] * c[k - mm]
-            c[k] = 3.0 * acc / ((2 * k + 1) * (k - 3))
-        return tuple(c[k] for k in range(2, _N_LAURENT + 2))
+            for a, b, q in row:
+                acc += q * pw[a] * pw[b]
+            out.append(acc)
+        return tuple(out)
 
     def _series_radius(self) -> float:
         """Radius on which 24 Laurent terms are accurate to ~1e-15.
@@ -68,11 +106,11 @@ class WpEvaluator:
         lattice point, so rho is estimated from the top coefficients and the
         series is trusted on half that distance (tail then < 2^-48).
         """
+        if not all(map(math.isfinite, self.laurent)):  # none past the range
+            return 0.0
         gamma = 0.0
         for k in range(14, _N_LAURENT + 2):
-            ck = self.laurent[k - 2]
-            if ck != 0.0:
-                gamma = max(gamma, abs(ck) ** (1.0 / (2.0 * k)))
+            gamma = max(gamma, abs(self.laurent[k - 2]) ** (1.0 / (2.0 * k)))
         if gamma == 0.0:
             return 0.5
         return 0.5 / gamma
@@ -150,11 +188,6 @@ class WpEvaluator:
         p, _ = self.wp(z)
         return 6.0 * p * p - self.g2 / 2.0
 
-    def _branch_integral(self, w: float) -> float:
-        """int_w^inf dt / sqrt(4t^3 - g2 t - g3) for w >= e_max."""
-        e2, e3 = self._others
-        return rf(w - self.e_max, w - e2, w - e3)
-
     def wp_inverse(self, w: float) -> float:
         """The positive z with P(z) = w: R_F(w - e1, w - e2, w - e3)."""
         if not math.isfinite(w):
@@ -162,20 +195,21 @@ class WpEvaluator:
         if w < self.e_max - 1e-12 * max(1.0, abs(self.e_max)):
             raise BranchError(
                 f"w={w!r} below the real branch (e_max={self.e_max!r})")
-        return self._branch_integral(max(w, self.e_max))
+        w = max(w, self.e_max)
+        e2, e3 = self._others
+        return rf(w - self.e_max, w - e2, w - e3)
 
     def wp_integral(self, t0: float, t1: float) -> float:
         """Integral of P over [t0, t1] on a pole-free stretch of the real axis.
 
         P = -zeta', so the integral is zeta(t0) - zeta(t1). The poles on
-        the real axis sit at the multiples of the real period 2 omega,
-        omega = wp_inverse(e_max).
+        the real axis sit at the multiples of the real period 2 omega.
         """
         if not (math.isfinite(t0) and math.isfinite(t1)):
             raise DomainError(f"bounds must be finite, got {t0!r}, {t1!r}")
         if t0 == t1:
             return 0.0
-        period = 2.0 * self._branch_integral(self.e_max)
+        period = 2.0 * self.omega
         lo, hi = min(t0, t1), max(t0, t1)
         if math.ceil(lo / period) <= math.floor(hi / period):
             raise PoleError(

@@ -27,8 +27,8 @@ every numerator degree is exact, as is the denominator power 2k-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import profiles
 from ._ratpoly import Poly, _poly, real_cbrt
@@ -42,8 +42,7 @@ from .weierstrass import WpEvaluator
 _NEAR_POLE = 1e-12
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+class ChainConfig(NamedTuple):
     """Constants tying one profile family at (H, B) to its elliptic path.
 
     alpha and beta give dt/dx3 = 1/(alpha + beta*P(t)); c1 and c2 give the
@@ -64,8 +63,7 @@ class ChainConfig:
     c_shift: float
 
 
-@dataclass(frozen=True)
-class ChainTerm:
+class ChainTerm(NamedTuple):
     """One order: num(P)/(alpha + beta*P)^(2k-1), times P' when flagged."""
 
     k: int
@@ -271,9 +269,9 @@ def _term_value(term: ChainTerm, p: float, pp: float, d: float) -> float:
 # Curve reconstruction through the elliptic path
 
 
-def _path_parameter(cfg: ChainConfig, ev: WpEvaluator, s: float) -> float:
-    """t = -inverse(w) with w = (u(s) + c_shift)/lam, u the family's sin,
-    cosh or sinh of 2Hs; the minus sign orients t increasingly in s."""
+def _path_parameter(cfg: ChainConfig, ev: WpEvaluator, s: float) -> tuple:
+    """(t, P(t) = w) for t = -inverse(w), w = (u(s) + c_shift)/lam clamped to
+    the branch, u the sin, cosh or sinh of 2Hs; -inverse orients t as s."""
     x = 2.0 * cfg.H * s
     if cfg.family is Family.LORENTZ_TIMELIKE_AXIS:
         u = math.sinh(x)
@@ -281,7 +279,8 @@ def _path_parameter(cfg: ChainConfig, ev: WpEvaluator, s: float) -> float:
         u = math.cosh(x)
     else:
         u = math.sin(x)
-    return -ev.wp_inverse((u + cfg.c_shift) / cfg.lam)
+    w = (u + cfg.c_shift) / cfg.lam
+    return -ev.wp_inverse(w), max(w, ev.e_max)
 
 
 def _path_axis(cfg: ChainConfig, ev: WpEvaluator, t0: float,
@@ -309,9 +308,9 @@ def curve_from_wp(cfg: ChainConfig, params: CmcParams,
     if not dom.contains(s):
         raise DomainError(f"s={s!r} outside the profile domain")
     ev = WpEvaluator(cfg.g2, cfg.g3)
-    t = _path_parameter(cfg, ev, s)
-    t0 = _path_parameter(cfg, ev, profiles.anchor(params))
-    radicand = cfg.c1 + cfg.c2 * ev.wp(t)[0]
+    t, p = _path_parameter(cfg, ev, s)
+    t0, _ = _path_parameter(cfg, ev, profiles.anchor(params))
+    radicand = cfg.c1 + cfg.c2 * p
     if radicand < 0:
         raise DomainError(
             f"negative squared radius {radicand!r}: s={s!r} is off the branch")

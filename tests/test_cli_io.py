@@ -100,6 +100,18 @@ class TestExitCodes:
             assert repr(float(flag.split("=")[1])) in payload["message"]
         assert "nan" not in payload["message"]
 
+    # One ulp either side of B = 1, H*|1-B| underflows to zero in the
+    # spacelike axis coordinate; main would let a ZeroDivisionError out.
+    @pytest.mark.parametrize("B", ["0.9999999999999999", "1.0000000000000002"])
+    def test_spacelike_scale_underflow_exits_one(self, capsys, B):
+        rc, out, err = run(capsys, "profile", "--family", "spacelike-axis",
+                           "--H", "5e-324", "--B", B, "--s-min", "0",
+                           "--s-max", "0.5", "--samples", "3")
+        assert rc == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "range"
+        assert B in payload["message"]
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_bad_tol_exits_two_with_one_line(self, capsys, tol):
         rc, out, err = run(capsys, "wp-check", "--family", "timelike",

@@ -1,6 +1,7 @@
 """Profile curves, rotation surfaces and their special algebraic cases."""
 
 import math
+import pickle
 import random
 
 import mpmath as mp
@@ -106,6 +107,15 @@ class TestDomain:
     def test_params_must_be_finite(self, H, B):
         with pytest.raises(DomainError):
             CmcParams(Family.EUCLIDEAN, H, B)
+
+    def test_params_validated_on_every_construction_path(self):
+        good = CmcParams(Family.EUCLIDEAN, 1.0, 0.5)
+        with pytest.raises(DomainError):
+            good._replace(H=-1.0)
+        with pytest.raises(DomainError):
+            CmcParams._make((Family.EUCLIDEAN, 1.0, math.nan))
+        assert good._replace(B=2.0) == CmcParams(Family.EUCLIDEAN, 1.0, 2.0)
+        assert pickle.loads(pickle.dumps(good)) == good
 
 
 class TestProfilePoint:

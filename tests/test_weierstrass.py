@@ -6,11 +6,16 @@ and root-finding (no Laurent series, no duplication), then rounded here.
 """
 
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from cmc_elliptic.elliptic_reduction import reduce
-from cmc_elliptic.errors import BranchError, DomainError, PoleError, SingularError
+from cmc_elliptic.errors import (AccuracyError, BranchError, DomainError,
+                                 PoleError, SingularError)
 from cmc_elliptic.profiles import Family
 from cmc_elliptic.weierstrass import WpEvaluator
 
@@ -74,6 +79,82 @@ class TestConstruction:
         assert ev_b.laurent[1] == ev_b.g3 / 28.0
         # c_4 = c_2^2 / 3 from the recurrence's first composite step.
         assert ev_b.laurent[2] == pytest.approx(ev_b.laurent[0] ** 2 / 3.0, rel=1e-15)
+
+    # Magnitudes whose monomials up to g2^12 and g3^8 stay normal floats.
+    _INVARIANT = st.one_of(
+        st.just(0.0),
+        st.builds(lambda m, e: m * 10.0 ** e,
+                  st.floats(-10.0, 10.0).filter(lambda m: abs(m) >= 1.0),
+                  st.integers(-6, 6)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(g2=_INVARIANT, g3=_INVARIANT)
+    def test_laurent_table_matches_exact_recurrence(self, g2, g3):
+        """c_2..c_25 against the recurrence run over Q at the float (g2, g3).
+
+        The error is relative to the same recurrence at (|g2|, |g3|), the sum
+        of the monomials' magnitudes (every table entry is positive): for
+        g2, g3 >= 0 that is the coefficient itself, and otherwise a plain
+        relative error would measure the cancellation of the exact value.
+        """
+        try:
+            ev = WpEvaluator(g2, g3)
+        except SingularError:
+            reject()
+
+        def recurrence(x2, x3):
+            c = {2: Fraction(x2) / 20, 3: Fraction(x3) / 28}
+            for k in range(4, 26):
+                c[k] = 3 * sum(c[m] * c[k - m] for m in range(2, k - 1)) / (
+                    (2 * k + 1) * (k - 3))
+            return [c[k] for k in range(2, 26)]
+
+        exact, scale = recurrence(g2, g3), recurrence(abs(g2), abs(g3))
+        for c, x, size in zip(ev.laurent, exact, scale):
+            assert abs(Fraction(c) - x) <= Fraction(1e-15) * size
+
+    # Both signs of the discriminant: two reductions with three real roots,
+    # two with a complex pair, and the module's oracle lattices. Near a
+    # repeated root the float e1 itself is off (at (7.67, -4.112), with its
+    # pair 0.05 off the real axis, by enough to move omega 1e-14 on both
+    # routes), so the lattices here keep their roots apart.
+    @pytest.mark.parametrize("g2, g3", [
+        (reduce(Family.EUCLIDEAN, 0.5).g2, reduce(Family.EUCLIDEAN, 0.5).g3),
+        (reduce(Family.LORENTZ_SPACELIKE_AXIS, 2.0).g2,
+         reduce(Family.LORENTZ_SPACELIKE_AXIS, 2.0).g3),
+        (reduce(Family.LORENTZ_TIMELIKE_AXIS, 2.0).g2,
+         reduce(Family.LORENTZ_TIMELIKE_AXIS, 2.0).g3),
+        (reduce(Family.LORENTZ_TIMELIKE_AXIS, 0.5).g2,
+         reduce(Family.LORENTZ_TIMELIKE_AXIS, 0.5).g3),
+        (3.0, 0.5), (1.0, -0.3), (G2_A, G3_A), (4.0, 0.0)])
+    def test_half_period_by_agm(self, g2, g3):
+        ev = WpEvaluator(g2, g3)
+        assert ev.omega == pytest.approx(ev.wp_inverse(ev.e_max), rel=2e-15)
+        with mp.workdps(30):
+            roots = mp.polyroots([4, 0, -mp.mpf(g2), -mp.mpf(g3)],
+                                 extraprec=100)
+            e1 = max(mp.re(r) for r in roots if abs(mp.im(r)) < 1e-25)
+            e2, e3 = sorted(roots, key=lambda r: abs(r - e1))[1:]
+            ref = mp.re(mp.elliprf(0, e1 - e2, e1 - e3))
+            assert abs(ev.omega - ref) <= 2e-15 * ref
+
+    def test_half_period_oracles(self, ev_a, ev_b):
+        assert ev_a.omega == pytest.approx(OMEGA_A, rel=2e-15)
+        assert ev_b.omega == pytest.approx(OMEGA_B, rel=2e-15)
+
+    # Coefficients past the float range: (1e30, 0) and (0, 1e40) overflow
+    # cleanly; the rest once put nan into P.
+    @pytest.mark.parametrize("g2, g3", [
+        (1e30, 0.0), (0.0, 1e40), (1e100, 0.0), (-1e30, 1e45),
+        (-1e100, 1.0), (-1e45, -1e100)])
+    def test_coefficients_past_float_range_raise(self, g2, g3):
+        ev = WpEvaluator(g2, g3)
+        assert math.isfinite(ev.omega) and ev.omega > 0
+        for z in (0.1 * ev.omega, 0.5 * ev.omega, 0.9 * ev.omega):
+            with pytest.raises(AccuracyError):
+                ev.wp(z)
+        with pytest.raises(AccuracyError):
+            ev.wp_integral(0.25 * ev.omega, 0.5 * ev.omega)
 
 
 class TestWp:

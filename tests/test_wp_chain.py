@@ -1,6 +1,5 @@
 """Derivative chain over rational functions of P and the curve reconstruction."""
 
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -11,7 +10,7 @@ from cubic_field import CubicField, field_chain
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmc_elliptic import cli_io, wp_chain
+from cmc_elliptic import cli_io, weierstrass, wp_chain
 from cmc_elliptic._ratpoly import Poly
 from cmc_elliptic.acceptance import fd_chain_reference
 from cmc_elliptic.elliptic_reduction import _shift_and_depress, reduce
@@ -160,7 +159,7 @@ class TestDifferentiateChain:
             wp_chain._true_coefficient(3, 0, 1.0, 2.0, 1, 1, cc)
 
     def test_c2_scales_chain_linearly(self, cfg_t2):
-        doubled = dataclasses.replace(cfg_t2, c2=2 * cfg_t2.c2)
+        doubled = cfg_t2._replace(c2=2 * cfg_t2.c2)
         base = differentiate_chain(cfg_t2, 4)
         scaled = differentiate_chain(doubled, 4)
         for tb, ts in zip(base, scaled):
@@ -246,7 +245,7 @@ class TestExactChain:
         # root of the Euclidean cubic, which chain_config rejects.
         euclid_cfg = config(Family.EUCLIDEAN, 0.5, 1.0)
         with pytest.raises(SingularError):
-            differentiate_chain(dataclasses.replace(euclid_cfg, B=1.0), 4)
+            differentiate_chain(euclid_cfg._replace(B=1.0), 4)
 
     @pytest.mark.parametrize("B", [Fraction(1, 3), Fraction(1), Fraction(5, 2),
                                    Fraction(2.3)])
@@ -364,6 +363,29 @@ class TestCurveFromWp:
             assert abs(x - cs.x) < 1e-6
             assert abs(z - cs.second) < 1e-6
 
+    # Timelike (H, B) on both sides of B = 1, the edge anchor below it.
+    @pytest.mark.parametrize("H, B", [(0.5, 2.0), (1.0, 1.5), (0.5, 0.5),
+                                      (1.3, 0.8), (0.4, 2.9)])
+    def test_radius_reads_p_equals_w(self, monkeypatch, H, B):
+        """P(t) = w on the path: the radius is within 1e-14 relative of the
+        closed form, with no P evaluation and one R_F per inverse (the pole
+        check of the axis integral reads the AGM half-period)."""
+        cfg = config(Family.LORENTZ_TIMELIKE_AXIS, B, H)
+        params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, H, B)
+        s0 = anchor(params)
+        rf, wp = weierstrass.rf, WpEvaluator.wp
+        rf_calls, wp_calls = [], []
+        monkeypatch.setattr(weierstrass, "rf",
+                            lambda *a: rf_calls.append(a) or rf(*a))
+        monkeypatch.setattr(WpEvaluator, "wp",
+                            lambda ev, z: wp_calls.append(z) or wp(ev, z))
+        for i in range(20):
+            s = s0 + (0.05 + 1.95 * i / 19) / (2 * H)
+            x, _ = curve_from_wp(cfg, params, s)
+            ref = profile_point(params, s).x
+            assert abs(x - ref) <= 1e-14 * ref
+        assert wp_calls == [] and len(rf_calls) == 2 * 20
+
     def test_anchor_maps_to_zero_axis(self, cfg_t2):
         params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.5, 2.0)
         x, z = curve_from_wp(cfg_t2, params, anchor(params))
@@ -456,7 +478,7 @@ class TestPolynomialityProbe:
 
     def test_degenerate_constant_radius_collapses(self, cfg_t2):
         # c2 = 0 models a constant r: every derivative is identically zero.
-        control = dataclasses.replace(cfg_t2, c2=0.0)
+        control = cfg_t2._replace(c2=0.0)
         report = polynomiality_probe(control, 3)
         assert all(t["identically_zero"] for t in report["terms"])
         assert report["terms"][1]["min_abs_value"] == 0.0
