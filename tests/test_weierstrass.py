@@ -119,14 +119,11 @@ class TestConstruction:
     # pair 0.05 off the real axis, by enough to move omega 1e-14 on both
     # routes), so the lattices here keep their roots apart.
     @pytest.mark.parametrize("g2, g3", [
-        (reduce(Family.EUCLIDEAN, 0.5).g2, reduce(Family.EUCLIDEAN, 0.5).g3),
-        (reduce(Family.LORENTZ_SPACELIKE_AXIS, 2.0).g2,
-         reduce(Family.LORENTZ_SPACELIKE_AXIS, 2.0).g3),
-        (reduce(Family.LORENTZ_TIMELIKE_AXIS, 2.0).g2,
-         reduce(Family.LORENTZ_TIMELIKE_AXIS, 2.0).g3),
-        (reduce(Family.LORENTZ_TIMELIKE_AXIS, 0.5).g2,
-         reduce(Family.LORENTZ_TIMELIKE_AXIS, 0.5).g3),
-        (3.0, 0.5), (1.0, -0.3), (G2_A, G3_A), (4.0, 0.0)])
+        (d.g2, d.g3) for d in (reduce(Family.EUCLIDEAN, 0.5),
+                               reduce(Family.LORENTZ_SPACELIKE_AXIS, 2.0),
+                               reduce(Family.LORENTZ_TIMELIKE_AXIS, 2.0),
+                               reduce(Family.LORENTZ_TIMELIKE_AXIS, 0.5))
+    ] + [(3.0, 0.5), (1.0, -0.3), (G2_A, G3_A), (4.0, 0.0)])
     def test_half_period_by_agm(self, g2, g3):
         ev = WpEvaluator(g2, g3)
         assert ev.omega == pytest.approx(ev.wp_inverse(ev.e_max), rel=2e-15)
@@ -142,8 +139,8 @@ class TestConstruction:
         assert ev_a.omega == pytest.approx(OMEGA_A, rel=2e-15)
         assert ev_b.omega == pytest.approx(OMEGA_B, rel=2e-15)
 
-    # Coefficients past the float range: (1e30, 0) and (0, 1e40) overflow
-    # cleanly; the rest once put nan into P.
+    # Coefficients past the float range, some of them nan (inf * 0 or
+    # inf - inf in a monomial sum): P has no safe series radius.
     @pytest.mark.parametrize("g2, g3", [
         (1e30, 0.0), (0.0, 1e40), (1e100, 0.0), (-1e30, 1e45),
         (-1e100, 1.0), (-1e45, -1e100)])
