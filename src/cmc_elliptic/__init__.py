@@ -8,8 +8,7 @@ of d^k r/dx3^k.
 
 from .elliptic_reduction import (DiscPoly, ReductionData, discriminant_poly,
                                  exact_discriminant_poly, is_singular_value,
-                                 reduce, reduction_report,
-                                 shifted_cubic_identity, singular_B)
+                                 reduce, reduction_report, singular_B)
 from .errors import (AccuracyError, BranchError, CmcError, DomainError,
                      EmptyDomainError, NearPoleError, PoleError, RangeError,
                      SingularError, UnsupportedCaseError, UsageError)
@@ -30,8 +29,8 @@ __all__ = [
     "differentiate_chain", "discriminant_poly", "domain", "eval_chain_term",
     "exact_discriminant_poly", "hyperboloid_vertices", "implicit_residual",
     "is_singular_value", "mean_curvature", "mesh", "polynomiality_probe",
-    "profile_point", "reduce", "reduction_report",
-    "shifted_cubic_identity", "singular_B", "surface_point",
+    "profile_point", "reduce", "reduction_report", "singular_B",
+    "surface_point",
 ]
 
 __version__ = "0.1.0"

@@ -58,14 +58,23 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
     # -- arithmetic ---------------------------------------------------------
-    # Zeros are made as c - c so they keep the scalar type of c.
+    # Zeros are made as c - c so they keep the scalar type of c. A scalar
+    # operand of + or - acts as a constant polynomial.
 
-    def __add__(self, other: "Poly") -> "Poly":
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+    def __add__(self, other) -> "Poly":
+        b = other.coeffs if isinstance(other, Poly) else (other,)
+        pairs = zip_longest(self.coeffs, b, fillvalue=0)
         return _poly([x + y for x, y in pairs])
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Poly":
+        b = other.coeffs if isinstance(other, Poly) else (other,)
+        pairs = zip_longest(self.coeffs, b, fillvalue=0)
+        return _poly([x - y for x, y in pairs])
+
+    def __rsub__(self, other) -> "Poly":
+        pairs = zip_longest((other,), self.coeffs, fillvalue=0)
         return _poly([x - y for x, y in pairs])
 
     def __neg__(self) -> "Poly":
@@ -209,12 +218,6 @@ def cauchy_root_bound(p: Poly) -> Fraction:
     return 1 + m / lead
 
 
-def count_roots_in(p: Poly, a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in the half-open interval (a, b]."""
-    chain = sturm_chain(p)
-    return sign_variations_at(chain, a) - sign_variations_at(chain, b)
-
-
 def count_positive_roots(p: Poly) -> int:
     """Number of distinct real roots in (0, inf)."""
     chain = sturm_chain(p)
@@ -228,29 +231,26 @@ def isolate_positive_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
     """
     if p(Fraction(0)) == 0:
         raise ValueError("polynomial vanishes at 0; divide out the monomial factor")
-    sf = squarefree_part(p)
-    chain = sturm_chain(sf)
-
-    def var(x: Fraction | None) -> int:
-        if x is None:
-            return sign_variations_at_inf(chain)
-        return sign_variations_at(chain, x)
-
-    out: list[tuple[Fraction, Fraction]] = []
-    bound = cauchy_root_bound(sf)
-    stack = [(Fraction(0), bound, var(Fraction(0)) - var(bound))]
+    chain = sturm_chain(p)
     # Roots beyond the Cauchy bound cannot exist, so (0, bound] covers (0, inf).
+    bound = cauchy_root_bound(chain[0])
+    # Each bracket carries the sign-variation counts at its ends, so a split
+    # evaluates the chain at its midpoint only.
+    stack = [(Fraction(0), bound, sign_variations_at(chain, Fraction(0)),
+              sign_variations_at(chain, bound))]
+    out: list[tuple[Fraction, Fraction]] = []
     while stack:
-        a, b, cnt = stack.pop()
+        a, b, va, vb = stack.pop()
+        cnt = va - vb
         if cnt == 0:
             continue
         if cnt == 1:
             out.append((a, b))
             continue
         mid = (a + b) / 2
-        va, vm, vb = var(a), var(mid), var(b)
-        stack.append((a, mid, va - vm))
-        stack.append((mid, b, vm - vb))
+        vm = sign_variations_at(chain, mid)
+        stack.append((a, mid, va, vm))
+        stack.append((mid, b, vm, vb))
     out.sort()
     return out
 

@@ -98,25 +98,6 @@ def reduce(family: Family, B: float) -> ReductionData:
                          lam=lam, g2=g2, g3=g3, disc=disc)
 
 
-def shifted_cubic_identity(data: ReductionData) -> list[Fraction]:
-    """Coefficient-wise difference between the re-expanded depressed cubic
-    and the original cubic, in exact rational arithmetic (must be all-zero).
-
-    Expands l + m*w + n*w**3 under w = u + c and subtracts the u-cubic.
-    """
-    B = Fraction(data.B)
-    c, l, m, n = _shift_and_depress(data.family, B)
-    a0, a1, a2, a3 = _cubic_coeffs(data.family, B)
-    # l + m(u+c) + n(u+c)^3, ascending in u.
-    expanded = [
-        l + m * c + n * c ** 3,
-        m + 3 * n * c * c,
-        3 * n * c,
-        n,
-    ]
-    return [e - a for e, a in zip(expanded, [a0, a1, a2, a3])]
-
-
 class DiscPoly(NamedTuple):
     """Exact rational function of B: numerator / (den_coeff * B**den_power)."""
 
@@ -132,40 +113,24 @@ class DiscPoly(NamedTuple):
         return float(self.numerator(float(B))) / (float(self.den_coeff) * float(B) ** self.den_power)
 
 
-def _symbolic_parts(family: Family) -> tuple[Poly, Poly, int]:
-    """Cleared-denominator forms: M = 6B*m, L = 54B^2*l, and sign of n/(2B).
-
-    Closed forms of the depressed coefficients with denominators cleared;
-    their agreement with reduce() is asserted in the test suite.
-    """
-    if family is Family.LORENTZ_TIMELIKE_AXIS:
-        a = Poly([-1, 0, 1])  # B^2 - 1
-        M = Poly([0, 0, 12]) - a * a
-        L = a * (a * a + Poly([0, 0, 36]))
-        return M, L, +1
-    b = Poly([1, 0, 1])  # 1 + B^2
-    M = Poly([0, 0, 12]) + b * b
-    if family is Family.LORENTZ_SPACELIKE_AXIS:
-        L = b * (b * b - Poly([0, 0, 36]))
-    else:
-        L = b * (Poly([0, 0, 36]) - b * b)
-    return M, L, -1
-
-
 @functools.cache
 def _assemble(family: Family, disc_sign: int) -> DiscPoly:
     """Numerator/denominator of -4m^3/n + disc_sign*27l^2 (exact).
 
-    With M = 6B*m, L = 54B^2*l and n = n_sign*2B the expression equals
-    (-n_sign*M^3 + disc_sign*L^2) / (108*B^4). Built once per family and
+    From the family cubic over Q[B], the depressed-cubic invariants
+    3n*m = 3a1*a3 - a2^2 and 27n^2*l = 27a0*a3^2 - 9a1*a2*a3 + 2a2^3 (n = a3)
+    turn the expression into (disc_sign*(27n^2*l)^2 - 4(3n*m)^3) / (27n^4),
+    and n = +-2B makes the denominator 27*16*B^4. Built once per family and
     sign; the frozen result is shared by every caller.
     """
-    M, L, n_sign = _symbolic_parts(family)
-    raw = (L * L * disc_sign) - (M * M * M * n_sign)
+    a0, a1, a2, a3 = _cubic_coeffs(family, Poly([0, 1]))
+    M = 3 * a1 * a3 - a2 * a2
+    L = 27 * a0 * a3 * a3 - 9 * a1 * a2 * a3 + 2 * a2 * a2 * a2
+    raw = L * L * disc_sign - M * M * M * 4
     prim = raw.primitive()
     scale = raw.leading() / prim.leading()
     return DiscPoly(family=family, numerator=prim,
-                    den_coeff=Fraction(108) / scale, den_power=4)
+                    den_coeff=27 * a3.leading() ** 4 / scale, den_power=4)
 
 
 def discriminant_poly(family: Family) -> DiscPoly:

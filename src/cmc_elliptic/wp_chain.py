@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import profiles
-from ._ratpoly import Poly, _poly, real_cbrt
+from ._ratpoly import Poly, _poly
 from .elliptic_reduction import (ReductionData, _shift_and_depress,
                                  is_singular_value)
 from .errors import DomainError, NearPoleError, RangeError, SingularError
@@ -175,8 +175,7 @@ def _chain_core(alpha, beta, cubic, upto_k: int):
 
 
 def _exact_chain(cfg: ChainConfig, upto_k: int):
-    """Unit-seed chain in X = lambda*P, a generator of orders, and the float
-    lambda.
+    """Unit-seed chain in X = lambda*P, a generator of orders.
 
     Derived from (family, B, H) alone: floats are exact rationals, so the
     canonical reduction re-run over Fraction gives the true values.
@@ -185,8 +184,7 @@ def _exact_chain(cfg: ChainConfig, upto_k: int):
     H2 = 2 * Fraction(cfg.H)
     c, l, m, n = _shift_and_depress(cfg.family, B)
     p, _, _ = _family_constants(cfg.family, c, B)
-    chain = _chain_core(-p / H2, B / H2, [l, m, 0, n], upto_k)
-    return chain, real_cbrt(float(4 / n))
+    return _chain_core(-p / H2, B / H2, [l, m, 0, n], upto_k)
 
 
 def differentiate_chain(cfg: ChainConfig, upto_k: int) -> list[ChainTerm]:
@@ -200,11 +198,10 @@ def differentiate_chain(cfg: ChainConfig, upto_k: int) -> list[ChainTerm]:
     """
     if upto_k < 1:
         raise DomainError(f"upto_k must be >= 1, got {upto_k}")
-    chain, lam = _exact_chain(cfg, upto_k)
     terms = []
-    for k, num, scale, has_prime in chain:
+    for k, num, scale, has_prime in _exact_chain(cfg, upto_k):
         coeffs = [0.0] if cfg.c2 == 0.0 else [
-            _true_coefficient(k, i, cfg.c2, lam, 2 * k - 2 + i, x, scale)
+            _true_coefficient(k, i, cfg.c2, cfg.lam, 2 * k - 2 + i, x, scale)
             for i, x in enumerate(num.coeffs)]
         terms.append(ChainTerm(k=k, num=Poly(coeffs), has_wp_prime=has_prime))
     return terms

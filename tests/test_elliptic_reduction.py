@@ -6,17 +6,22 @@ from fractions import Fraction
 
 import pytest
 
-from cmc_elliptic._ratpoly import Poly, count_positive_roots
+from cmc_elliptic import _ratpoly
+from cmc_elliptic._ratpoly import (
+    Poly,
+    count_positive_roots,
+    isolate_positive_roots,
+)
 from cmc_elliptic.elliptic_reduction import (
     DiscPoly,
     ReductionData,
+    _cubic_coeffs,
     _shift_and_depress,
     discriminant_poly,
     exact_discriminant_poly,
     is_singular_value,
     reduce,
     reduction_report,
-    shifted_cubic_identity,
     singular_B,
 )
 from cmc_elliptic.errors import DomainError, RangeError
@@ -28,9 +33,33 @@ F = Fraction
 SCREEN_TIMELIKE = [1, 0, 12, 0, 807, 0, -2504, 0, 807, 0, 12, 0, 1]
 SCREEN_OTHER = [1, 0, -12, 0, 807, 0, 2504, 0, 807, 0, -12, 0, 1]
 
+# The screening numerators are B^6 * g(B^2 + B^-2) for these cubics g,
+# ascending in y.
+Y_CUBIC_TIMELIKE = [-2528, 804, 12, 1]
+Y_CUBIC_OTHER = [2528, 804, -12, 1]
+
 # Refined screening roots for the timelike-axis family.
 ROOT_LO = 0.6209687128607873
 ROOT_HI = 1.6103870924398513
+
+
+def shifted_cubic_identity(data: ReductionData) -> list[Fraction]:
+    """Coefficient-wise difference between the re-expanded depressed cubic
+    and the original cubic, in exact rational arithmetic (must be all-zero).
+
+    Expands l + m*w + n*w**3 under w = u + c and subtracts the u-cubic.
+    """
+    B = Fraction(data.B)
+    c, l, m, n = _shift_and_depress(data.family, B)
+    a0, a1, a2, a3 = _cubic_coeffs(data.family, B)
+    # l + m(u+c) + n(u+c)^3, ascending in u.
+    expanded = [
+        l + m * c + n * c ** 3,
+        m + 3 * n * c * c,
+        3 * n * c,
+        n,
+    ]
+    return [e - a for e, a in zip(expanded, [a0, a1, a2, a3])]
 
 
 class TestReduce:
@@ -150,6 +179,28 @@ class TestDiscriminantPolynomials:
             assert screening.evaluate(B) == g2_cubed + 27 * g3 ** 2
             assert true_disc.evaluate(B) == g2_cubed - 27 * g3 ** 2
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_screening_numerator_is_a_cubic_in_b2_plus_inverse(self, family):
+        # numerator = B^6 g(y) with y = B^2 + B^-2, that is
+        # sum_j g_j B^(6-2j) (B^4+1)^j, exactly.
+        g = (Y_CUBIC_TIMELIKE if family is Family.LORENTZ_TIMELIKE_AXIS
+             else Y_CUBIC_OTHER)
+        expected, power = Poly([0]), Poly([1])
+        for j, gj in enumerate(g):
+            expected = expected + Poly([0] * (6 - 2 * j) + [gj]) * power
+            power = power * Poly([1, 0, 0, 0, 1])
+        assert discriminant_poly(family).numerator == expected
+        # g' = 3y^2 + 2*g[2]*y + g[1] has no real zero, so g increases, and
+        # y >= 2 on B > 0 with y = 2 only at B = 1, every y > 2 coming from
+        # the pair B, 1/B. So the positive screening roots are two when
+        # g(2) < 0 (timelike) and none when g(2) > 0 (the other families):
+        # criteria 2 and 4, which ask for two spacelike roots, cannot hold.
+        gy = Poly(g)
+        assert (2 * g[2]) ** 2 - 4 * 3 * g[1] < 0
+        assert gy(F(2)) == (-864 if family is Family.LORENTZ_TIMELIKE_AXIS
+                            else 4096)
+        assert len(singular_B(family)) == (2 if gy(F(2)) < 0 else 0)
+
     def test_true_disc_closed_forms(self):
         # Timelike: -(B^2+1)^4 / B^2; the other families: (B^2-1)^4 / B^2.
         for B in (F(1, 3), F(1), F(5, 2)):
@@ -252,6 +303,19 @@ class TestSingularValues:
             dpf = discriminant_poly(fam)
             for B in (0.1, 0.5, 0.9, 1.1, 2.0, 5.0):
                 assert dpf.evaluate(B) > 0
+
+    def test_isolation_evaluates_each_point_once(self, monkeypatch):
+        # Brackets carry their end counts, so each split evaluates the Sturm
+        # chain at its midpoint only: 2 ends plus 11 splits on the timelike
+        # numerator, against 2 + 3*11 = 35 with both ends re-evaluated.
+        num = discriminant_poly(Family.LORENTZ_TIMELIKE_AXIS).numerator
+        expected = isolate_positive_roots(num)
+        calls = []
+        count = _ratpoly.sign_variations_at
+        monkeypatch.setattr(_ratpoly, "sign_variations_at",
+                            lambda chain, x: calls.append(x) or count(chain, x))
+        assert isolate_positive_roots(num) == expected
+        assert len(calls) == 13 and len(set(calls)) == 13
 
     def test_is_singular_value(self):
         assert is_singular_value(Family.LORENTZ_TIMELIKE_AXIS, 0.620969)

@@ -9,12 +9,13 @@ from cmc_elliptic._ratpoly import (
     Poly,
     cauchy_root_bound,
     count_positive_roots,
-    count_roots_in,
     isolate_positive_roots,
     poly_gcd,
     real_cbrt,
     refine_root,
+    sign_variations_at,
     squarefree_part,
+    sturm_chain,
 )
 
 F = Fraction
@@ -43,6 +44,13 @@ class TestPoly:
         assert p + q - q == p
         assert (p * q)(F(7)) == p(F(7)) * q(F(7))
         assert (p * 2).coeffs == (F(2), F(4), F(6))
+        # A scalar on either side of + and - is a constant polynomial.
+        for c in (3, F(-5, 2)):
+            assert p + c == c + p == p + Poly([c])
+            assert p - c == p + Poly([-c])
+            assert c - p == Poly([c]) - p == -(p - c)
+        assert (q - F(-1)).coeffs == (F(0), F(0), F(0), F(4))
+        assert 1 - Poly([1]) == Poly([0])
 
     def test_divmod_roundtrip(self):
         a = Poly([3, -2, 0, 1, 5])
@@ -85,13 +93,18 @@ class TestRootIsolation:
     def test_count_positive_roots(self):
         p = Poly([-1, 1]) * Poly([-2, 1]) * Poly([3, 1])
         assert count_positive_roots(p) == 2
-        assert count_roots_in(p, F(0), F(3, 2)) == 1
+        # One distinct root in (0, 3/2]: the Sturm counts at its ends.
+        chain = sturm_chain(p)
+        assert sign_variations_at(chain, F(0)) \
+            - sign_variations_at(chain, F(3, 2)) == 1
         assert count_positive_roots(Poly([1, 0, 1])) == 0
 
     def test_cauchy_bound_contains_roots(self):
         p = Poly([1, -10, 0, 1])  # x^3 - 10x + 1
         bound = cauchy_root_bound(p)
-        assert count_roots_in(p, -bound, bound) == 3
+        chain = sturm_chain(p)
+        assert sign_variations_at(chain, -bound) \
+            - sign_variations_at(chain, bound) == 3
 
     def test_isolate_positive_roots_brackets(self):
         p = Poly([-1, 1]) * Poly([-2, 1]) * Poly([-2, 1]) * Poly([5, 1])

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmc_elliptic import cli_io, weierstrass, wp_chain
-from cmc_elliptic._ratpoly import Poly
+from cmc_elliptic._ratpoly import Poly, real_cbrt
 from cmc_elliptic.acceptance import fd_chain_reference
 from cmc_elliptic.elliptic_reduction import _shift_and_depress, reduce
 from cmc_elliptic.errors import (
@@ -186,9 +186,11 @@ def _assert_graded_chain_is(cfg, field, oracle):
     # scale and times lam^(2k-2+i), must equal the chain run directly in P
     # over Q(lam), element for element. The oracle cancels any linear factor
     # it can, so its denominator power 2k-1 checks that none ever cancels.
-    chain, lam = _exact_chain(cfg, len(oracle))
-    assert lam == cfg.lam
-    rows = list(chain)
+    # cfg.lam, the float lambda the chain is graded by, is the correctly
+    # rounded 4/n of the exact reduction through the same real_cbrt.
+    _, _, _, n = _shift_and_depress(cfg.family, Fraction(cfg.B))
+    assert cfg.lam == real_cbrt(float(4 / n))
+    rows = list(_exact_chain(cfg, len(oracle)))
     assert len(rows) == len(oracle)
     powers = [field.element(1)]
     for _ in range(64):
@@ -267,7 +269,7 @@ def _mp_chain_values(cfg, upto_k, p, pp):
     B, H2 = Fraction(cfg.B), 2 * Fraction(cfg.H)
     c, _, _, n = _shift_and_depress(cfg.family, B)
     p_fam, _, sign = _family_constants(cfg.family, c, B)
-    chain, _ = _exact_chain(cfg, upto_k)
+    chain = _exact_chain(cfg, upto_k)
     with mp.workdps(50):
         def mpq(x):
             return mp.mpf(x.numerator) / x.denominator
