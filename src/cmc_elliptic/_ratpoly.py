@@ -1,8 +1,9 @@
 """Dense univariate polynomials, Sturm root isolation and the real cube root.
 
 ``Poly`` works over the scalars it is given: exactly for integer or
-``Fraction`` input (Sturm-sequence root counting and isolation on (0, inf),
-bisection+Newton refinement, the exact derivative chain over Q).
+``Fraction`` input (Sturm-sequence root counting and isolation on (0, inf)
+from one remainder pass, bisection+Newton refinement of a sign change, the
+exact derivative chain over Q).
 """
 
 from __future__ import annotations
@@ -144,12 +145,6 @@ class Poly:
             g = math.gcd(g, abs(v))
         return Poly([Fraction(v, g) for v in ints])
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        return Poly([c / lead for c in self.coeffs])
-
 
 def _poly(cs: list) -> Poly:
     """Poly from arithmetic results: trimmed, without the int coercion."""
@@ -160,37 +155,27 @@ def _poly(cs: list) -> Poly:
     return p
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm (exact)."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r.monic() if not r.is_zero() else r
-    return a.monic()
-
-
 # ---------------------------------------------------------------------------
 # Sturm machinery
 
 
-def squarefree_part(p: Poly) -> Poly:
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    q, r = p.divmod(g)
-    if not r.is_zero():
-        raise ArithmeticError("gcd division left a remainder")
-    return q
-
-
 def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm sequence of the squarefree part of p."""
-    p = squarefree_part(p)
+    """Sturm sequence of the distinct roots of p, from one remainder pass.
+
+    The negated remainders of p and p' end in a scalar multiple g of
+    gcd(p, p'). When g has positive degree every member is divided by it
+    exactly, which gives a Sturm sequence of the squarefree part of p
+    (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2).
+    """
     chain = [p, p.derivative()]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
         _, r = chain[-2].divmod(chain[-1])
         chain.append(-r)
     if chain[-1].is_zero():
         chain.pop()
+    g = chain[-1]
+    if g.degree > 0:
+        chain = [q.divmod(g)[0] for q in chain]
     return chain
 
 
@@ -255,33 +240,38 @@ def isolate_positive_roots(p: Poly) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def refine_root(p: Poly, lo: Fraction, hi: Fraction, tol: float = 1e-12) -> float:
-    """Refine a simple-root bracket by exact bisection, then Newton polish."""
-    sf = squarefree_part(p)
-    flo = sf(lo)
+_REFINE_WIDTH = 1e-12
+
+
+def refine_root(p: Poly, lo: Fraction, hi: Fraction) -> float:
+    """Root of p in a bracket across which p changes sign.
+
+    Exact bisection to width _REFINE_WIDTH, then two float Newton steps.
+    """
+    flo = p(lo)
     if flo == 0:
         return float(lo)
-    fhi = sf(hi)
+    fhi = p(hi)
     if fhi == 0:
         return float(hi)
     if _sign(flo) == _sign(fhi):
         raise ValueError("bracket endpoints do not straddle a sign change")
-    while float(hi - lo) > tol:
+    while float(hi - lo) > _REFINE_WIDTH:
         mid = (lo + hi) / 2
-        fm = sf(mid)
+        fm = p(mid)
         if fm == 0:
             return float(mid)
         if _sign(fm) == _sign(flo):
             lo, flo = mid, fm
         else:
-            hi, fhi = mid, fm
+            hi = mid
     x = float((lo + hi) / 2)
-    dp = sf.derivative()
+    dp = p.derivative()
     for _ in range(2):
         d = dp(x)
         if d == 0:
             break
-        x -= sf(x) / d
+        x -= p(x) / d
     return x
 
 

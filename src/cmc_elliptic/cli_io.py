@@ -16,7 +16,7 @@ import math
 import re
 import sys
 
-from . import acceptance, profiles
+from . import profiles
 from .elliptic_reduction import (discriminant_poly, reduce, reduction_report,
                                  singular_B)
 from .errors import CmcError, RangeError, UsageError
@@ -174,6 +174,7 @@ def _cmd_chain(args) -> str:
 def _cmd_verify(args) -> tuple[str, int]:
     if args.format is not None:
         raise UsageError("command 'verify' prints text and takes no --format")
+    from . import acceptance  # only verify needs it; other starts skip it
     results = acceptance.run_all()
     text = acceptance.format_results(results) + "\n"
     status = 0 if all(r.passed for r in results) else 1

@@ -300,6 +300,18 @@ class TestRootsCommand:
             _, out, _ = run(capsys, "roots", "--family", fam)
             assert json.loads(out)["roots"] == []
 
+    @pytest.mark.parametrize("family,sha1", [
+        ("timelike", "4c261d0068cf4234e9e192af0e66ed08e0e095fc"),
+        ("spacelike", "984deae80257241d76c31af88edaf9b502a377b8"),
+        ("euclid", "f8640cbdf00d87dae0599ef7cf4fc6d4054c6f8c"),
+    ])
+    def test_report_bytes_are_pinned(self, capsys, family, sha1):
+        # Frozen bytes: however the roots are isolated and refined, each
+        # root and residual must come out as the same float.
+        rc, out, err = run(capsys, "roots", "--family", family)
+        assert (rc, err) == (0, "")
+        assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
 
 class TestWpCheckCommand:
     def test_residuals_within_tolerance(self, capsys):
@@ -395,6 +407,9 @@ def test_commands_run_on_the_standard_library_alone():
             ["chain", "--family", "timelike", "--B", "2", "--H", "0.5"],
             ["verify"],
         ):
+            if argv == ["verify"]:
+                # Only verify loads the acceptance suite.
+                print("cmc_elliptic.acceptance" in sys.modules)
             with contextlib.redirect_stdout(io.StringIO()):
                 cli_io.main(argv)
         print(sorted(m for m in sys.modules
@@ -405,7 +420,69 @@ def test_commands_run_on_the_standard_library_alone():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, check=True)
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "False\n[]\n"
+
+
+# Each numeric flag of each command, set in turn to edge values at the
+# defaults (B = 1 degenerates in most families) and at a point where every
+# family succeeds. Integer flags get small values only, so that no run asks
+# for a huge grid.
+SWEEP_FLOATS = ["0", "1", "-1", "1e300", "-1e300", "1e-300", "5e-324", "nan",
+                "inf", "-inf", repr(math.nextafter(1.0, 2.0)),
+                repr(math.nextafter(1.0, 0.0)), "abc"]
+SWEEP_INTS = ["0", "1", "-1", "2", "1.5", "abc"]
+SWEEP_FLAGS = {
+    "profile": (["--H", "--B", "--s-min", "--s-max"], ["--samples"]),
+    "surface": (["--H", "--B", "--s-min", "--s-max", "--angle-range"],
+                ["--samples", "--theta-samples"]),
+    "reduce": (["--H", "--B"], []),
+    "roots": ([], []),
+    "wp-check": (["--H", "--B", "--tol"], []),
+    "chain": (["--H", "--B"], ["--upto-k"]),
+}
+SWEEP_POINT = {"--H": "0.5", "--B": "2", "--s-min": "0.1", "--s-max": "0.3"}
+
+
+def _sweep_argv():
+    for command, (floats, ints) in SWEEP_FLAGS.items():
+        point = [f"{flag}={SWEEP_POINT[flag]}" for flag in floats
+                 if flag in SWEEP_POINT]
+        for family in ("euclid", "spacelike", "timelike", "klein"):
+            for base in ([command, "--family", family],
+                         [command, "--family", family, *point]):
+                yield base
+                yield base + ["--frobnicate", "1"]
+                for flag in floats:
+                    for value in SWEEP_FLOATS:
+                        yield base + [f"{flag}={value}"]
+                for flag in ints:
+                    for value in SWEEP_INTS:
+                        yield base + [f"{flag}={value}"]
+
+
+def test_no_argv_ends_in_a_traceback(capsys):
+    bad = []
+    for argv in _sweep_argv():
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects bad usage this way
+            rc = exc.code
+        except Exception as exc:
+            rc = repr(exc)
+        out, err = capsys.readouterr()
+        if rc == 1:
+            try:
+                payload = json.loads(err)
+            except ValueError:
+                payload = None
+            ok = out == "" and isinstance(payload, dict) and "error" in payload
+        elif rc == 0:
+            ok = not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE)
+        else:
+            ok = rc == 2
+        if not ok:
+            bad.append((argv, rc, err[-200:]))
+    assert bad == []
 
 
 # Each flag set away from its default comes before a run that leaves it at

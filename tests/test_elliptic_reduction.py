@@ -11,6 +11,7 @@ from cmc_elliptic._ratpoly import (
     Poly,
     count_positive_roots,
     isolate_positive_roots,
+    sturm_chain,
 )
 from cmc_elliptic.elliptic_reduction import (
     DiscPoly,
@@ -261,6 +262,9 @@ class TestSingularValues:
         assert roots[1] == pytest.approx(1.61039, abs=1e-5)
         assert roots[0] == pytest.approx(ROOT_LO, rel=1e-12)
         assert roots[1] == pytest.approx(ROOT_HI, rel=1e-12)
+        # Bit for bit: however the roots are isolated and refined.
+        assert [r.hex() for r in roots] == [
+            "0x1.3def9c7327104p-1", "0x1.9c425417ee003p+0"]
 
     def test_returned_list_is_a_copy(self):
         roots = singular_B(Family.LORENTZ_TIMELIKE_AXIS)
@@ -316,6 +320,25 @@ class TestSingularValues:
                             lambda chain, x: calls.append(x) or count(chain, x))
         assert isolate_positive_roots(num) == expected
         assert len(calls) == 13 and len(set(calls)) == 13
+
+    def test_screening_numerators_are_squarefree(self):
+        # The remainder pass of num and num' ends in a constant, so the chain
+        # is left undivided and refine_root can bisect on num itself.
+        for fam in Family:
+            num = discriminant_poly(fam).numerator
+            assert sturm_chain(num)[0] == num
+
+    def test_sturm_chain_is_one_remainder_pass(self, monkeypatch):
+        # One division per remainder, of degrees 10 down to 0, on the
+        # timelike numerator; a gcd pass ahead of the chain made it 23.
+        num = discriminant_poly(Family.LORENTZ_TIMELIKE_AXIS).numerator
+        expected = sturm_chain(num)
+        calls = []
+        divmod_ = Poly.divmod
+        monkeypatch.setattr(Poly, "divmod",
+                            lambda p, q: calls.append(q) or divmod_(p, q))
+        assert sturm_chain(num) == expected
+        assert len(calls) == 11
 
     def test_is_singular_value(self):
         assert is_singular_value(Family.LORENTZ_TIMELIKE_AXIS, 0.620969)

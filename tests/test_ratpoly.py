@@ -10,11 +10,9 @@ from cmc_elliptic._ratpoly import (
     cauchy_root_bound,
     count_positive_roots,
     isolate_positive_roots,
-    poly_gcd,
     real_cbrt,
     refine_root,
     sign_variations_at,
-    squarefree_part,
     sturm_chain,
 )
 
@@ -73,23 +71,8 @@ class TestPoly:
         assert prim == Poly([1, -2])
         assert (-p).primitive() == Poly([-1, 2])
 
-    def test_monic(self):
-        assert Poly([2, 4]).monic() == Poly([F(1, 2), 1])
-
 
 class TestRootIsolation:
-    def test_poly_gcd_common_factor(self):
-        common = Poly([-1, 1])  # x - 1
-        a = common * Poly([2, 1])
-        b = common * Poly([-3, 1])
-        assert poly_gcd(a, b) == common.monic()
-
-    def test_squarefree_part_drops_multiplicity(self):
-        p = Poly([-1, 1]) * Poly([-1, 1]) * Poly([1, 1])
-        sf = squarefree_part(p)
-        assert sf.degree == 2
-        assert sf(F(1)) == 0 and sf(F(-1)) == 0
-
     def test_count_positive_roots(self):
         p = Poly([-1, 1]) * Poly([-2, 1]) * Poly([3, 1])
         assert count_positive_roots(p) == 2
@@ -98,6 +81,15 @@ class TestRootIsolation:
         assert sign_variations_at(chain, F(0)) \
             - sign_variations_at(chain, F(3, 2)) == 1
         assert count_positive_roots(Poly([1, 0, 1])) == 0
+        # (x-1)^2 (x+1): the chain is divided by gcd(p, p') = x - 1 up to a
+        # scalar, so it starts with the squarefree part and counts 2 roots.
+        p = Poly([-1, 1]) * Poly([-1, 1]) * Poly([1, 1])
+        chain = sturm_chain(p)
+        assert chain[0].degree == 2
+        assert chain[0](F(1)) == 0 and chain[0](F(-1)) == 0
+        assert sign_variations_at(chain, F(-2)) \
+            - sign_variations_at(chain, F(2)) == 2
+        assert count_positive_roots(p) == 1
 
     def test_cauchy_bound_contains_roots(self):
         p = Poly([1, -10, 0, 1])  # x^3 - 10x + 1
@@ -124,6 +116,9 @@ class TestRootIsolation:
     def test_refine_root_rejects_bad_bracket(self):
         with pytest.raises(ValueError):
             refine_root(Poly([-2, 0, 1]), F(2), F(3))
+        # A root of even multiplicity has no sign change to bisect on.
+        with pytest.raises(ValueError):
+            refine_root(Poly([1, -2, 1]), F(1, 2), F(2))
 
 
 class TestCubicField:
