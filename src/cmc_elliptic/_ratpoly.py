@@ -247,25 +247,41 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction) -> float:
     """Root of p in a bracket across which p changes sign.
 
     Exact bisection to width _REFINE_WIDTH, then two float Newton steps.
+    The bisection runs over the integers: lo and hi are kept as integers
+    over one denominator d*2^j, and the sign of p at x/e is that of
+    e^n p(x/e), a Horner pass over the primitive integer coefficients.
     """
-    flo = p(lo)
-    if flo == 0:
+    cs = [int(c) for c in reversed(p.primitive().coeffs)]
+
+    def sign_at(x: int, e: int) -> int:
+        acc, power = cs[0], 1
+        for c in cs[1:]:
+            power *= e
+            acc = acc * x + c * power
+        return _sign(acc)
+
+    e = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (e // lo.denominator)
+    b = hi.numerator * (e // hi.denominator)
+    slo = sign_at(a, e)
+    if slo == 0:
         return float(lo)
-    fhi = p(hi)
-    if fhi == 0:
+    shi = sign_at(b, e)
+    if shi == 0:
         return float(hi)
-    if _sign(flo) == _sign(fhi):
+    if slo == shi:
         raise ValueError("bracket endpoints do not straddle a sign change")
-    while float(hi - lo) > _REFINE_WIDTH:
-        mid = (lo + hi) / 2
-        fm = p(mid)
-        if fm == 0:
-            return float(mid)
-        if _sign(fm) == _sign(flo):
-            lo, flo = mid, fm
+    while (b - a) / e > _REFINE_WIDTH:
+        mid = a + b
+        a, b, e = 2 * a, 2 * b, 2 * e
+        sm = sign_at(mid, e)
+        if sm == 0:
+            return mid / e
+        if sm == slo:
+            a = mid
         else:
-            hi = mid
-    x = float((lo + hi) / 2)
+            b = mid
+    x = (a + b) / (2 * e)
     dp = p.derivative()
     for _ in range(2):
         d = dp(x)

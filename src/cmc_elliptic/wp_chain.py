@@ -16,17 +16,22 @@ of the non-algebraicity argument.
 The exact chain works in the unscaled cubic variable X = lambda*P, where
 (P')^2 = n*X^3 + m*X + l and alpha + beta*P = lambda*(a + b*X) with
 a = -p/(2H), b = B/(2H). Every step is homogeneous in lambda, so the P^i
-coefficient of N_k is lambda^(2k-2+i) times a rational one. The rationals
-are cleared once and the chain runs over Python ints, each order a
-primitive integer numerator times one exact Fraction scale. That chain is
-the only recursion: the float coefficients are its graded values rounded
-once, order by order, so a coefficient that vanishes over Q is 0.0 and
-every numerator degree is exact, as is the denominator power 2k-1.
+coefficient of N_k is lambda^(2k-2+i) times a rational one. H leaves the
+chain the same way: order k at H is (2H)^-(k-1) times order k at H = 1/2.
+The chain therefore runs once per (family, B), at H = 1/2, over Python
+ints, each order a primitive integer numerator times one exact Fraction
+scale; a per-process memo keeps its orders, grown on demand, for every H
+and K. That chain is the only recursion: the float coefficients are its
+graded values rounded once, order by order, so a coefficient that
+vanishes over Q is 0.0 and every numerator degree is exact, as is the
+denominator power 2k-1.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -124,18 +129,18 @@ def chain_config(data: ReductionData, H: float) -> ChainConfig:
 # Core chain recursion (over the integers)
 
 
-def _chain_core(alpha, beta, cubic, upto_k: int):
-    """Numerators of d^k r/dx3^k for k = 1..upto_k, starting from r' = P'/D.
+def _chain_core(alpha, beta, cubic):
+    """The step from order k of d^k r/dx3^k to order k+1.
 
-    Yields (k, N, scale, has_wp_prime) one order at a time; the numerator
-    is scale*N, with N an int Poly of unit content and scale a Fraction,
-    over the denominator (alpha + beta*P)^(2k-1). Each step applies d/dt
-    followed by the 1/(alpha + beta*P) factor of d/dx3; the substitutions
-    (P')^2 -> C(P) and P'' -> C'(P)/2 close the system. The rational inputs
-    are cleared once: with q the lcm of their denominators, a = q*alpha,
-    b = q*beta and c = q*C are integer, an odd step (doubled, so C'/2 stays
-    integral) puts 1/(2q^2) into the scale and an even step 1/q, and each
-    order's content moves there too.
+    An order is (k, N, scale, has_wp_prime): the numerator is scale*N, with
+    N an int Poly of unit content and scale a Fraction, over the
+    denominator (alpha + beta*P)^(2k-1); order 1 is _FIRST_ORDER, r' = P'/D.
+    Each step applies d/dt followed by the 1/(alpha + beta*P) factor of
+    d/dx3; the substitutions (P')^2 -> C(P) and P'' -> C'(P)/2 close the
+    system. The rational inputs are cleared once: with q the lcm of their
+    denominators, a = q*alpha, b = q*beta and c = q*C are integer, an odd
+    step (doubled, so C'/2 stays integral) puts 1/(2q^2) into the scale and
+    an even step 1/q, and each order's content moves there too.
 
     No linear factor cancels: at P0 = -a/b, with j = 2k-1, an odd step
     leaves N_{k+1}(P0) = -2jb*N_k(P0)*c(P0) and an even step -jb*N_k(P0), so
@@ -152,13 +157,9 @@ def _chain_core(alpha, beta, cubic, upto_k: int):
                             " repeated cubic root, no elliptic path")
     dc = c.derivative()
     D = _poly([a, b])
-    N = _poly([1])
-    scale = Fraction(1)
-    has_prime = True
-    for k in range(1, upto_k + 1):
-        yield k, N, scale, has_prime
-        if k == upto_k:
-            return
+
+    def step(order):
+        k, N, scale, has_prime = order
         dN = N.derivative()
         j = 2 * k - 1
         if has_prime:
@@ -167,24 +168,126 @@ def _chain_core(alpha, beta, cubic, upto_k: int):
         else:
             N = dN * D - N * (j * b)
             scale /= q
-        has_prime = not has_prime
         g = math.gcd(*N.coeffs)
         if g > 1:
             N = _poly([x // g for x in N.coeffs])
             scale *= g
+        return k + 1, N, scale, not has_prime
+
+    return step
+
+
+_FIRST_ORDER = (1, _poly([1]), Fraction(1), True)
+
+# Budget of the chain memo in bits: the bit lengths of the stored integers
+# (numerator coefficients, scale numerators and denominators) plus a charge
+# for their Python objects, _INT_BITS per integer and _ENTRY_BITS per
+# (family, B), so that many short chains cannot outgrow it either. 2^28
+# holds the chain of timelike B = 2.3, H = 1/2 up to order 115, where its
+# coefficients leave the float range (about 16 MB).
+_MEMO_BITS = 1 << 28
+_INT_BITS = 8 * 64
+_ENTRY_BITS = 8 * 4096
+
+
+class _Chain:
+    """The integer chain of one (family, B) at H = 1/2.
+
+    orders[k-1] is order k as _chain_core steps it, a prefix grown on
+    demand; points holds the probe points (P, P') once a probe asks.
+    """
+
+    __slots__ = ("key", "step", "orders", "bits", "points")
+
+    def __init__(self, key, step):
+        self.key = key
+        self.step = step
+        self.orders = [_FIRST_ORDER]
+        self.bits = _ENTRY_BITS
+        self.points = None
+
+
+class _ChainMemo:
+    """Per-process chains, least recently used first, within _MEMO_BITS.
+
+    The key is (family, B, g2, g3): the chain depends on (family, B) alone
+    and the probe points on (g2, g3), which chain_config derives from
+    (family, B). A chain whose construction raises is never stored. A new
+    order is stored after evicting other entries, never the one it
+    extends, as far as the budget needs; an order that does not fit even
+    then is handed out without being stored.
+    """
+
+    def __init__(self):
+        self.entries = OrderedDict()
+        self.bits = 0
+        self.lock = threading.Lock()
+
+    def entry(self, cfg: ChainConfig) -> _Chain:
+        key = (cfg.family, cfg.B, cfg.g2, cfg.g3)
+        with self.lock:
+            chain = self.entries.get(key)
+            if chain is not None:
+                self.entries.move_to_end(key)
+                return chain
+            # At H = 1/2: alpha = -p and beta = B in the X variable.
+            B = Fraction(cfg.B)
+            c, l, m, n = _shift_and_depress(cfg.family, B)
+            p, _, _ = _family_constants(cfg.family, c, B)
+            chain = self.entries[key] = _Chain(
+                key, _chain_core(-p, B, [l, m, 0, n]))
+            if self._fit(chain.bits):
+                self.bits += chain.bits
+            else:
+                del self.entries[key]
+            return chain
+
+    def order(self, chain: _Chain, k: int, prev: tuple) -> tuple:
+        """Order k of chain, from its stored prefix or from order k-1."""
+        if k <= len(chain.orders):
+            return chain.orders[k - 1]
+        row = chain.step(prev)
+        _, num, scale, _ = row
+        bits = sum(x.bit_length() + _INT_BITS for x in (
+            *num.coeffs, scale.numerator, scale.denominator))
+        with self.lock:
+            if (k == len(chain.orders) + 1
+                    and self.entries.get(chain.key) is chain):
+                self.entries.move_to_end(chain.key)
+                if self._fit(bits):
+                    chain.orders.append(row)
+                    chain.bits += bits
+                    self.bits += bits
+        return row
+
+    def _fit(self, bits: int) -> bool:
+        """Whether bits more fit, after evicting least recently used
+        entries other than the newest as far as needed."""
+        while self.bits + bits > _MEMO_BITS and len(self.entries) > 1:
+            self.bits -= self.entries.popitem(last=False)[1].bits
+        return self.bits + bits <= _MEMO_BITS
+
+
+_CHAINS = _ChainMemo()
 
 
 def _exact_chain(cfg: ChainConfig, upto_k: int):
     """Unit-seed chain in X = lambda*P, a generator of orders.
 
     Derived from (family, B, H) alone: floats are exact rationals, so the
-    canonical reduction re-run over Fraction gives the true values.
+    canonical reduction re-run over Fraction gives the true values. The
+    integer numerators are those of H = 1/2, from the memo; order k
+    carries (2H)^-(k-1) in its scale, an exact Fraction division.
     """
-    B = Fraction(cfg.B)
-    H2 = 2 * Fraction(cfg.H)
-    c, l, m, n = _shift_and_depress(cfg.family, B)
-    p, _, _ = _family_constants(cfg.family, c, B)
-    return _chain_core(-p / H2, B / H2, [l, m, 0, n], upto_k)
+    chain = _CHAINS.entry(cfg)
+    h2 = 2 * Fraction(cfg.H)
+    factor = Fraction(1)
+    row = None
+    for k in range(1, upto_k + 1):
+        row = _CHAINS.order(chain, k, row)
+        _, num, scale, has_prime = row
+        yield k, num, scale * factor, has_prime
+        factor /= h2
 
 
 def differentiate_chain(cfg: ChainConfig, upto_k: int) -> list[ChainTerm]:
@@ -336,10 +439,13 @@ def polynomiality_probe(cfg: ChainConfig, K: int) -> dict:
     if K < 3:
         raise DomainError(f"K must be >= 3 for a meaningful probe, got {K}")
     terms = differentiate_chain(cfg, K)
-    ev = WpEvaluator(cfg.g2, cfg.g3)
+    chain = _CHAINS.entry(cfg)
+    if chain.points is None:
+        ev = WpEvaluator(cfg.g2, cfg.g3)
+        chain.points = [ev.wp(ev.wp_inverse(ev.e_max + off))
+                        for off in _PROBE_OFFSETS]
     points = []
-    for off in _PROBE_OFFSETS:
-        p, pp = ev.wp(ev.wp_inverse(ev.e_max + off))
+    for p, pp in chain.points:
         try:
             points.append((p, pp, _linear_factor(cfg, p)))
         except NearPoleError:

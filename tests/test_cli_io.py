@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import cmc_elliptic
+from cmc_elliptic import wp_chain
 from cmc_elliptic.cli_io import _build_parser, _json, main
 from cmc_elliptic.errors import RangeError
 from cmc_elliptic.profiles import CmcParams, Family, surface_point
@@ -357,6 +358,38 @@ class TestChainCommand:
                            "--H", "0.5", "--upto-k", "12")
         assert (rc, err) == (0, "")
         assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+    def test_h_and_k_sweep_bytes_are_pinned(self, capsys, monkeypatch):
+        # Frozen bytes over H and K at one non-dyadic B per family. Every H
+        # reads the chain of H = 1/2 scaled by (2H)^-(k-1), and a K below a
+        # stored one reads a prefix: the first pass starts from an empty
+        # memo, the second finds every chain stored.
+        monkeypatch.setattr(wp_chain, "_CHAINS", wp_chain._ChainMemo())
+        for _ in range(2):
+            digest = hashlib.sha1()
+            for family, B in (("timelike", "2.3"), ("spacelike", "0.7"),
+                              ("euclid", "0.3")):
+                for H in ("1e-3", "0.3", "0.5", "1.7", "20"):
+                    for K in ("12", "5", "9", "3", "15", "40"):
+                        rc, out, err = run(capsys, "chain", "--family",
+                                           family, "--B", B, "--H", H,
+                                           "--upto-k", K)
+                        digest.update(f"{rc}\0{out}\0{err}\0".encode())
+            assert digest.hexdigest() == \
+                "7a1beca84dc9c802bd3d8abf9e6c16f1fd4d72b2"
+
+    def test_huge_k_stores_no_order_past_the_float_range(self, capsys,
+                                                         monkeypatch):
+        memo = wp_chain._ChainMemo()
+        monkeypatch.setattr(wp_chain, "_CHAINS", memo)
+        rc, out, err = run(capsys, "chain", "--family", "timelike", "--B",
+                           "2", "--H", "0.5", "--upto-k", "100000")
+        assert (rc, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "range", "message": "chain step 116: exact coefficient "
+            "of P^52 is outside the float range"}
+        (chain,) = memo.entries.values()
+        assert len(chain.orders) <= 116
 
     @pytest.mark.parametrize("argv", [
         # An exact coefficient past 1.8e308.

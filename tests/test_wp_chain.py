@@ -242,12 +242,16 @@ class TestExactChain:
         alpha, beta = Fraction(2, 3), Fraction(4, 3)
         cubic = [Fraction(1, 5), Fraction(3, 10), 0, Fraction(2, 5)]
         with pytest.raises(SingularError):
-            next(_chain_core(alpha, beta, cubic, 6))
+            _chain_core(alpha, beta, cubic)
         # Only a hand-built configuration reaches it: B = 1 is a repeated
         # root of the Euclidean cubic, which chain_config rejects.
+        # The failing chain is not stored: a second call raises the same.
         euclid_cfg = config(Family.EUCLIDEAN, 0.5, 1.0)
-        with pytest.raises(SingularError):
-            differentiate_chain(euclid_cfg._replace(B=1.0), 4)
+        for _ in range(2):
+            with pytest.raises(SingularError):
+                differentiate_chain(euclid_cfg._replace(B=1.0), 4)
+        assert all(key[:2] != (Family.EUCLIDEAN, 1.0)
+                   for key in wp_chain._CHAINS.entries)
 
     @pytest.mark.parametrize("B", [Fraction(1, 3), Fraction(1), Fraction(5, 2),
                                    Fraction(2.3)])
@@ -260,6 +264,66 @@ class TestExactChain:
             c, l, m, n = _shift_and_depress(family, B)
             x0 = _family_constants(family, c, B)[0] / B
             assert n * x0 ** 3 + m * x0 + l == value
+
+
+def _chain_at_own_h(cfg, upto_k):
+    """Orders 1..upto_k of the integer chain run at cfg.H itself."""
+    B, H2 = Fraction(cfg.B), 2 * Fraction(cfg.H)
+    c, l, m, n = _shift_and_depress(cfg.family, B)
+    p, _, _ = _family_constants(cfg.family, c, B)
+    step = _chain_core(-p / H2, B / H2, [l, m, 0, n])
+    rows = [wp_chain._FIRST_ORDER]
+    while len(rows) < upto_k:
+        rows.append(step(rows[-1]))
+    return rows
+
+
+class TestChainMemo:
+    def test_orders_equal_the_chain_at_each_h(self):
+        # Order k at H is (2H)^-(k-1) times order k at H = 1/2, over Q: the
+        # memoized numerators and scales are the ones a chain run at H gives.
+        for H in (1e-3, 0.3, 0.5, 1.7, 20.0):
+            cfg = config(Family.LORENTZ_TIMELIKE_AXIS, 2.3, H)
+            assert list(_exact_chain(cfg, 9)) == _chain_at_own_h(cfg, 9)
+
+    def test_budget_evicts_the_least_recently_used(self, monkeypatch):
+        cfgs = [config(Family.LORENTZ_TIMELIKE_AXIS, B, H) for B, H in
+                ((2.3, 0.7), (0.4, 1.3), (3.1, 0.3), (1.3, 20.0))]
+        keys = [(c.family, c.B, c.g2, c.g3) for c in cfgs]
+        sizes = []
+        for cfg, key in zip(cfgs, keys):
+            memo = wp_chain._ChainMemo()
+            monkeypatch.setattr(wp_chain, "_CHAINS", memo)
+            list(_exact_chain(cfg, 6))
+            sizes.append(memo.entries[key].bits)
+        # Two 6-order chains fit, three do not (the sizes differ by < 5%).
+        monkeypatch.setattr(wp_chain, "_MEMO_BITS",
+                            sizes[0] + sizes[1] + sizes[2] // 2)
+        memo = wp_chain._ChainMemo()
+        monkeypatch.setattr(wp_chain, "_CHAINS", memo)
+
+        def build(i, upto_k):
+            assert list(_exact_chain(cfgs[i], upto_k)) == \
+                _chain_at_own_h(cfgs[i], upto_k)
+            assert memo.bits == sum(c.bits for c in memo.entries.values())
+            assert memo.bits <= wp_chain._MEMO_BITS
+            assert list(memo.entries)[-1] == keys[i]
+
+        build(0, 6)
+        build(1, 6)
+        build(2, 6)
+        assert list(memo.entries) == [keys[1], keys[2]]
+        build(1, 6)  # a use, not a growth: 2 is now the oldest
+        build(3, 6)
+        assert list(memo.entries) == [keys[1], keys[3]]
+        # A chain that alone outgrows the budget evicts every other entry
+        # and keeps the prefix that fits; the orders past it are handed out
+        # unstored, the same as stored ones.
+        build(1, 12)
+        assert list(memo.entries) == [keys[1]]
+        assert 6 < len(memo.entries[keys[1]].orders) < 12
+        build(0, 6)  # evicted above: built again from nothing
+        assert list(memo.entries) == [keys[0]]
 
 
 def _mp_chain_values(cfg, upto_k, p, pp):
@@ -453,8 +517,14 @@ class TestPolynomialityProbe:
             return wp(ev, z)
 
         monkeypatch.setattr(WpEvaluator, "wp", counted)
+        # A cold memo: the probe points of cfg are computed here.
+        monkeypatch.setattr(wp_chain, "_CHAINS", wp_chain._ChainMemo())
         report = polynomiality_probe(cfg, 12)
         assert len(calls) == len(wp_chain._PROBE_OFFSETS)
+        # Warm: the memo keeps them, and the report is the same.
+        del calls[:]
+        assert polynomiality_probe(cfg, 12) == report
+        assert len(calls) == 0
         # The values are those of eval_chain_term at each probe parameter,
         # all five of them at every order.
         ev = WpEvaluator(cfg.g2, cfg.g3)
