@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath as mp
@@ -324,6 +326,43 @@ class TestChainMemo:
         assert 6 < len(memo.entries[keys[1]].orders) < 12
         build(0, 6)  # evicted above: built again from nothing
         assert list(memo.entries) == [keys[0]]
+
+    def test_threads_sharing_the_memo_lose_no_update(self, monkeypatch):
+        cfgs = [config(family, B, H) for family in Family
+                for B, H in ((2.3, 0.7), (0.4, 1.3))]
+        want = [list(_exact_chain(cfg, 8)) for cfg in cfgs]
+        monkeypatch.setattr(wp_chain, "_MEMO_BITS", 4 * 8 * 4096 + 60000)
+        memo = wp_chain._ChainMemo()
+        monkeypatch.setattr(wp_chain, "_CHAINS", memo)
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(24):
+                    j = (i + offset) % len(cfgs)
+                    assert list(_exact_chain(cfgs[j], 8)) == want[j]
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,))
+                       for n in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert memo.bits == sum(c.bits for c in memo.entries.values())
+        assert memo.bits <= wp_chain._MEMO_BITS
+        for chain in memo.entries.values():
+            assert [row[0] for row in chain.orders] == \
+                list(range(1, len(chain.orders) + 1))
 
 
 def _mp_chain_values(cfg, upto_k, p, pp):
