@@ -43,10 +43,6 @@ def _family(name: str) -> Family:
             "timelike-axis") from None
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _json(report: dict) -> str:
     """Indented JSON text; a non-finite float is a RangeError, never NaN."""
     try:
@@ -84,9 +80,8 @@ def _cmd_profile(args) -> str:
     grid = [lo + (hi - lo) * i / (args.samples - 1)
             for i in range(args.samples)]
     lines = ["s,x,second,dx,dsecond"]
-    for pt in profiles.profile_points(params, grid):
-        lines.append(",".join(_fmt(v) for v in
-                              (pt.s, pt.x, pt.second, pt.dx, pt.dsecond)))
+    lines += [f"{pt.s!r},{pt.x!r},{pt.second!r},{pt.dx!r},{pt.dsecond!r}"
+              for pt in profiles.profile_points(params, grid)]
     return "\n".join(lines) + "\n"
 
 
@@ -97,8 +92,21 @@ def _cmd_surface(args) -> str:
         raise UsageError("--samples and --theta-samples must be at least 2")
     m = profiles.mesh(params, (args.s_min, args.s_max), args.samples,
                       args.theta_samples, angle_range=args.angle_range)
-    lines = [f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}" for x, y, z in m.vertices]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in m.faces]
+    V, n_t = m.vertices, len(m.grid[1])
+    timelike = params.family is Family.LORENTZ_TIMELIKE_AXIS
+    lines = []
+    # Each row is one orbit, so its axis value (x3 for the timelike family,
+    # x1 otherwise) is one float shared by the whole row: repr it once.
+    for i in range(0, len(V), n_t):
+        row = V[i:i + n_t]
+        if timelike:
+            zr = repr(row[0][2])
+            lines += [f"v {x!r} {y!r} {zr}" for x, y, _ in row]
+        else:
+            xr = repr(row[0][0])
+            lines += [f"v {xr} {y!r} {z!r}" for _, y, z in row]
+    idx = [str(i) for i in range(1, len(V) + 1)]
+    lines += [f"f {idx[a]} {idx[b]} {idx[c]}" for a, b, c in m.faces]
     return "\n".join(lines) + "\n"
 
 
@@ -185,12 +193,14 @@ def _cmd_verify(args) -> tuple[str, int]:
 # Parser
 
 
-def _add_common(sp, *, family=True, hb=True, srange=False, tol=False):
+def _add_common(sp, *, family=True, h=True, b=True, srange=False,
+                tol=False):
     if family:
         sp.add_argument("--family", required=True,
                         help="euclidean | spacelike-axis | timelike-axis")
-    if hb:
+    if h:
         sp.add_argument("--H", type=float, default=1.0)
+    if b:
         sp.add_argument("--B", type=float, default=1.0)
     if srange:
         sp.add_argument("--s-min", type=float, default=-1.0, dest="s_min")
@@ -226,15 +236,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_surface)
 
     sp = sub.add_parser("reduce", help="cubic reduction report as JSON")
-    _add_common(sp)
+    _add_common(sp, h=False)
     sp.set_defaults(func=_cmd_reduce)
 
     sp = sub.add_parser("roots", help="screening-polynomial roots as JSON")
-    _add_common(sp, hb=False)
+    _add_common(sp, h=False, b=False)
     sp.set_defaults(func=_cmd_roots)
 
     sp = sub.add_parser("wp-check", help="P-function identity residuals")
-    _add_common(sp, tol=True)
+    _add_common(sp, h=False, tol=True)
     sp.set_defaults(func=_cmd_wp_check)
 
     sp = sub.add_parser("chain", help="derivative-chain collapse probe")

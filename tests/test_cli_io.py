@@ -4,8 +4,10 @@ Every command is exercised through main(argv) so exit codes and the split
 between stdout (payload) and stderr (diagnostics) are covered too.
 """
 
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import math
 import os
@@ -16,12 +18,15 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cmc_elliptic
 from cmc_elliptic import wp_chain
 from cmc_elliptic.cli_io import _build_parser, _json, main
 from cmc_elliptic.errors import RangeError
-from cmc_elliptic.profiles import CmcParams, Family, surface_point
+from cmc_elliptic.profiles import (CmcParams, Family, domain, mesh,
+                                   surface_point)
 
 
 def run(capsys, *argv):
@@ -170,6 +175,15 @@ class TestExitCodes:
         assert rc == 2 and out == ""
         assert "format" in err
 
+    # Both depend on (family, B) alone, so an H would be silently ignored.
+    @pytest.mark.parametrize("command", ["reduce", "wp-check"])
+    def test_h_on_an_h_free_command_exits_two(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--family", "euclid", "--B", "2", "--H", "1"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "unrecognized arguments: --H 1" in err
+
     def test_success_exits_zero(self, capsys):
         rc, out, _ = run(capsys, "reduce", "--family", "euclid", "--B", "2")
         assert rc == 0 and out
@@ -192,11 +206,19 @@ class TestDeterminism:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
-    def test_out_flag_writes_same_bytes_as_stdout(self, capsys, tmp_path):
-        target = tmp_path / "report.json"
-        rc, out, _ = run(capsys, "reduce", "--family", "euclid", "--B", "0.5")
-        rc2, out2, _ = run(capsys, "reduce", "--family", "euclid",
-                           "--B", "0.5", "--out", str(target))
+    @pytest.mark.parametrize("argv", [
+        ("reduce", "--family", "euclid", "--B", "0.5"),
+        ("surface", "--family", "timelike", "--B", "2", "--H", "0.5",
+         "--s-min", "0.1", "--s-max", "1.5", "--samples", "7",
+         "--theta-samples", "9"),
+        ("profile", "--family", "spacelike", "--B", "0.5", "--H", "0.8",
+         "--s-min", "-0.3", "--s-max", "0.3"),
+    ])
+    def test_out_flag_writes_same_bytes_as_stdout(self, capsys, tmp_path,
+                                                  argv):
+        target = tmp_path / "out.txt"
+        rc, out, _ = run(capsys, *argv)
+        rc2, out2, _ = run(capsys, *argv, "--out", str(target))
         assert rc == rc2 == 0
         assert out2 == ""  # payload went to the file instead
         assert target.read_text(encoding="utf-8") == out
@@ -221,6 +243,24 @@ class TestProfileCommand:
         _, short, _ = run(capsys, "profile", "--family", "timelike", *argv)
         _, full, _ = run(capsys, "profile", "--family", "timelike-axis", *argv)
         assert short == full
+
+    @pytest.mark.parametrize("argv,sha1", [
+        (("--family", "euclid", "--B", "0.5", "--H", "0.8", "--s-min", "-0.5",
+          "--s-max", "0.6", "--samples", "11"),
+         "bb0d44ce386bb38c3f6ac1b1c0dbdd9bfcf48c8e"),
+        (("--family", "spacelike", "--B", "0.5", "--H", "0.8", "--s-min",
+          "-0.3", "--s-max", "0.3"),
+         "d34babc33c94c29d704e2adfa28e7ab746c4977f"),
+        (("--family", "timelike", "--B", "2", "--H", "0.5", "--s-min", "0.1",
+          "--s-max", "1.5", "--samples", "13"),
+         "a03d3d558b3858112ea0c8efb0a73cb41276b87b"),
+    ])
+    def test_csv_bytes_are_pinned(self, capsys, argv, sha1):
+        # Frozen bytes: however a row is formatted, every value must print
+        # as the repr of the same float.
+        rc, out, err = run(capsys, "profile", *argv)
+        assert (rc, err) == (0, "")
+        assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
 class TestSurfaceCommand:
@@ -273,6 +313,81 @@ class TestSurfaceCommand:
                     for line in out.splitlines() if line.startswith("v ")]
         assert rc == 0
         assert vertices == expected
+
+    @pytest.mark.parametrize("argv,sha1", [
+        # One window per family.
+        (("--family", "euclid", "--B", "0.5", "--H", "0.8", "--s-min", "-0.5",
+          "--s-max", "0.6", "--samples", "7", "--theta-samples", "9"),
+         "91cdbab9b2101564f8408fd65ef97e3add6adfb6"),
+        (("--family", "spacelike", "--B", "2", "--H", "0.7", "--s-min",
+          "-0.3", "--s-max", "0.3", "--samples", "6", "--theta-samples", "8"),
+         "5e7f2db1b453ef9a0940caafe04da528325fe5b0"),
+        (("--family", "timelike", "--B", "2", "--H", "0.5", "--s-min", "0.1",
+          "--s-max", "1.5", "--samples", "7", "--theta-samples", "9"),
+         "c1f975125a761e247e6ded6fbcdefedf08d23265"),
+        # A tall grid and a wide grid.
+        (("--family", "euclid", "--B", "1.7", "--H", "1.1", "--s-min", "-0.6",
+          "--s-max", "0.5", "--samples", "40", "--theta-samples", "3"),
+         "191a4cd830f8b50f08ec90b512371c02a1808e90"),
+        (("--family", "timelike", "--B", "1.5", "--H", "0.9", "--s-min",
+          "0.2", "--s-max", "1.2", "--samples", "3", "--theta-samples", "60"),
+         "0446045735c6755a36c856e06d3a470b7e07bb7e"),
+        # A Euclidean window 20 periods pi/H out.
+        (("--family", "euclid", "--B", "0.4", "--H", "1.3",
+          "--s-min=48.3321946706122", "--s-max=48.87065620907374",
+          "--samples", "9", "--theta-samples", "7"),
+         "36851b1cb2367d940fa805dd75dbc5b1be077bd8"),
+        (("--family", "spacelike", "--B", "2", "--s-min", "-0.1", "--s-max",
+          "0.1", "--samples", "4", "--theta-samples", "6", "--angle-range",
+          "5"),
+         "064c9a22caaa81eec5131e7ac0ad20f821bd4438"),
+        # Timelike B <= 1: the axis value vanishes at the edge anchor.
+        (("--family", "timelike", "--B", "0.5", "--H", "1", "--s-min", "0.45",
+          "--s-max", "1.3", "--samples", "6", "--theta-samples", "7"),
+         "e213b16cc6345287665dcce56ac750badf1aeacb"),
+        # The subnormal span of test_subnormal_span_samples_like_numpy.
+        (("--family", "spacelike", "--B", "0", "--s-min", "0", "--s-max",
+          "5e-324", "--samples", "5"),
+         "9eac18166427c4b9ef0974643fff61ca82955a21"),
+    ])
+    def test_obj_bytes_are_pinned(self, capsys, argv, sha1):
+        # Frozen bytes: however the lines are built, every vertex must print
+        # as the repr of the same floats and every face as the same indices.
+        rc, out, err = run(capsys, "surface", *argv)
+        assert (rc, err) == (0, "")
+        assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(Family)), st.floats(-1, 1), st.floats(-1, 1),
+           st.floats(0, 1), st.floats(0, 1), st.integers(2, 12),
+           st.integers(2, 12))
+    def test_obj_text_is_the_mesh(self, family, log_h, log_b, u, v, n_s, n_t):
+        H, B = 10.0 ** log_h, 10.0 ** log_b
+        params = CmcParams(family, H, B)
+        dom = domain(params)
+        assume(not dom.degenerate)
+        # Clear of the domain edges, where the radicand rounds to zero.
+        lo, hi = max(dom.lo, -3 / H), min(dom.hi, 3 / H)
+        lo, hi = lo + (hi - lo) / 100, hi - (hi - lo) / 100
+        s_min, s_max = sorted((lo + (hi - lo) * u, lo + (hi - lo) * v))
+        assume(s_min < s_max and dom.contains(s_min) and dom.contains(s_max))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = main(["surface", "--family", family.value, f"--H={H!r}",
+                       f"--B={B!r}", f"--s-min={s_min!r}",
+                       f"--s-max={s_max!r}", f"--samples={n_s}",
+                       f"--theta-samples={n_t}"])
+        assert rc == 0
+        m = mesh(params, (s_min, s_max), n_s, n_t)
+        lines = buf.getvalue().splitlines()
+        n_v = len(m.vertices)
+        assert len(lines) == n_v + len(m.faces)
+        v_tokens = [line.split(" ") for line in lines[:n_v]]
+        f_tokens = [line.split(" ") for line in lines[n_v:]]
+        assert all(t[0] == "v" and len(t) == 4 for t in v_tokens)
+        assert all(t[0] == "f" and len(t) == 4 for t in f_tokens)
+        assert [tuple(map(float, t[1:])) for t in v_tokens] == m.vertices
+        assert [tuple(int(i) - 1 for i in t[1:]) for t in f_tokens] == m.faces
 
 
 class TestReduceCommand:
@@ -468,9 +583,9 @@ SWEEP_FLAGS = {
     "profile": (["--H", "--B", "--s-min", "--s-max"], ["--samples"]),
     "surface": (["--H", "--B", "--s-min", "--s-max", "--angle-range"],
                 ["--samples", "--theta-samples"]),
-    "reduce": (["--H", "--B"], []),
+    "reduce": (["--B"], []),
     "roots": ([], []),
-    "wp-check": (["--H", "--B", "--tol"], []),
+    "wp-check": (["--B", "--tol"], []),
     "chain": (["--H", "--B"], ["--upto-k"]),
 }
 SWEEP_POINT = {"--H": "0.5", "--B": "2", "--s-min": "0.1", "--s-max": "0.3"}
