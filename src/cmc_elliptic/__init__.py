@@ -7,8 +7,8 @@ of d^k r/dx3^k.
 """
 
 from .elliptic_reduction import (DiscPoly, ReductionData, discriminant_poly,
-                                 exact_discriminant_poly, is_singular_value,
-                                 reduce, reduction_report, singular_B)
+                                 is_singular_value, reduce, reduction_report,
+                                 singular_B)
 from .errors import (AccuracyError, BranchError, CmcError, DomainError,
                      EmptyDomainError, NearPoleError, PoleError, RangeError,
                      SingularError, UnsupportedCaseError, UsageError)
@@ -27,10 +27,9 @@ __all__ = [
     "SInterval", "SingularError", "SurfaceMesh", "UnsupportedCaseError",
     "UsageError", "WpEvaluator", "anchor", "chain_config", "curve_from_wp",
     "differentiate_chain", "discriminant_poly", "domain", "eval_chain_term",
-    "exact_discriminant_poly", "hyperboloid_vertices", "implicit_residual",
-    "is_singular_value", "mean_curvature", "mesh", "polynomiality_probe",
-    "profile_point", "reduce", "reduction_report", "singular_B",
-    "surface_point",
+    "hyperboloid_vertices", "implicit_residual", "is_singular_value",
+    "mean_curvature", "mesh", "polynomiality_probe", "profile_point", "reduce",
+    "reduction_report", "singular_B", "surface_point",
 ]
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Dense univariate polynomials, Sturm root isolation and the real cube root.
 
-``Poly`` works over the scalars it is given: exactly for integer or
-``Fraction`` input (Sturm-sequence root counting and isolation on (0, inf)
-from one remainder pass, bisection+Newton refinement of a sign change, the
-exact derivative chain over Q).
+``Poly`` is exact over integer or ``Fraction`` input (the derivative chain
+over Q, bisection+Newton refinement of a sign change). The Sturm functions
+(counting and isolating roots on (0, inf)) are on no production path: they
+are the tests' oracle for the screening roots, and traced layers.
 """
 
 from __future__ import annotations

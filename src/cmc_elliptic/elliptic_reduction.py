@@ -8,20 +8,20 @@ produces the short form v**2 = 4W**3 - g2*W - g3 with
 
     g2 = -m*lambda,  g3 = -l,  disc = g2**3 - 27*g3**2 = -4m**3/n - 27l**2.
 
-Two discriminant-like polynomials in B are exposed:
+``discriminant_poly`` is the degree-12 screening polynomial: -4m**3/n +
+27l**2 = g2**3 + 27g3**2 over 54*B**4, whose positive roots are the
+"singular" B used for gating. There Klein's J = g2**3/disc is 1/2, and disc
+((B**2 - 1)**4/B**2, or -(B**2 + 1)**4/B**2 on the timelike axis) is not 0.
+In every family J depends on B only through y = +-(B**2 + B**-2), with the
+minus sign on the timelike axis:
 
-* ``discriminant_poly``: the degree-12 screening polynomial, the numerator
-  of -4m**3/n + 27l**2 over a monomial denominator.  Its positive real
-  roots are the classifying "singular" B values used for gating; for the
-  timelike-axis family they are approximately 0.620969 and 1.610387.
-* ``exact_discriminant_poly``: the numerator/denominator of the true
-  discriminant -4m**3/n - 27l**2, which matches ReductionData.disc.
+    J(y) = 1/2 + g(y) / (108*(y - 2)**2),  g(y) = y**3 - 12y**2 + 804y + 2528.
 
-The two differ by the sign of the 27l**2 term; the screening variant is the
-one whose roots reproduce the reference classification values, and the true
-variant is the one ruling existence of the Weierstrass function. The
-screening value is g2**3 + 27*g3**2, so its roots are the B where Klein's
-J = g2**3/disc equals 1/2, and disc does not vanish there.
+g increases, and B**2 + B**-2 >= 2, so the Euclidean and spacelike families
+(g(2) = 4096) have no screening root and the timelike one (-g(-2) = -864)
+one reciprocal pair B, 1/B: the whole content of acceptance criteria 1-4.
+The roots come from g in closed form; the Sturm isolation in ``_ratpoly``
+of the degree-12 polynomial is the tests' independent oracle for them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from fractions import Fraction
 from time import perf_counter
 from typing import NamedTuple
 
-from ._ratpoly import Poly, isolate_positive_roots, real_cbrt, refine_root
+from ._ratpoly import Poly, real_cbrt, refine_root
 from .errors import DomainError, RangeError
 from .profiles import Family
 
@@ -106,66 +106,64 @@ class DiscPoly(NamedTuple):
     den_coeff: Fraction
     den_power: int
 
-    def evaluate(self, B):
-        """Exact for Fraction input, float for float input."""
-        if isinstance(B, Fraction):
-            return self.numerator(B) / (self.den_coeff * B ** self.den_power)
-        return float(self.numerator(float(B))) / (float(self.den_coeff) * float(B) ** self.den_power)
-
 
 @functools.cache
-def _assemble(family: Family, disc_sign: int) -> DiscPoly:
-    """Numerator/denominator of -4m^3/n + disc_sign*27l^2 (exact).
+def discriminant_poly(family: Family) -> DiscPoly:
+    """Degree-12 screening polynomial: -4m^3/n + 27l^2 cleared of denominators.
 
     From the family cubic over Q[B], the depressed-cubic invariants
     3n*m = 3a1*a3 - a2^2 and 27n^2*l = 27a0*a3^2 - 9a1*a2*a3 + 2a2^3 (n = a3)
-    turn the expression into (disc_sign*(27n^2*l)^2 - 4(3n*m)^3) / (27n^4),
-    and n = +-2B makes the denominator 27*16*B^4. Built once per family and
-    sign; the frozen result is shared by every caller.
+    turn the expression into ((27n^2*l)^2 - 4(3n*m)^3) / (27n^4), and
+    n = +-2B makes the denominator 27*16*B^4. Built once per family.
     """
     a0, a1, a2, a3 = _cubic_coeffs(family, Poly([0, 1]))
     M = 3 * a1 * a3 - a2 * a2
     L = 27 * a0 * a3 * a3 - 9 * a1 * a2 * a3 + 2 * a2 * a2 * a2
-    raw = L * L * disc_sign - M * M * M * 4
+    raw = L * L - M * M * M * 4
     prim = raw.primitive()
     scale = raw.leading() / prim.leading()
     return DiscPoly(family=family, numerator=prim,
                     den_coeff=27 * a3.leading() ** 4 / scale, den_power=4)
 
 
-def discriminant_poly(family: Family) -> DiscPoly:
-    """Degree-12 screening polynomial: -4m^3/n + 27l^2 cleared of denominators."""
-    return _assemble(family, +1)
+_J_CUBIC = (2528, 804, -12, 1)  # g(y), ascending
 
 
-def exact_discriminant_poly(family: Family) -> DiscPoly:
-    """True discriminant -4m^3/n - 27l^2 as an exact rational function of B."""
-    return _assemble(family, -1)
+def _y_cubic(family: Family) -> Poly:
+    """J - 1/2 = h(y)/(108(y - 2)^2), y = B^2 + B^-2: h = g, or -g(-y) timelike.
+
+    B^6 h(B^2 + B^-2) is the screening numerator.
+    """
+    sign = -1 if family is Family.LORENTZ_TIMELIKE_AXIS else 1
+    return Poly([sign ** (j + 1) * c for j, c in enumerate(_J_CUBIC)])
 
 
 @functools.cache
 def _screening_roots(family: Family) -> tuple[tuple[float, ...], float]:
-    """Sorted screening roots and the seconds their isolation took."""
+    """Sorted screening roots and the seconds their computation took."""
     t0 = perf_counter()
-    num = discriminant_poly(family).numerator
-    # num is squarefree in every family, so it changes sign across each
-    # bracket; the brackets come sorted and disjoint, and so do the roots.
-    roots = tuple(refine_root(num, *b) for b in isolate_positive_roots(num))
+    h, roots = _y_cubic(family), ()
+    # h increases and y >= 2, so a root needs h(2) < 0; h(4) > 0 always.
+    if h(Fraction(2)) < 0:
+        y = refine_root(h, Fraction(2), Fraction(4))
+        # B^2 = (y -+ d)/2, d = sqrt(y^2 - 4); the low one as 2/(y + d),
+        # since y - d cancels.
+        d = math.sqrt(y * y - 4)
+        roots = (math.sqrt(2 / (y + d)), math.sqrt((y + d) / 2))
     return roots, perf_counter() - t0
 
 
 def singular_B(family: Family) -> list[float]:
-    """All positive real roots of the screening polynomial, sorted.
+    """All positive screening roots (where J = 1/2), sorted, in a fresh list.
 
-    Roots are isolated by Sturm-count bisection, then bisected exactly to
-    brackets of width 1e-12 and polished by two float Newton steps, once per
-    family; each call returns a fresh list.
+    Once per family, the real root y of the cubic in B^2 + B^-2 is bisected
+    exactly, then Newton-polished; the pair B, 1/B follows in closed form.
     """
     return list(_screening_roots(family)[0])
 
 
 def isolation_seconds(family: Family) -> float:
-    """Wall time of the family's one-time screening-root isolation."""
+    """Wall time of the family's one-time screening-root computation."""
     return _screening_roots(family)[1]
 
 

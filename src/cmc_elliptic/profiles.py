@@ -131,16 +131,16 @@ def _radicand(params: CmcParams, s: float) -> float:
     if params.family is Family.LORENTZ_SPACELIKE_AXIS:
         # 1 + B^2 - 2B cosh(2Hs), free of the cancellation as B -> 1.
         return (1 - B) ** 2 - 4 * B * math.sinh(H * s) ** 2
-    return B * B + 2 * B * math.sinh(2 * H * s) - 1
+    return (B * B - 1) + 2 * B * math.sinh(2 * H * s)  # exact at B = 1
 
 
 def _closed_pieces(params: CmcParams, s: float):
     """Radius coordinate, its two derivatives, and the axis derivatives.
 
     Returns (radius, d(radius), dd(radius), d(axis), dd(axis)). Raises
-    RangeError where sinh/cosh or sin overflows; past that a piece may
-    still come out inf or nan, so callers check the ones they use with
-    ``_finite``.
+    RangeError where sinh/cosh or sin overflows or R**1.5 underflows to 0
+    in a divisor; past that a piece may still come out inf or nan, so
+    callers check the ones they use with ``_finite``.
     """
     H, B = params.H, params.B
     try:
@@ -170,7 +170,7 @@ def _closed_pieces(params: CmcParams, s: float):
             ddrad = 2 * B * H * (B + sh) * (B * sh - 1) / R32
             dax = (B * sh - 1) / sq
             ddax = 2 * B * B * H * ch * (B + sh) / R32
-    except (OverflowError, ValueError):  # sinh/cosh overflow, sin(inf)
+    except (OverflowError, ValueError, ZeroDivisionError):
         raise _overflow(params, s) from None
     return radius, drad, ddrad, dax, ddax
 

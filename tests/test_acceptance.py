@@ -42,16 +42,16 @@ def test_scorecard_structure(results, capsys):
 
 
 def test_root_time_gate_keeps_the_first_isolation_time(monkeypatch):
-    # Criteria 1 and 2 gate the root isolation, which runs once per family;
-    # a later call is a cache hit and must report the first run's time.
-    isolate = elliptic_reduction.isolate_positive_roots
+    # Criteria 1 and 2 gate the screening-root computation, which runs once
+    # per family; a later call is a cache hit and must report the first
+    # run's time. The timelike roots bisect their cubic with refine_root.
+    refine = elliptic_reduction.refine_root
 
-    def slow_isolate(p):
+    def slow_refine(p, lo, hi):
         time.sleep(1.05)
-        return isolate(p)
+        return refine(p, lo, hi)
 
-    monkeypatch.setattr(elliptic_reduction, "isolate_positive_roots",
-                        slow_isolate)
+    monkeypatch.setattr(elliptic_reduction, "refine_root", slow_refine)
     elliptic_reduction._screening_roots.cache_clear()
     try:
         first = acceptance.criterion_1()

@@ -118,6 +118,18 @@ class TestExitCodes:
         assert payload["error"] == "range"
         assert B in payload["message"]
 
+    # At timelike B = 1 the radicand is 2 sinh(2Hs); its 3/2 power divides
+    # the second derivatives and underflows to zero for s this small.
+    @pytest.mark.parametrize("command", ["profile", "surface"])
+    @pytest.mark.parametrize("s_min", ["1e-300", "5e-324"])
+    def test_radicand_power_underflow_exits_one(self, capsys, command, s_min):
+        rc, out, err = run(capsys, command, "--family", "timelike",
+                           f"--s-min={s_min}")
+        assert rc == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "range"
+        assert repr(float(s_min)) in payload["message"]
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_bad_tol_exits_two_with_one_line(self, capsys, tol):
         rc, out, err = run(capsys, "wp-check", "--family", "timelike",
@@ -237,6 +249,19 @@ class TestProfileCommand:
             s, x, second, dx, dsecond = map(float, line.split(","))
             assert second == 0.5  # constant radius 1/(2H)
             assert (dx, dsecond) == (1.0, 0.0)
+
+    def test_timelike_b_one_next_to_the_domain_edge(self, capsys):
+        # The domain is (0, inf) and the radicand 2 sinh(2Hs) stays positive
+        # however close s comes to 0.
+        rc, out, err = run(capsys, "profile", "--family", "timelike",
+                           "--B", "1", "--s-min", "1e-17", "--s-max", "0.5",
+                           "--samples", "3")
+        assert (rc, err) == (0, "")
+        rows = [list(map(float, line.split(",")))
+                for line in out.strip().split("\n")[1:]]
+        assert [r[0] for r in rows] == [1e-17, 0.25, 0.5]
+        assert rows[0][1] == pytest.approx(math.sqrt(1e-17), rel=1e-15)
+        assert all(map(math.isfinite, (v for r in rows for v in r)))
 
     def test_family_aliases_match(self, capsys):
         argv = ["--B", "1.5", "--H", "0.5", "--s-min", "0.1", "--s-max", "0.9"]
@@ -408,7 +433,7 @@ class TestRootsCommand:
         report = json.loads(out)
         assert report["family"] == "timelike-axis"
         assert report["roots"] == pytest.approx(
-            [0.6209687128607873, 1.6103870924398513], rel=1e-10)
+            [0.6209687128607871, 1.6103870924398513], rel=1e-10)
         assert all(abs(r) < 1e-6 for r in report["residuals"])
 
     def test_other_families_have_no_roots(self, capsys):
@@ -417,7 +442,7 @@ class TestRootsCommand:
             assert json.loads(out)["roots"] == []
 
     @pytest.mark.parametrize("family,sha1", [
-        ("timelike", "4c261d0068cf4234e9e192af0e66ed08e0e095fc"),
+        ("timelike", "0837ca72153abd50b7ad0121cecdd67adb3aec3a"),
         ("spacelike", "984deae80257241d76c31af88edaf9b502a377b8"),
         ("euclid", "f8640cbdf00d87dae0599ef7cf4fc6d4054c6f8c"),
     ])

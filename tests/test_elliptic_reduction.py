@@ -4,9 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
-from cmc_elliptic import _ratpoly
+from cmc_elliptic import _ratpoly, elliptic_reduction
 from cmc_elliptic._ratpoly import (
     Poly,
     count_positive_roots,
@@ -14,12 +15,11 @@ from cmc_elliptic._ratpoly import (
     sturm_chain,
 )
 from cmc_elliptic.elliptic_reduction import (
-    DiscPoly,
     ReductionData,
     _cubic_coeffs,
     _shift_and_depress,
+    _y_cubic,
     discriminant_poly,
-    exact_discriminant_poly,
     is_singular_value,
     reduce,
     reduction_report,
@@ -40,7 +40,7 @@ Y_CUBIC_TIMELIKE = [-2528, 804, 12, 1]
 Y_CUBIC_OTHER = [2528, 804, -12, 1]
 
 # Refined screening roots for the timelike-axis family.
-ROOT_LO = 0.6209687128607873
+ROOT_LO = 0.6209687128607871
 ROOT_HI = 1.6103870924398513
 
 
@@ -61,6 +61,30 @@ def shifted_cubic_identity(data: ReductionData) -> list[Fraction]:
         n,
     ]
     return [e - a for e, a in zip(expanded, [a0, a1, a2, a3])]
+
+
+def exact_invariants(family: Family, B: Fraction) -> tuple[Fraction, ...]:
+    """g2^3, g3 and disc = g2^3 - 27 g3^2 over Q, from the depressed cubic.
+
+    g2 = -m*lam with lam^3 = 4/n, so g2^3 = -4m^3/n; g3 = -l.
+    """
+    _, l, m, n = _shift_and_depress(family, B)
+    g2_cubed, g3 = -4 * m ** 3 / n, -l
+    return g2_cubed, g3, g2_cubed - 27 * g3 ** 2
+
+
+def factored_disc(family: Family, B):
+    """The true discriminant's closed form: -(B^2+1)^4/B^2 on the timelike
+    axis, (B^2-1)^4/B^2 in the other families."""
+    if family is Family.LORENTZ_TIMELIKE_AXIS:
+        return -((B * B + 1) ** 4) / (B * B)
+    return (B * B - 1) ** 4 / (B * B)
+
+
+def screening_value(family: Family, B):
+    """discriminant_poly's rational function at B, in B's arithmetic."""
+    dp = discriminant_poly(family)
+    return dp.numerator(B) / (dp.den_coeff * B ** dp.den_power)
 
 
 class TestReduce:
@@ -157,8 +181,6 @@ class TestDiscriminantPolynomials:
     @pytest.mark.parametrize("family", list(Family))
     def test_polynomials_are_built_once_per_family(self, family):
         assert discriminant_poly(family) is discriminant_poly(family)
-        assert exact_discriminant_poly(family) is \
-            exact_discriminant_poly(family)
 
     def test_screening_palindromic(self):
         for fam in Family:
@@ -172,13 +194,9 @@ class TestDiscriminantPolynomials:
         # disc = g2^3 - 27*g3^2 does not vanish there. Times B^4 both sides
         # are polynomials of degree <= 12 in B (6B*m and 54B^2*l have
         # degrees 4 and 6), so agreement at 13 points is the identity.
-        screening = discriminant_poly(family)
-        true_disc = exact_discriminant_poly(family)
         for B in (F(k, 3) for k in range(1, 14)):
-            _, l, m, n = _shift_and_depress(family, B)
-            g2_cubed, g3 = -4 * m ** 3 / n, -l
-            assert screening.evaluate(B) == g2_cubed + 27 * g3 ** 2
-            assert true_disc.evaluate(B) == g2_cubed - 27 * g3 ** 2
+            g2_cubed, g3, _ = exact_invariants(family, B)
+            assert screening_value(family, B) == g2_cubed + 27 * g3 ** 2
 
     @pytest.mark.parametrize("family", list(Family))
     def test_screening_numerator_is_a_cubic_in_b2_plus_inverse(self, family):
@@ -191,6 +209,7 @@ class TestDiscriminantPolynomials:
             expected = expected + Poly([0] * (6 - 2 * j) + [gj]) * power
             power = power * Poly([1, 0, 0, 0, 1])
         assert discriminant_poly(family).numerator == expected
+        assert _y_cubic(family) == Poly(g)
         # g' = 3y^2 + 2*g[2]*y + g[1] has no real zero, so g increases, and
         # y >= 2 on B > 0 with y = 2 only at B = 1, every y > 2 coming from
         # the pair B, 1/B. So the positive screening roots are two when
@@ -203,20 +222,18 @@ class TestDiscriminantPolynomials:
         assert len(singular_B(family)) == (2 if gy(F(2)) < 0 else 0)
 
     def test_true_disc_closed_forms(self):
-        # Timelike: -(B^2+1)^4 / B^2; the other families: (B^2-1)^4 / B^2.
-        for B in (F(1, 3), F(1), F(5, 2)):
-            t = exact_discriminant_poly(Family.LORENTZ_TIMELIKE_AXIS).evaluate(B)
-            assert t == -((B * B + 1) ** 4) / (B * B)
-            for fam in (Family.LORENTZ_SPACELIKE_AXIS, Family.EUCLIDEAN):
-                v = exact_discriminant_poly(fam).evaluate(B)
-                assert v == ((B * B - 1) ** 4) / (B * B)
+        # Times B^4 both sides are polynomials of degree <= 12 in B, so
+        # agreement at 13 points is the identity.
+        for fam in Family:
+            for B in (F(k, 3) for k in range(1, 14)):
+                assert exact_invariants(fam, B)[2] == factored_disc(fam, B)
 
     def test_exact_vs_float_disc(self):
         rng = random.Random(20260814)
         for _ in range(50):
             B = rng.uniform(0.05, 10.0)
             fam = rng.choice(list(Family))
-            exact = exact_discriminant_poly(fam).evaluate(F(B))
+            exact = factored_disc(fam, F(B))
             d = reduce(fam, B).disc
             assert d == pytest.approx(float(exact), rel=1e-10, abs=1e-12)
 
@@ -232,8 +249,9 @@ class TestDiscriminantPolynomials:
         assert reduce(Family.LORENTZ_TIMELIKE_AXIS, 1.0).disc == pytest.approx(-16.0)
 
     def test_symbolic_oracle(self):
-        # Re-derive both polynomials with sympy straight from the cubic
-        # coefficients, independently of the Fraction pipeline.
+        # Re-derive the screening polynomial and the true discriminant with
+        # sympy straight from the cubic coefficients, independently of the
+        # Fraction pipeline.
         import sympy as sp
 
         B = sp.symbols("B", positive=True)
@@ -246,12 +264,58 @@ class TestDiscriminantPolynomials:
             c = a2 / (3 * a3)
             m = 3 * a3 * c**2 - 2 * a2 * c + a1
             l = -a3 * c**3 + a2 * c**2 - a1 * c + a0
-            for dp, sign in [(discriminant_poly(fam), +1),
-                             (exact_discriminant_poly(fam), -1)]:
-                expected = -4 * m**3 / a3 + sign * 27 * l**2
-                got = (sp.Poly([sp.Rational(x) for x in reversed(dp.numerator.coeffs)], B)
-                       .as_expr() / (sp.Rational(dp.den_coeff) * B**dp.den_power))
-                assert sp.simplify(expected - got) == 0
+            dp = discriminant_poly(fam)
+            got = (sp.Poly([sp.Rational(x) for x in reversed(dp.numerator.coeffs)], B)
+                   .as_expr() / (sp.Rational(dp.den_coeff) * B**dp.den_power))
+            assert sp.simplify(-4 * m**3 / a3 + 27 * l**2 - got) == 0
+            disc = -4 * m**3 / a3 - 27 * l**2
+            assert sp.simplify(disc - factored_disc(fam, B)) == 0
+
+
+class TestJInvariant:
+    """Klein's J = g2^3/disc as a function of y = B^2 + B^-2 alone."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_j_is_one_cubic_in_y(self, family):
+        # J = 1/2 + g(y)/(108 (y-2)^2), y = -(B^2 + B^-2) on the timelike
+        # axis, cleared of denominators:
+        #   108 (y-2)^2 g2^3 = (54 (y-2)^2 + g(y)) disc.
+        # Times B^8 both sides are polynomials of degree <= 20 in B (g2^3
+        # has degree 12 over B^4, disc 8 over B^2, (y-2)^2 8 over B^4 and
+        # g(y) 6 over B^6), so agreement at 24 distinct B is the identity.
+        g = Poly(Y_CUBIC_OTHER)
+        sign = -1 if family is Family.LORENTZ_TIMELIKE_AXIS else 1
+        points = [F(k, 7) for k in range(1, 25)]
+        for B in points:
+            y = sign * (B * B + 1 / (B * B))
+            g2_cubed, _, disc = exact_invariants(family, B)
+            assert 108 * (y - 2) ** 2 * g2_cubed == \
+                (54 * (y - 2) ** 2 + g(y)) * disc
+        # Away from B = 1, where the non-timelike disc vanishes, J itself.
+        for B in points[:6]:
+            y = sign * (B * B + 1 / (B * B))
+            g2_cubed, _, disc = exact_invariants(family, B)
+            assert g2_cubed / disc == F(1, 2) + g(y) / (108 * (y - 2) ** 2)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_j_is_invariant_under_b_to_inverse(self, family):
+        for B in (F(1, 3), F(2, 5), F(5, 2), F(7), F(13, 11)):
+            g2_cubed, _, disc = exact_invariants(family, B)
+            g2_inv, _, disc_inv = exact_invariants(family, 1 / B)
+            assert g2_cubed / disc == g2_inv / disc_inv
+
+    def test_euclidean_and_spacelike_share_g2_with_opposite_g3(self):
+        # Same m and n (so the same lam and g2 = -m lam), opposite l = -g3:
+        # the spacelike lattice is the Euclidean one rotated by i.
+        for B in (F(1, 3), F(1), F(5, 2), F(17, 4)):
+            _, l_e, m_e, n_e = _shift_and_depress(Family.EUCLIDEAN, B)
+            _, l_s, m_s, n_s = _shift_and_depress(
+                Family.LORENTZ_SPACELIKE_AXIS, B)
+            assert (m_e, n_e, l_e) == (m_s, n_s, -l_s)
+        for B in (0.3, 1.0, 2.5, 17.0):
+            e = reduce(Family.EUCLIDEAN, B)
+            sp = reduce(Family.LORENTZ_SPACELIKE_AXIS, B)
+            assert (e.g2, e.g3) == (sp.g2, -sp.g3)
 
 
 class TestSingularValues:
@@ -264,7 +328,51 @@ class TestSingularValues:
         assert roots[1] == pytest.approx(ROOT_HI, rel=1e-12)
         # Bit for bit: however the roots are isolated and refined.
         assert [r.hex() for r in roots] == [
-            "0x1.3def9c7327104p-1", "0x1.9c425417ee003p+0"]
+            "0x1.3def9c7327103p-1", "0x1.9c425417ee003p+0"]
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_roots_are_correctly_rounded(self, family):
+        # Within half an ulp of the 50-digit roots: the real roots y > 2 of
+        # the frozen cubic in y = B^2 + B^-2, each giving a pair B, 1/B.
+        g = (Y_CUBIC_TIMELIKE if family is Family.LORENTZ_TIMELIKE_AXIS
+             else Y_CUBIC_OTHER)
+        with mp.workdps(50):
+            ys = [y.real for y in mp.polyroots(g[::-1], maxsteps=100,
+                                               extraprec=100)
+                  if abs(y.imag) < mp.mpf(10) ** -40 and y.real > 2]
+            exact = sorted(mp.sqrt((y + s * mp.sqrt(y * y - 4)) / 2)
+                           for y in ys for s in (-1, 1))
+            roots = singular_B(family)
+            assert len(roots) == len(exact)
+            for r, e in zip(roots, exact):
+                assert abs(mp.mpf(r) - e) <= math.ulp(r) / 2
+
+    def test_sturm_brackets_contain_the_closed_form_roots(self):
+        # Sturm isolation of the degree-12 numerator is the independent
+        # oracle: one bracket (a, b] around each closed-form root.
+        for fam in Family:
+            brackets = isolate_positive_roots(discriminant_poly(fam).numerator)
+            roots = singular_B(fam)
+            assert len(brackets) == len(roots)
+            for (a, b), r in zip(brackets, roots):
+                assert a < r <= b
+
+    def test_no_sturm_function_on_the_production_path(self, monkeypatch):
+        expected = {fam: singular_B(fam) for fam in Family}
+
+        def boom(*args):
+            raise AssertionError("Sturm machinery called")
+
+        for name in ("sturm_chain", "isolate_positive_roots",
+                     "count_positive_roots", "cauchy_root_bound",
+                     "sign_variations_at", "sign_variations_at_inf"):
+            monkeypatch.setattr(_ratpoly, name, boom)
+            assert not hasattr(elliptic_reduction, name)
+        elliptic_reduction._screening_roots.cache_clear()
+        for fam in Family:
+            assert singular_B(fam) == expected[fam]
+            assert is_singular_value(fam, 0.620969) == bool(expected[fam])
+            assert not is_singular_value(fam, 2.0)
 
     def test_returned_list_is_a_copy(self):
         roots = singular_B(Family.LORENTZ_TIMELIKE_AXIS)
@@ -300,13 +408,13 @@ class TestSingularValues:
     def test_screening_disc_sign_off_roots(self):
         # Between and outside the two roots the screening value changes sign;
         # for the families without roots it stays positive throughout.
-        dp = discriminant_poly(Family.LORENTZ_TIMELIKE_AXIS)
-        assert dp.evaluate(0.5) > 0 and dp.evaluate(2.0) > 0
-        assert dp.evaluate(1.0) < 0
+        timelike = Family.LORENTZ_TIMELIKE_AXIS
+        assert screening_value(timelike, 0.5) > 0
+        assert screening_value(timelike, 2.0) > 0
+        assert screening_value(timelike, 1.0) < 0
         for fam in (Family.LORENTZ_SPACELIKE_AXIS, Family.EUCLIDEAN):
-            dpf = discriminant_poly(fam)
             for B in (0.1, 0.5, 0.9, 1.1, 2.0, 5.0):
-                assert dpf.evaluate(B) > 0
+                assert screening_value(fam, B) > 0
 
     def test_isolation_evaluates_each_point_once(self, monkeypatch):
         # Brackets carry their end counts, so each split evaluates the Sturm
@@ -347,7 +455,9 @@ class TestSingularValues:
         assert not is_singular_value(Family.LORENTZ_SPACELIKE_AXIS, 1.0)
 
     def test_true_disc_vanishes_only_at_b_one(self):
+        # By the factored forms: (B^2-1)^4/B^2 in the Euclidean and
+        # spacelike families, and -(B^2+1)^4/B^2 < 0 on the timelike axis.
         assert reduce(Family.LORENTZ_SPACELIKE_AXIS, 1.0).disc == 0.0
         assert reduce(Family.EUCLIDEAN, 1.0).disc == 0.0
-        assert count_positive_roots(
-            exact_discriminant_poly(Family.LORENTZ_TIMELIKE_AXIS).numerator) == 0
+        for B in (0.1, 0.5, 1.0, 2.0, 5.0):
+            assert reduce(Family.LORENTZ_TIMELIKE_AXIS, B).disc < 0

@@ -24,7 +24,7 @@ from cmc_elliptic.profiles import (
     profile_point,
     surface_point,
 )
-from cmc_elliptic.profiles import _linspace
+from cmc_elliptic.profiles import _linspace, _radicand
 
 
 def in_domain_samples(params, n, seed=0, margin=0.05):
@@ -116,6 +116,52 @@ class TestDomain:
             CmcParams._make((Family.EUCLIDEAN, 1.0, math.nan))
         assert good._replace(B=2.0) == CmcParams(Family.EUCLIDEAN, 1.0, 2.0)
         assert pickle.loads(pickle.dumps(good)) == good
+
+
+NEAR_ONE = [1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)] + [
+    1.0 + sign * d for d in (1e-15, 1e-12, 1e-9, 1e-6) for sign in (1, -1)]
+
+
+def _radicand_terms(family, H, B, s):
+    """The radicand's defining terms in 50-digit mpmath at the float inputs.
+
+    Returns (terms, slack): the radicand is sum(terms), and slack is the
+    rounding of B*B where a form has to subtract 1 from it. The spacelike
+    1 + B^2 - 2B cosh(2Hs) is written (1-B)^2 - 4B sinh^2(Hs), whose terms
+    do not cancel by construction.
+    """
+    H, B, s = mp.mpf(H), mp.mpf(B), mp.mpf(s)
+    if family is Family.EUCLIDEAN:
+        return [1 + B * B, 2 * B * mp.sin(2 * H * s)], 0
+    if family is Family.LORENTZ_SPACELIKE_AXIS:
+        return [(1 - B) ** 2, -4 * B * mp.sinh(H * s) ** 2], 0
+    slack = abs(mp.mpf(float(B * B)) - B * B)
+    return [B * B - 1, 2 * B * mp.sinh(2 * H * s)], slack
+
+
+@pytest.mark.parametrize("B", NEAR_ONE)
+def test_radicand_near_b_one_matches_mpmath(B):
+    # Within a few ulps of its terms' sizes, however much they cancel,
+    # apart from the rounding of B*B.
+    H = 0.5
+    for family in Family:
+        params = CmcParams(family, H, B)
+        dom = domain(params)
+        if dom.degenerate:  # spacelike B = 1
+            continue
+        if math.isfinite(dom.lo) and math.isfinite(dom.hi):
+            width = dom.hi - dom.lo
+            points = [dom.lo + f * width for f in (1e-6, 0.25, 0.5)]
+        elif math.isfinite(dom.lo):
+            points = [dom.lo + t for t in (1e-17, 1e-9, 1e-3, 0.5)]
+        else:
+            points = [-2.0, 0.0, 1e-17, 0.5, 2.0]
+        with mp.workdps(50):
+            for s in points:
+                terms, slack = _radicand_terms(family, H, B, s)
+                err = abs(_radicand(params, s) - sum(terms))
+                size = sum(abs(t) for t in terms)
+                assert err <= slack + 16 * 2.0 ** -52 * size, (family, s, err)
 
 
 class TestProfilePoint:
