@@ -6,7 +6,7 @@ evaluator, and the derivative-chain engine that certifies the non-collapse
 of d^k r/dx3^k.
 """
 
-from .elliptic_reduction import (DiscPoly, ReductionData, discriminant_poly,
+from .elliptic_reduction import (ReductionData, discriminant_poly,
                                  is_singular_value, reduce, reduction_report,
                                  singular_B)
 from .errors import (AccuracyError, BranchError, CmcError, DomainError,
@@ -22,10 +22,10 @@ from .wp_chain import (ChainConfig, ChainTerm, chain_config, curve_from_wp,
 
 __all__ = [
     "AccuracyError", "BranchError", "ChainConfig", "ChainTerm", "CmcError",
-    "CmcParams", "CurveSample", "DiscPoly", "DomainError", "EmptyDomainError",
-    "Family", "NearPoleError", "PoleError", "RangeError", "ReductionData",
-    "SInterval", "SingularError", "SurfaceMesh", "UnsupportedCaseError",
-    "UsageError", "WpEvaluator", "anchor", "chain_config", "curve_from_wp",
+    "CmcParams", "CurveSample", "DomainError", "EmptyDomainError", "Family",
+    "NearPoleError", "PoleError", "RangeError", "ReductionData", "SInterval",
+    "SingularError", "SurfaceMesh", "UnsupportedCaseError", "UsageError",
+    "WpEvaluator", "anchor", "chain_config", "curve_from_wp",
     "differentiate_chain", "discriminant_poly", "domain", "eval_chain_term",
     "hyperboloid_vertices", "implicit_residual", "is_singular_value",
     "mean_curvature", "mesh", "polynomiality_probe", "profile_point", "reduce",

@@ -71,9 +71,8 @@ def criterion_2() -> CriterionResult:
 
 
 def criterion_3() -> CriterionResult:
-    dp = discriminant_poly(Family.EUCLIDEAN)
     # Float coefficients: each Fraction is converted once, not per sample.
-    num = Poly([float(c) for c in dp.numerator.coeffs])
+    num = Poly([float(c) for c in discriminant_poly(Family.EUCLIDEAN).coeffs])
     lo_band = [0.01 + i * (0.99 - 0.01) / 249 for i in range(250)]
     hi_band = [1.01 + i * (10.0 - 1.01) / 249 for i in range(250)]
     min_abs = min(abs(num(b)) for b in lo_band + hi_band)
@@ -89,7 +88,7 @@ def criterion_4() -> CriterionResult:
     ok = True
     for fam, label in ((Family.LORENTZ_TIMELIKE_AXIS, "timelike"),
                        (Family.LORENTZ_SPACELIKE_AXIS, "spacelike")):
-        deg = discriminant_poly(fam).numerator.degree
+        deg = discriminant_poly(fam).degree
         count = len(singular_B(fam))
         good = deg == 12 and count == 2
         ok = ok and good

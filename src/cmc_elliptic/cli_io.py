@@ -120,7 +120,7 @@ def _cmd_roots(args) -> str:
     _require_format(args, "json")
     fam = _family(args.family)
     roots = singular_B(fam)
-    num = discriminant_poly(fam).numerator
+    num = discriminant_poly(fam)
     report = {
         "family": fam.value,
         "roots": roots,

@@ -8,10 +8,11 @@ produces the short form v**2 = 4W**3 - g2*W - g3 with
 
     g2 = -m*lambda,  g3 = -l,  disc = g2**3 - 27*g3**2 = -4m**3/n - 27l**2.
 
-``discriminant_poly`` is the degree-12 screening polynomial: -4m**3/n +
-27l**2 = g2**3 + 27g3**2 over 54*B**4, whose positive roots are the
-"singular" B used for gating. There Klein's J = g2**3/disc is 1/2, and disc
-((B**2 - 1)**4/B**2, or -(B**2 + 1)**4/B**2 on the timelike axis) is not 0.
+``discriminant_poly`` is the degree-12 screening polynomial, the ``Poly``
+N with -4m**3/n + 27l**2 = g2**3 + 27g3**2 = N/(54*B**4), whose positive
+roots are the "singular" B used for gating. There Klein's J = g2**3/disc
+is 1/2, and disc ((B**2 - 1)**4/B**2, or -(B**2 + 1)**4/B**2 on the
+timelike axis) is not 0.
 In every family J depends on B only through y = +-(B**2 + B**-2), with the
 minus sign on the timelike axis:
 
@@ -98,32 +99,20 @@ def reduce(family: Family, B: float) -> ReductionData:
                          lam=lam, g2=g2, g3=g3, disc=disc)
 
 
-class DiscPoly(NamedTuple):
-    """Exact rational function of B: numerator / (den_coeff * B**den_power)."""
-
-    family: Family
-    numerator: Poly
-    den_coeff: Fraction
-    den_power: int
-
-
 @functools.cache
-def discriminant_poly(family: Family) -> DiscPoly:
-    """Degree-12 screening polynomial: -4m^3/n + 27l^2 cleared of denominators.
+def discriminant_poly(family: Family) -> Poly:
+    """Degree-12 screening numerator N: -4m^3/n + 27l^2 = N/(54*B^4).
 
     From the family cubic over Q[B], the depressed-cubic invariants
     3n*m = 3a1*a3 - a2^2 and 27n^2*l = 27a0*a3^2 - 9a1*a2*a3 + 2a2^3 (n = a3)
     turn the expression into ((27n^2*l)^2 - 4(3n*m)^3) / (27n^4), and
-    n = +-2B makes the denominator 27*16*B^4. Built once per family.
+    n = +-2B makes the denominator 27*16*B^4; the numerator's content 8
+    leaves 54*B^4 under the primitive part. Built once per family.
     """
     a0, a1, a2, a3 = _cubic_coeffs(family, Poly([0, 1]))
     M = 3 * a1 * a3 - a2 * a2
     L = 27 * a0 * a3 * a3 - 9 * a1 * a2 * a3 + 2 * a2 * a2 * a2
-    raw = L * L - M * M * M * 4
-    prim = raw.primitive()
-    scale = raw.leading() / prim.leading()
-    return DiscPoly(family=family, numerator=prim,
-                    den_coeff=27 * a3.leading() ** 4 / scale, den_power=4)
+    return (L * L - M * M * M * 4).primitive()
 
 
 _J_CUBIC = (2528, 804, -12, 1)  # g(y), ascending

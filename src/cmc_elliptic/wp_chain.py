@@ -20,18 +20,18 @@ coefficient of N_k is lambda^(2k-2+i) times a rational one. H leaves the
 chain the same way: order k at H is (2H)^-(k-1) times order k at H = 1/2.
 The chain therefore runs once per (family, B), at H = 1/2, over Python
 ints, each order a primitive integer numerator times one exact Fraction
-scale; a per-process memo keeps its orders, grown on demand, for every H
-and K. That chain is the only recursion: the float coefficients are its
-graded values rounded once, order by order, so a coefficient that
+scale; a per-process LRU memo keeps its first orders, grown on demand, for
+every H and K. That chain is the only recursion: the float coefficients
+are its graded values rounded once, order by order, so a coefficient that
 vanishes over Q is 0.0 and every numerator degree is exact, as is the
 denominator power 2k-1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
-from collections import OrderedDict
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -179,96 +179,36 @@ def _chain_core(alpha, beta, cubic):
 
 _FIRST_ORDER = (1, _poly([1]), Fraction(1), True)
 
-# Budget of the chain memo in bits: the bit lengths of the stored integers
-# (numerator coefficients, scale numerators and denominators) plus a charge
-# for their Python objects, _INT_BITS per integer and _ENTRY_BITS per
-# (family, B), so that many short chains cannot outgrow it either. 2^28
-# holds the chain of timelike B = 2.3, H = 1/2 up to order 115, where its
-# coefficients leave the float range (about 16 MB).
-_MEMO_BITS = 1 << 28
-_INT_BITS = 8 * 64
-_ENTRY_BITS = 8 * 4096
+# The memo keeps the chains of the _KEPT_CHAINS most recently used
+# (family, B), each up to order _KEPT_ORDERS; a request past that steps on
+# from the last order it read and stores nothing. Forty orders of timelike
+# B = 2.3 take about 0.7 MB: a full memo of such chains is near 22 MB.
+_KEPT_CHAINS = 32
+_KEPT_ORDERS = 40
+_LOCK = threading.Lock()
 
 
 class _Chain:
-    """The integer chain of one (family, B) at H = 1/2.
+    """The integer chain of one (family, B) at H = 1/2: its step, orders
+    (orders[k-1] is order k, a prefix grown on demand) and, once a probe
+    asks, the probe points (P, P') on the curve of (family, B)."""
 
-    orders[k-1] is order k as _chain_core steps it, a prefix grown on
-    demand; points holds the probe points (P, P') once a probe asks.
-    """
+    __slots__ = ("step", "orders", "points")
 
-    __slots__ = ("key", "step", "orders", "bits", "points")
-
-    def __init__(self, key, step):
-        self.key = key
+    def __init__(self, step):
         self.step = step
         self.orders = [_FIRST_ORDER]
-        self.bits = _ENTRY_BITS
         self.points = None
 
 
-class _ChainMemo:
-    """Per-process chains, least recently used first, within _MEMO_BITS.
-
-    The key is (family, B, g2, g3): the chain depends on (family, B) alone
-    and the probe points on (g2, g3), which chain_config derives from
-    (family, B). A chain whose construction raises is never stored. A new
-    order is stored after evicting other entries, never the one it
-    extends, as far as the budget needs; an order that does not fit even
-    then is handed out without being stored.
-    """
-
-    def __init__(self):
-        self.entries = OrderedDict()
-        self.bits = 0
-        self.lock = threading.Lock()
-
-    def entry(self, cfg: ChainConfig) -> _Chain:
-        key = (cfg.family, cfg.B, cfg.g2, cfg.g3)
-        with self.lock:
-            chain = self.entries.get(key)
-            if chain is not None:
-                self.entries.move_to_end(key)
-                return chain
-            # At H = 1/2: alpha = -p and beta = B in the X variable.
-            B = Fraction(cfg.B)
-            c, l, m, n = _shift_and_depress(cfg.family, B)
-            p, _, _ = _family_constants(cfg.family, c, B)
-            chain = self.entries[key] = _Chain(
-                key, _chain_core(-p, B, [l, m, 0, n]))
-            if self._fit(chain.bits):
-                self.bits += chain.bits
-            else:
-                del self.entries[key]
-            return chain
-
-    def order(self, chain: _Chain, k: int, prev: tuple) -> tuple:
-        """Order k of chain, from its stored prefix or from order k-1."""
-        if k <= len(chain.orders):
-            return chain.orders[k - 1]
-        row = chain.step(prev)
-        _, num, scale, _ = row
-        bits = sum(x.bit_length() + _INT_BITS for x in (
-            *num.coeffs, scale.numerator, scale.denominator))
-        with self.lock:
-            if (k == len(chain.orders) + 1
-                    and self.entries.get(chain.key) is chain):
-                self.entries.move_to_end(chain.key)
-                if self._fit(bits):
-                    chain.orders.append(row)
-                    chain.bits += bits
-                    self.bits += bits
-        return row
-
-    def _fit(self, bits: int) -> bool:
-        """Whether bits more fit, after evicting least recently used
-        entries other than the newest as far as needed."""
-        while self.bits + bits > _MEMO_BITS and len(self.entries) > 1:
-            self.bits -= self.entries.popitem(last=False)[1].bits
-        return self.bits + bits <= _MEMO_BITS
-
-
-_CHAINS = _ChainMemo()
+@functools.lru_cache(maxsize=_KEPT_CHAINS)
+def _chain(family: Family, B: float) -> _Chain:
+    """The chain of (family, B), where alpha = -p and beta = B in the X
+    variable; a construction that raises is not cached."""
+    B = Fraction(B)
+    c, l, m, n = _shift_and_depress(family, B)
+    p, _, _ = _family_constants(family, c, B)
+    return _Chain(_chain_core(-p, B, [l, m, 0, n]))
 
 
 def _exact_chain(cfg: ChainConfig, upto_k: int):
@@ -276,15 +216,24 @@ def _exact_chain(cfg: ChainConfig, upto_k: int):
 
     Derived from (family, B, H) alone: floats are exact rationals, so the
     canonical reduction re-run over Fraction gives the true values. The
-    integer numerators are those of H = 1/2, from the memo; order k
+    integer numerators are those of H = 1/2: the stored orders of _chain,
+    and past them each order stepped from the one before, appended only
+    while it extends the stored prefix within _KEPT_ORDERS. Order k
     carries (2H)^-(k-1) in its scale, an exact Fraction division.
     """
-    chain = _CHAINS.entry(cfg)
+    chain = _chain(cfg.family, cfg.B)
+    orders = chain.orders
     h2 = 2 * Fraction(cfg.H)
     factor = Fraction(1)
     row = None
     for k in range(1, upto_k + 1):
-        row = _CHAINS.order(chain, k, row)
+        if k <= len(orders):
+            row = orders[k - 1]
+        else:
+            row = chain.step(row)
+            with _LOCK:
+                if len(orders) == k - 1 < _KEPT_ORDERS:
+                    orders.append(row)
         _, num, scale, has_prime = row
         yield k, num, scale * factor, has_prime
         factor /= h2
@@ -439,7 +388,7 @@ def polynomiality_probe(cfg: ChainConfig, K: int) -> dict:
     if K < 3:
         raise DomainError(f"K must be >= 3 for a meaningful probe, got {K}")
     terms = differentiate_chain(cfg, K)
-    chain = _CHAINS.entry(cfg)
+    chain = _chain(cfg.family, cfg.B)
     if chain.points is None:
         ev = WpEvaluator(cfg.g2, cfg.g3)
         chain.points = [ev.wp(ev.wp_inverse(ev.e_max + off))

@@ -499,12 +499,11 @@ class TestChainCommand:
         assert (rc, err) == (0, "")
         assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
-    def test_h_and_k_sweep_bytes_are_pinned(self, capsys, monkeypatch):
+    def test_h_and_k_sweep_bytes_are_pinned(self, capsys, cold_chains):
         # Frozen bytes over H and K at one non-dyadic B per family. Every H
         # reads the chain of H = 1/2 scaled by (2H)^-(k-1), and a K below a
         # stored one reads a prefix: the first pass starts from an empty
         # memo, the second finds every chain stored.
-        monkeypatch.setattr(wp_chain, "_CHAINS", wp_chain._ChainMemo())
         for _ in range(2):
             digest = hashlib.sha1()
             for family, B in (("timelike", "2.3"), ("spacelike", "0.7"),
@@ -519,17 +518,27 @@ class TestChainCommand:
                 "7a1beca84dc9c802bd3d8abf9e6c16f1fd4d72b2"
 
     def test_huge_k_stores_no_order_past_the_float_range(self, capsys,
-                                                         monkeypatch):
-        memo = wp_chain._ChainMemo()
-        monkeypatch.setattr(wp_chain, "_CHAINS", memo)
+                                                         cold_chains):
         rc, out, err = run(capsys, "chain", "--family", "timelike", "--B",
                            "2", "--H", "0.5", "--upto-k", "100000")
         assert (rc, out) == (1, "")
         assert json.loads(err) == {
             "error": "range", "message": "chain step 116: exact coefficient "
             "of P^52 is outside the float range"}
-        (chain,) = memo.entries.values()
-        assert len(chain.orders) <= 116
+        assert cold_chains.cache_info().currsize == 1
+        chain = cold_chains(Family.LORENTZ_TIMELIKE_AXIS, 2.0)
+        assert len(chain.orders) == wp_chain._KEPT_ORDERS
+
+    def test_one_shot_huge_k_retains_under_a_megabyte(self, capsys,
+                                                      memo_bytes):
+        # Orders past _KEPT_ORDERS are stepped and dropped: after the
+        # request the memo holds 40 orders (about 0.09 MB), not the 115 in
+        # the float range (about 1.2 MB).
+        rc, held = memo_bytes(lambda: run(
+            capsys, "chain", "--family", "timelike", "--B", "2", "--H",
+            "0.5", "--upto-k", "100000")[0])
+        assert rc == 1
+        assert 0 < held < 2 ** 20
 
     @pytest.mark.parametrize("argv", [
         # An exact coefficient past 1.8e308.

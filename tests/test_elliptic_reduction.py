@@ -83,8 +83,7 @@ def factored_disc(family: Family, B):
 
 def screening_value(family: Family, B):
     """discriminant_poly's rational function at B, in B's arithmetic."""
-    dp = discriminant_poly(family)
-    return dp.numerator(B) / (dp.den_coeff * B ** dp.den_power)
+    return discriminant_poly(family)(B) / (54 * B ** 4)
 
 
 class TestReduce:
@@ -174,9 +173,8 @@ class TestDiscriminantPolynomials:
                             (Family.LORENTZ_SPACELIKE_AXIS, SCREEN_OTHER),
                             (Family.EUCLIDEAN, SCREEN_OTHER)]:
             dp = discriminant_poly(fam)
-            assert dp.numerator.degree == 12
-            assert dp.numerator == Poly(frozen)
-            assert (dp.den_coeff, dp.den_power) == (54, 4)
+            assert dp.degree == 12
+            assert dp == Poly(frozen)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_polynomials_are_built_once_per_family(self, family):
@@ -184,7 +182,7 @@ class TestDiscriminantPolynomials:
 
     def test_screening_palindromic(self):
         for fam in Family:
-            cs = discriminant_poly(fam).numerator.coeffs
+            cs = discriminant_poly(fam).coeffs
             assert cs == tuple(reversed(cs))
 
     @pytest.mark.parametrize("family", list(Family))
@@ -208,7 +206,7 @@ class TestDiscriminantPolynomials:
         for j, gj in enumerate(g):
             expected = expected + Poly([0] * (6 - 2 * j) + [gj]) * power
             power = power * Poly([1, 0, 0, 0, 1])
-        assert discriminant_poly(family).numerator == expected
+        assert discriminant_poly(family) == expected
         assert _y_cubic(family) == Poly(g)
         # g' = 3y^2 + 2*g[2]*y + g[1] has no real zero, so g increases, and
         # y >= 2 on B > 0 with y = 2 only at B = 1, every y > 2 coming from
@@ -265,8 +263,8 @@ class TestDiscriminantPolynomials:
             m = 3 * a3 * c**2 - 2 * a2 * c + a1
             l = -a3 * c**3 + a2 * c**2 - a1 * c + a0
             dp = discriminant_poly(fam)
-            got = (sp.Poly([sp.Rational(x) for x in reversed(dp.numerator.coeffs)], B)
-                   .as_expr() / (sp.Rational(dp.den_coeff) * B**dp.den_power))
+            got = (sp.Poly([sp.Rational(x) for x in reversed(dp.coeffs)], B)
+                   .as_expr() / (54 * B**4))
             assert sp.simplify(-4 * m**3 / a3 + 27 * l**2 - got) == 0
             disc = -4 * m**3 / a3 - 27 * l**2
             assert sp.simplify(disc - factored_disc(fam, B)) == 0
@@ -351,7 +349,7 @@ class TestSingularValues:
         # Sturm isolation of the degree-12 numerator is the independent
         # oracle: one bracket (a, b] around each closed-form root.
         for fam in Family:
-            brackets = isolate_positive_roots(discriminant_poly(fam).numerator)
+            brackets = isolate_positive_roots(discriminant_poly(fam))
             roots = singular_B(fam)
             assert len(brackets) == len(roots)
             for (a, b), r in zip(brackets, roots):
@@ -389,7 +387,7 @@ class TestSingularValues:
         assert lo * hi == pytest.approx(1.0, abs=1e-10)
 
     def test_roots_kill_screening_numerator(self):
-        num = discriminant_poly(Family.LORENTZ_TIMELIKE_AXIS).numerator
+        num = discriminant_poly(Family.LORENTZ_TIMELIKE_AXIS)
         scale = max(abs(float(c)) for c in num.coeffs)
         for r in singular_B(Family.LORENTZ_TIMELIKE_AXIS):
             assert abs(num(r)) < 1e-9 * scale
@@ -397,7 +395,7 @@ class TestSingularValues:
     def test_sturm_counts(self):
         # The isolated roots are exactly the Sturm count on (0, inf).
         for fam in Family:
-            assert count_positive_roots(discriminant_poly(fam).numerator) \
+            assert count_positive_roots(discriminant_poly(fam)) \
                 == len(singular_B(fam))
         assert len(singular_B(Family.LORENTZ_TIMELIKE_AXIS)) == 2
         # The screening combination never vanishes for the other two families;
@@ -420,7 +418,7 @@ class TestSingularValues:
         # Brackets carry their end counts, so each split evaluates the Sturm
         # chain at its midpoint only: 2 ends plus 11 splits on the timelike
         # numerator, against 2 + 3*11 = 35 with both ends re-evaluated.
-        num = discriminant_poly(Family.LORENTZ_TIMELIKE_AXIS).numerator
+        num = discriminant_poly(Family.LORENTZ_TIMELIKE_AXIS)
         expected = isolate_positive_roots(num)
         calls = []
         count = _ratpoly.sign_variations_at
@@ -433,13 +431,13 @@ class TestSingularValues:
         # The remainder pass of num and num' ends in a constant, so the chain
         # is left undivided and refine_root can bisect on num itself.
         for fam in Family:
-            num = discriminant_poly(fam).numerator
+            num = discriminant_poly(fam)
             assert sturm_chain(num)[0] == num
 
     def test_sturm_chain_is_one_remainder_pass(self, monkeypatch):
         # One division per remainder, of degrees 10 down to 0, on the
         # timelike numerator; a gcd pass ahead of the chain made it 23.
-        num = discriminant_poly(Family.LORENTZ_TIMELIKE_AXIS).numerator
+        num = discriminant_poly(Family.LORENTZ_TIMELIKE_AXIS)
         expected = sturm_chain(num)
         calls = []
         divmod_ = Poly.divmod

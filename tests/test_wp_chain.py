@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -238,7 +239,7 @@ class TestExactChain:
         field, oracle = _q_lambda_chain(family, B, H, k)
         _assert_graded_chain_is(cfg, field, oracle)
 
-    def test_cubic_vanishing_at_the_pole_is_singular(self):
+    def test_cubic_vanishing_at_the_pole_is_singular(self, cold_chains):
         # C(X) = (2X^3 + 3X/2 + 1)/5 vanishes at X = -1/2 = -alpha/beta, the
         # one case where D = (2/3)(1 + 2X) would divide a numerator.
         alpha, beta = Fraction(2, 3), Fraction(4, 3)
@@ -252,8 +253,8 @@ class TestExactChain:
         for _ in range(2):
             with pytest.raises(SingularError):
                 differentiate_chain(euclid_cfg._replace(B=1.0), 4)
-        assert all(key[:2] != (Family.EUCLIDEAN, 1.0)
-                   for key in wp_chain._CHAINS.entries)
+        info = cold_chains.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
 
     @pytest.mark.parametrize("B", [Fraction(1, 3), Fraction(1), Fraction(5, 2),
                                    Fraction(2.3)])
@@ -280,6 +281,15 @@ def _chain_at_own_h(cfg, upto_k):
     return rows
 
 
+class _SlowLen(list):
+    """A list whose len() yields to other threads after reading."""
+
+    def __len__(self):
+        n = super().__len__()
+        time.sleep(0)
+        return n
+
+
 class TestChainMemo:
     def test_orders_equal_the_chain_at_each_h(self):
         # Order k at H is (2H)^-(k-1) times order k at H = 1/2, over Q: the
@@ -288,59 +298,52 @@ class TestChainMemo:
             cfg = config(Family.LORENTZ_TIMELIKE_AXIS, 2.3, H)
             assert list(_exact_chain(cfg, 9)) == _chain_at_own_h(cfg, 9)
 
-    def test_budget_evicts_the_least_recently_used(self, monkeypatch):
-        cfgs = [config(Family.LORENTZ_TIMELIKE_AXIS, B, H) for B, H in
-                ((2.3, 0.7), (0.4, 1.3), (3.1, 0.3), (1.3, 20.0))]
-        keys = [(c.family, c.B, c.g2, c.g3) for c in cfgs]
-        sizes = []
-        for cfg, key in zip(cfgs, keys):
-            memo = wp_chain._ChainMemo()
-            monkeypatch.setattr(wp_chain, "_CHAINS", memo)
-            list(_exact_chain(cfg, 6))
-            sizes.append(memo.entries[key].bits)
-        # Two 6-order chains fit, three do not (the sizes differ by < 5%).
-        monkeypatch.setattr(wp_chain, "_MEMO_BITS",
-                            sizes[0] + sizes[1] + sizes[2] // 2)
-        memo = wp_chain._ChainMemo()
-        monkeypatch.setattr(wp_chain, "_CHAINS", memo)
+    def test_least_recently_used_chain_is_evicted(self, cold_chains):
+        n = wp_chain._KEPT_CHAINS
+        cfgs = [config(Family.LORENTZ_TIMELIKE_AXIS, 2 + i / 8, 0.7)
+                for i in range(n + 1)]
 
-        def build(i, upto_k):
-            assert list(_exact_chain(cfgs[i], upto_k)) == \
-                _chain_at_own_h(cfgs[i], upto_k)
-            assert memo.bits == sum(c.bits for c in memo.entries.values())
-            assert memo.bits <= wp_chain._MEMO_BITS
-            assert list(memo.entries)[-1] == keys[i]
+        def misses(i):
+            before = cold_chains.cache_info().misses
+            assert list(_exact_chain(cfgs[i], 3)) == \
+                _chain_at_own_h(cfgs[i], 3)
+            return cold_chains.cache_info().misses - before
 
-        build(0, 6)
-        build(1, 6)
-        build(2, 6)
-        assert list(memo.entries) == [keys[1], keys[2]]
-        build(1, 6)  # a use, not a growth: 2 is now the oldest
-        build(3, 6)
-        assert list(memo.entries) == [keys[1], keys[3]]
-        # A chain that alone outgrows the budget evicts every other entry
-        # and keeps the prefix that fits; the orders past it are handed out
-        # unstored, the same as stored ones.
-        build(1, 12)
-        assert list(memo.entries) == [keys[1]]
-        assert 6 < len(memo.entries[keys[1]].orders) < 12
-        build(0, 6)  # evicted above: built again from nothing
-        assert list(memo.entries) == [keys[0]]
+        assert [misses(i) for i in range(n)] == [1] * n
+        assert misses(0) == 0  # a use: 1 is now the oldest
+        assert misses(n) == 1  # and is evicted
+        assert cold_chains.cache_info().currsize == n
+        assert (misses(0), misses(2)) == (0, 0)
+        assert misses(1) == 1  # built again from nothing, evicting 3
+        assert misses(3) == 1
 
-    def test_threads_sharing_the_memo_lose_no_update(self, monkeypatch):
+    def test_kept_chains_stay_under_32_mb(self, memo_bytes):
+        # Timelike B = 2.3, whose 51-bit denominator makes its integers
+        # grow fast, read past its kept orders: a full memo of such chains
+        # stays under 32 MB.
+        cfg = config(Family.LORENTZ_TIMELIKE_AXIS, 2.3, 0.5)
+        k, held = memo_bytes(lambda: len(list(
+            _exact_chain(cfg, wp_chain._KEPT_ORDERS + 5))))
+        assert k == wp_chain._KEPT_ORDERS + 5
+        assert wp_chain._KEPT_CHAINS * held < 2 ** 25
+
+    def test_threads_sharing_the_memo_lose_no_update(self, cold_chains):
         cfgs = [config(family, B, H) for family in Family
                 for B, H in ((2.3, 0.7), (0.4, 1.3))]
         want = [list(_exact_chain(cfg, 8)) for cfg in cfgs]
-        monkeypatch.setattr(wp_chain, "_MEMO_BITS", 4 * 8 * 4096 + 60000)
-        memo = wp_chain._ChainMemo()
-        monkeypatch.setattr(wp_chain, "_CHAINS", memo)
+        # Every thread reads the same chains in the same order, from a
+        # stored first order whose list gives up the GIL in len(): a
+        # thread that read a length may find it stale when it appends.
+        cold_chains.cache_clear()
+        for cfg in cfgs:
+            chain = cold_chains(cfg.family, cfg.B)
+            chain.orders = _SlowLen(chain.orders)
         errors = []
 
-        def work(offset):
+        def work():
             try:
-                for i in range(24):
-                    j = (i + offset) % len(cfgs)
-                    assert list(_exact_chain(cfgs[j], 8)) == want[j]
+                for j, cfg in enumerate(cfgs):
+                    assert list(_exact_chain(cfg, 8)) == want[j]
             except BaseException as exc:  # reported by the main thread
                 errors.append(exc)
                 raise
@@ -348,8 +351,7 @@ class TestChainMemo:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(n,))
-                       for n in range(4)]
+            threads = [threading.Thread(target=work) for _ in range(4)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -358,11 +360,9 @@ class TestChainMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert memo.bits == sum(c.bits for c in memo.entries.values())
-        assert memo.bits <= wp_chain._MEMO_BITS
-        for chain in memo.entries.values():
-            assert [row[0] for row in chain.orders] == \
-                list(range(1, len(chain.orders) + 1))
+        for cfg in cfgs:
+            orders = cold_chains(cfg.family, cfg.B).orders
+            assert [row[0] for row in orders] == list(range(1, 9))
 
 
 def _mp_chain_values(cfg, upto_k, p, pp):
@@ -545,8 +545,8 @@ class TestPolynomialityProbe:
         (Family.LORENTZ_SPACELIKE_AXIS, 0.75, 1.0),
         (Family.EUCLIDEAN, 0.5, 1.0),
     ])
-    def test_one_wp_evaluation_per_probe_point(self, monkeypatch, family, B,
-                                               H):
+    def test_one_wp_evaluation_per_probe_point(self, monkeypatch, cold_chains,
+                                               family, B, H):
         cfg = config(family, B, H)
         wp = WpEvaluator.wp
         calls = []
@@ -557,7 +557,6 @@ class TestPolynomialityProbe:
 
         monkeypatch.setattr(WpEvaluator, "wp", counted)
         # A cold memo: the probe points of cfg are computed here.
-        monkeypatch.setattr(wp_chain, "_CHAINS", wp_chain._ChainMemo())
         report = polynomiality_probe(cfg, 12)
         assert len(calls) == len(wp_chain._PROBE_OFFSETS)
         # Warm: the memo keeps them, and the report is the same.
