@@ -146,7 +146,7 @@ def _cmd_wp_check(args) -> str:
         scale = max(1.0, abs(4.0 * p ** 3), abs(data.g2 * p), abs(data.g3))
         ode = max(ode, abs(pp * pp - cubic) / scale)
         roundtrip = max(roundtrip, abs(p - w) / max(1.0, abs(w)))
-        h = 1e-4
+        h = 1e-4 * z  # relative: z is tiny where P is huge
         fd = (ev.wp(z + h)[1] - ev.wp(z - h)[1]) / (2.0 * h)
         ref = ev.wp_second(z)
         second = max(second, abs(fd - ref) / max(1.0, abs(ref)))
@@ -171,12 +171,30 @@ def _cmd_wp_check(args) -> str:
     return _json(report)
 
 
+def _chain_json(report: dict) -> str:
+    """_json of a polynomiality_probe report (K >= 3 terms), one f-string
+    per term."""
+    terms = []
+    for t in report["terms"]:
+        if not math.isfinite(t["min_abs_value"]):
+            raise RangeError("report holds a non-finite value")
+        terms.append(
+            f'    {{\n      "k": {t["k"]},\n'
+            f'      "num_degree": {t["num_degree"]},\n'
+            f'      "den_degree": {t["den_degree"]},\n'
+            f'      "parity": "{t["parity"]}",\n'
+            f'      "min_abs_value": {t["min_abs_value"]!r},\n'
+            f'      "identically_zero": '
+            f'{("false", "true")[t["identically_zero"]]}\n    }}')
+    return (f'{{\n  "family": {json.dumps(report["family"])},\n'
+            f'  "H": {report["H"]!r},\n  "B": {report["B"]!r},\n'
+            '  "terms": [\n' + ",\n".join(terms) + '\n  ]\n}\n')
+
+
 def _cmd_chain(args) -> str:
     _require_format(args, "json")
-    fam = _family(args.family)
-    cfg = chain_config(reduce(fam, args.B), args.H)
-    report = polynomiality_probe(cfg, args.upto_k)
-    return _json(report)
+    cfg = chain_config(reduce(_family(args.family), args.B), args.H)
+    return _chain_json(polynomiality_probe(cfg, args.upto_k))
 
 
 def _cmd_verify(args) -> tuple[str, int]:

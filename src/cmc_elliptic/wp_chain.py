@@ -20,11 +20,11 @@ coefficient of N_k is lambda^(2k-2+i) times a rational one. H leaves the
 chain the same way: order k at H is (2H)^-(k-1) times order k at H = 1/2.
 The chain therefore runs once per (family, B), at H = 1/2, over Python
 ints, each order a primitive integer numerator times one exact Fraction
-scale; a per-process LRU memo keeps its first orders, grown on demand, for
-every H and K. That chain is the only recursion: the float coefficients
-are its graded values rounded once, order by order, so a coefficient that
-vanishes over Q is 0.0 and every numerator degree is exact, as is the
-denominator power 2k-1.
+scale; an LRU memo keeps its first orders for every H and K. That chain
+is the only recursion: the float coefficients are its graded values
+rounded once, order by order, with (2H)^-(k-1) split into an odd int
+power and a power of two, so a coefficient that vanishes over Q is 0.0
+and every numerator degree is exact, as is the denominator power 2k-1.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .weierstrass import WpEvaluator
 
 # Relative size of alpha + beta*P below which a point counts as on the pole.
 _NEAR_POLE = 1e-12
+_TINY = 2.2250738585072014e-308  # the least positive normal float
 
 
 class ChainConfig(NamedTuple):
@@ -212,19 +213,12 @@ def _chain(family: Family, B: float) -> _Chain:
 
 
 def _exact_chain(cfg: ChainConfig, upto_k: int):
-    """Unit-seed chain in X = lambda*P, a generator of orders.
-
-    Derived from (family, B, H) alone: floats are exact rationals, so the
-    canonical reduction re-run over Fraction gives the true values. The
-    integer numerators are those of H = 1/2: the stored orders of _chain,
-    and past them each order stepped from the one before, appended only
-    while it extends the stored prefix within _KEPT_ORDERS. Order k
-    carries (2H)^-(k-1) in its scale, an exact Fraction division.
-    """
+    """Unit-seed chain in X = lambda*P at H = 1/2, a generator of orders:
+    the stored ones of _chain, then each stepped from the one before,
+    appended only while it extends the stored prefix within _KEPT_ORDERS.
+    Order k at cfg.H is (2H)^-(k-1) times order k here."""
     chain = _chain(cfg.family, cfg.B)
     orders = chain.orders
-    h2 = 2 * Fraction(cfg.H)
-    factor = Fraction(1)
     row = None
     for k in range(1, upto_k + 1):
         if k <= len(orders):
@@ -234,9 +228,7 @@ def _exact_chain(cfg: ChainConfig, upto_k: int):
             with _LOCK:
                 if len(orders) == k - 1 < _KEPT_ORDERS:
                     orders.append(row)
-        _, num, scale, has_prime = row
-        yield k, num, scale * factor, has_prime
-        factor /= h2
+        yield row
 
 
 def differentiate_chain(cfg: ChainConfig, upto_k: int) -> list[ChainTerm]:
@@ -244,18 +236,37 @@ def differentiate_chain(cfg: ChainConfig, upto_k: int) -> list[ChainTerm]:
 
     Each numerator coefficient is cfg.c2 times the graded exact one, rounded
     once as each order arrives; RangeError at the first one with no float
-    value, which is the only bound on upto_k. cfg.c2 may be overridden (e.g.
-    the c2 = 0 degenerate control): the chain scales linearly with it. Other
-    fields must come from chain_config.
+    value, which is the only bound on upto_k. With 2H = m*2^-e, m odd, it
+    is x*scale/m^(k-1) at H = 1/2 times 2^(e(k-1)): an int division and an
+    exact ldexp while both are normal floats, else _true_coefficient. cfg.c2
+    may be overridden (e.g. the c2 = 0 degenerate control): the chain scales
+    linearly with it. Other fields must come from chain_config.
     """
     if upto_k < 1:
         raise DomainError(f"upto_k must be >= 1, got {upto_k}")
+    n, d = cfg.H.as_integer_ratio()
+    m, e = n // (n & -n), d.bit_length() - (n & -n).bit_length() - 1
+    c2, lam, mk = cfg.c2, cfg.lam, 1  # mk = m^(k-1)
     terms = []
     for k, num, scale, has_prime in _exact_chain(cfg, upto_k):
-        coeffs = [0.0] if cfg.c2 == 0.0 else [
-            _true_coefficient(k, i, cfg.c2, cfg.lam, 2 * k - 2 + i, x, scale)
-            for i, x in enumerate(num.coeffs)]
-        terms.append(ChainTerm(k=k, num=Poly(coeffs), has_wp_prime=has_prime))
+        sn, sd, shift = scale.numerator, scale.denominator * mk, e * (k - 1)
+        mk *= m
+        coeffs = []
+        for i, x in enumerate(num.coeffs if c2 != 0.0 else ()):
+            power = 2 * k - 2 + i
+            try:
+                q = x * sn / sd
+                v = math.ldexp(q, shift)
+                value = c2 * lam ** power * v
+                if math.isfinite(value) and (x == 0 or value != 0.0 and
+                                             min(abs(q), abs(v)) >= _TINY):
+                    coeffs.append(value)
+                    continue
+            except OverflowError:
+                pass
+            exact = Fraction(sn, sd) * Fraction(2) ** shift
+            coeffs.append(_true_coefficient(k, i, c2, lam, power, x, exact))
+        terms.append(ChainTerm(k, _poly(coeffs or [0.0]), has_prime))
     return terms
 
 

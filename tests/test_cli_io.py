@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -23,7 +24,8 @@ from hypothesis import strategies as st
 
 import cmc_elliptic
 from cmc_elliptic import wp_chain
-from cmc_elliptic.cli_io import _build_parser, _json, main
+from cmc_elliptic.cli_io import _build_parser, _chain_json, _json, main
+from cmc_elliptic.elliptic_reduction import singular_B
 from cmc_elliptic.errors import RangeError
 from cmc_elliptic.profiles import (CmcParams, Family, domain, mesh,
                                    surface_point)
@@ -465,6 +467,66 @@ class TestWpCheckCommand:
         assert report["residuals"]["inverse_roundtrip"] < 1e-9
         assert report["residuals"]["second_derivative_fd"] < 1e-6
 
+    @pytest.mark.parametrize("family,B", [
+        ("euclid", "1e-8"), ("euclid", "1e-4"), ("euclid", "100"),
+        ("euclid", "1e8"), ("spacelike", "1e-4"), ("spacelike", "100"),
+        ("timelike", "1e-4"), ("timelike", "100")])
+    def test_p_second_probe_steps_relative_to_z(self, capsys, family, B):
+        # Where P is huge, z is tiny: a step of 1e-4 absolute measured the
+        # probe's own truncation error, not P''.
+        rc, out, _ = run(capsys, "wp-check", "--family", family, "--B", B)
+        report = json.loads(out)
+        assert rc == 0 and report["ok"] is True
+        assert report["residuals"]["second_derivative_fd"] < 5e-7
+
+    def test_inaccurate_p_still_fails(self, capsys):
+        # Spacelike B = 1e-8: ode and round trip hold, P'' is off by 2e-2.
+        rc, out, _ = run(capsys, "wp-check", "--family", "spacelike",
+                         "--B", "1e-8")
+        report = json.loads(out)
+        assert rc == 0 and report["ok"] is False
+        assert report["residuals"]["ode"] < 1e-9
+        assert report["residuals"]["inverse_roundtrip"] < 1e-9
+        assert report["residuals"]["second_derivative_fd"] > 1e-3
+
+
+_TERM_KEYS = ("k", "num_degree", "den_degree", "parity", "min_abs_value",
+              "identically_zero")
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_MIN_ABS = st.one_of(st.sampled_from([0.0, 5e-324, 1.7976931348623157e308]),
+                     st.floats(min_value=0.0, allow_infinity=False))
+_TERM_FIELDS = st.tuples(st.integers(-1, 80), st.integers(1, 79),
+                         st.sampled_from(["odd", "even"]), _MIN_ABS,
+                         st.booleans())
+
+
+@st.composite
+def _probe_reports(draw):
+    fields = draw(st.lists(_TERM_FIELDS, min_size=1, max_size=40))
+    return {"family": draw(st.sampled_from([f.value for f in Family])),
+            "H": draw(_FINITE), "B": draw(_FINITE),
+            "terms": [dict(zip(_TERM_KEYS, (k, *f)))
+                      for k, f in enumerate(fields, 1)]}
+
+
+class TestChainReportText:
+    @settings(max_examples=200, deadline=None)
+    @given(_probe_reports())
+    def test_text_is_the_json_encoding(self, report):
+        assert _chain_json(report) == \
+            json.dumps(report, indent=2, allow_nan=False) + "\n"
+
+    @settings(max_examples=50, deadline=None)
+    @given(_probe_reports(), st.sampled_from([math.nan, math.inf, -math.inf]),
+           st.data())
+    def test_non_finite_value_is_a_range_error(self, report, bad, data):
+        i = data.draw(st.integers(0, len(report["terms"]) - 1))
+        report["terms"][i]["min_abs_value"] = bad
+        with pytest.raises(RangeError):
+            _chain_json(report)
+        with pytest.raises(RangeError):
+            _json(report)
+
 
 class TestChainCommand:
     def test_probe_report(self, capsys):
@@ -516,6 +578,30 @@ class TestChainCommand:
                         digest.update(f"{rc}\0{out}\0{err}\0".encode())
             assert digest.hexdigest() == \
                 "7a1beca84dc9c802bd3d8abf9e6c16f1fd4d72b2"
+
+    def test_seeded_pool_bytes_are_pinned(self, capsys, cold_chains):
+        # Frozen bytes over a seeded pool: 17-digit B, log-uniform
+        # non-dyadic H and K up to 40, and both timelike screening roots
+        # (a SingularError). The first pass starts from an empty memo, the
+        # second finds every chain stored.
+        rng = random.Random(23)
+        roots = [repr(r) for r in singular_B(Family.LORENTZ_TIMELIKE_AXIS)]
+        pool = []
+        for _ in range(48):
+            family = rng.choice(("timelike", "spacelike", "euclid"))
+            B = repr(rng.uniform(0.05, 5))
+            if rng.random() < 0.1:
+                family, B = "timelike", rng.choice(roots)
+            pool.append(("chain", "--family", family, "--B", B, "--H",
+                         repr(10 ** rng.uniform(-3, 3)), "--upto-k",
+                         str(rng.randint(3, 40))))
+        assert {argv[4] for argv in pool} >= set(roots)
+        digest = hashlib.sha1()
+        for argv in pool + pool:
+            rc, out, err = run(capsys, *argv)
+            digest.update(f"{rc}\0{out}\0{err}\0".encode())
+        assert digest.hexdigest() == \
+            "f6349372405edb13b9b4ebe376dc58759b6ad369"
 
     def test_huge_k_stores_no_order_past_the_float_range(self, capsys,
                                                          cold_chains):

@@ -169,6 +169,38 @@ class TestDifferentiateChain:
             assert ts.num.coeffs == pytest.approx(
                 tuple(2 * c for c in tb.num.coeffs), rel=1e-14)
 
+    # Dyadic H (a unit odd part), even integers (a negative exponent) and
+    # H whose scale leaves the float range at some order (the fallback); an
+    # overridden c2 can take a product out of the range on its own.
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(list(Family)), st.floats(-1.5, 1.5),
+           st.integers(1, 40), st.one_of(
+               st.sampled_from([0.5, 1.0, 2.0 ** -30, 40.0, 1e20, 1e-150,
+                                1e150, 1e-300, 1e300, 5e-324]),
+               st.floats(-3, 3).map(lambda x: 10.0 ** x)),
+           st.sampled_from([1.0, 1.0, 1.0, 0.0, 1e-300, 1e300]))
+    def test_coefficients_are_the_exact_scale_at_h_rounded(self, family,
+                                                           log_b, K, H, c2):
+        try:
+            cfg = config(family, 10.0 ** log_b, H)
+        except (SingularError, DomainError):
+            assume(False)
+        cfg = cfg._replace(c2=c2 * cfg.c2)
+        want = []
+        try:
+            for k, num, scale, _ in _rows_at_h(cfg, K):
+                want.append(Poly([0.0] if cfg.c2 == 0.0 else [
+                    wp_chain._true_coefficient(
+                        k, i, cfg.c2, cfg.lam, 2 * k - 2 + i, x, scale)
+                    for i, x in enumerate(num.coeffs)]).coeffs)
+        except RangeError as exc:
+            want = str(exc)
+        try:
+            got = [t.num.coeffs for t in differentiate_chain(cfg, K)]
+        except RangeError as exc:
+            got = str(exc)
+        assert got == want
+
 
 def _q_lambda_chain(family, B, H, upto_k):
     """The chain at (family, B, H) run directly in P over Q(lam)."""
@@ -184,6 +216,14 @@ def _q_lambda_chain(family, B, H, upto_k):
                               field.element(1), upto_k)
 
 
+def _rows_at_h(cfg, upto_k):
+    """The orders of _exact_chain at cfg.H: order k's scale at H = 1/2
+    times (2H)^-(k-1)."""
+    h2 = 2 * Fraction(cfg.H)
+    return [(k, num, scale / h2 ** (k - 1), prime)
+            for k, num, scale, prime in _exact_chain(cfg, upto_k)]
+
+
 def _assert_graded_chain_is(cfg, field, oracle):
     # The integer chain in X = lam*P, each X^i coefficient times its order's
     # scale and times lam^(2k-2+i), must equal the chain run directly in P
@@ -193,7 +233,7 @@ def _assert_graded_chain_is(cfg, field, oracle):
     # rounded 4/n of the exact reduction through the same real_cbrt.
     _, _, _, n = _shift_and_depress(cfg.family, Fraction(cfg.B))
     assert cfg.lam == real_cbrt(float(4 / n))
-    rows = list(_exact_chain(cfg, len(oracle)))
+    rows = _rows_at_h(cfg, len(oracle))
     assert len(rows) == len(oracle)
     powers = [field.element(1)]
     for _ in range(64):
@@ -296,7 +336,7 @@ class TestChainMemo:
         # memoized numerators and scales are the ones a chain run at H gives.
         for H in (1e-3, 0.3, 0.5, 1.7, 20.0):
             cfg = config(Family.LORENTZ_TIMELIKE_AXIS, 2.3, H)
-            assert list(_exact_chain(cfg, 9)) == _chain_at_own_h(cfg, 9)
+            assert _rows_at_h(cfg, 9) == _chain_at_own_h(cfg, 9)
 
     def test_least_recently_used_chain_is_evicted(self, cold_chains):
         n = wp_chain._KEPT_CHAINS
@@ -305,7 +345,7 @@ class TestChainMemo:
 
         def misses(i):
             before = cold_chains.cache_info().misses
-            assert list(_exact_chain(cfgs[i], 3)) == \
+            assert _rows_at_h(cfgs[i], 3) == \
                 _chain_at_own_h(cfgs[i], 3)
             return cold_chains.cache_info().misses - before
 
@@ -372,7 +412,7 @@ def _mp_chain_values(cfg, upto_k, p, pp):
     B, H2 = Fraction(cfg.B), 2 * Fraction(cfg.H)
     c, _, _, n = _shift_and_depress(cfg.family, B)
     p_fam, _, sign = _family_constants(cfg.family, c, B)
-    chain = _exact_chain(cfg, upto_k)
+    chain = _rows_at_h(cfg, upto_k)
     with mp.workdps(50):
         def mpq(x):
             return mp.mpf(x.numerator) / x.denominator
