@@ -45,7 +45,6 @@ from .weierstrass import WpEvaluator
 
 # Relative size of alpha + beta*P below which a point counts as on the pole.
 _NEAR_POLE = 1e-12
-_TINY = 2.2250738585072014e-308  # the least positive normal float
 
 
 class ChainConfig(NamedTuple):
@@ -236,10 +235,10 @@ def differentiate_chain(cfg: ChainConfig, upto_k: int) -> list[ChainTerm]:
 
     Each numerator coefficient is cfg.c2 times the graded exact one, rounded
     once as each order arrives; RangeError at the first one with no float
-    value, which is the only bound on upto_k. With 2H = m*2^-e, m odd, it
-    is x*scale/m^(k-1) at H = 1/2 times 2^(e(k-1)): an int division and an
-    exact ldexp while both are normal floats, else _true_coefficient. cfg.c2
-    may be overridden (e.g. the c2 = 0 degenerate control): the chain scales
+    value, which is the only bound on upto_k. With 2H = m*2^-e, m odd, the
+    scale num/den of order k at H = 1/2 is num*2^(e(k-1)) / (den*m^(k-1))
+    at H, two ints that _true_coefficient divides once. cfg.c2 may be
+    overridden (e.g. the c2 = 0 degenerate control): the chain scales
     linearly with it. Other fields must come from chain_config.
     """
     if upto_k < 1:
@@ -249,44 +248,36 @@ def differentiate_chain(cfg: ChainConfig, upto_k: int) -> list[ChainTerm]:
     c2, lam, mk = cfg.c2, cfg.lam, 1  # mk = m^(k-1)
     terms = []
     for k, num, scale, has_prime in _exact_chain(cfg, upto_k):
-        sn, sd, shift = scale.numerator, scale.denominator * mk, e * (k - 1)
+        shift = e * (k - 1)
+        sn = scale.numerator << max(shift, 0)
+        sd = scale.denominator * mk << max(-shift, 0)
         mk *= m
-        coeffs = []
-        for i, x in enumerate(num.coeffs if c2 != 0.0 else ()):
-            power = 2 * k - 2 + i
-            try:
-                q = x * sn / sd
-                v = math.ldexp(q, shift)
-                value = c2 * lam ** power * v
-                if math.isfinite(value) and (x == 0 or value != 0.0 and
-                                             min(abs(q), abs(v)) >= _TINY):
-                    coeffs.append(value)
-                    continue
-            except OverflowError:
-                pass
-            exact = Fraction(sn, sd) * Fraction(2) ** shift
-            coeffs.append(_true_coefficient(k, i, c2, lam, power, x, exact))
-        terms.append(ChainTerm(k, _poly(coeffs or [0.0]), has_prime))
+        coeffs = [0.0] if c2 == 0.0 else [
+            _true_coefficient(k, i, c2, lam, 2 * k - 2 + i, x, sn, sd)
+            for i, x in enumerate(num.coeffs)]
+        terms.append(ChainTerm(k, _poly(coeffs), has_prime))
     return terms
 
 
 def _true_coefficient(k: int, i: int, c2: float, lam: float, power: int,
-                      x: int, scale: Fraction) -> float:
-    """c2 * lam**power * x*scale as a float; RangeError when it has no float
-    value.
+                      x: int, num: int, den: int) -> float:
+    """c2 * lam**power * x*num/den as a float; RangeError when it has no
+    float value.
 
-    x*scale is the exact coefficient, rounded once by int true division. The
-    float product serves unless it overflows, or underflows to zero while x
-    does not vanish. Then the exact product decides, so that a nonzero
-    coefficient never rounds to 0.0 or inf.
+    x*num/den is the exact coefficient, rounded once by int true division,
+    which is correct in the subnormal range too. The float product serves
+    unless it overflows, or underflows to zero while x does not vanish.
+    Then the exact product decides, so that a nonzero coefficient never
+    rounds to 0.0 or inf.
     """
     try:
-        value = c2 * lam ** power * (x * scale.numerator / scale.denominator)
+        value = c2 * lam ** power * (x * num / den)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value) or (value == 0.0 and x != 0):
         try:
-            value = float(Fraction(c2) * Fraction(lam) ** power * x * scale)
+            value = float(Fraction(c2) * Fraction(lam) ** power *
+                          Fraction(x * num, den))
         except OverflowError:
             value = math.inf
         if math.isinf(value) or (value == 0.0 and x != 0):

@@ -24,11 +24,13 @@ from hypothesis import strategies as st
 
 import cmc_elliptic
 from cmc_elliptic import wp_chain
-from cmc_elliptic.cli_io import _build_parser, _chain_json, _json, main
-from cmc_elliptic.elliptic_reduction import singular_B
-from cmc_elliptic.errors import RangeError
+from cmc_elliptic.cli_io import (_build_parser, _chain_json, _family, _json,
+                                 main)
+from cmc_elliptic.elliptic_reduction import reduce, singular_B
+from cmc_elliptic.errors import RangeError, SingularError
 from cmc_elliptic.profiles import (CmcParams, Family, domain, mesh,
                                    surface_point)
+from cmc_elliptic.wp_chain import chain_config, polynomiality_probe
 
 
 def run(capsys, *argv):
@@ -509,7 +511,41 @@ def _probe_reports(draw):
                       for k, f in enumerate(fields, 1)]}
 
 
+def _seeded_chain_pool():
+    """48 chain argvs from random.Random(23): 17-digit B in (0.05, 5), about
+    one in ten a timelike screening root, log-uniform H in [1e-3, 1e3] and
+    K from 3 to 40."""
+    rng = random.Random(23)
+    roots = [repr(r) for r in singular_B(Family.LORENTZ_TIMELIKE_AXIS)]
+    pool = []
+    for _ in range(48):
+        family = rng.choice(("timelike", "spacelike", "euclid"))
+        B = repr(rng.uniform(0.05, 5))
+        if rng.random() < 0.1:
+            family, B = "timelike", rng.choice(roots)
+        pool.append(("chain", "--family", family, "--B", B, "--H",
+                     repr(10 ** rng.uniform(-3, 3)), "--upto-k",
+                     str(rng.randint(3, 40))))
+    return pool
+
+
 class TestChainReportText:
+    def test_probe_reports_are_the_json_encoding(self):
+        # Real reports, so a key that polynomiality_probe adds or renames
+        # and _chain_json leaves out fails here.
+        checked = 0
+        for argv in _seeded_chain_pool():
+            args = _build_parser().parse_args(argv)
+            try:
+                cfg = chain_config(reduce(_family(args.family), args.B),
+                                   args.H)
+            except SingularError:
+                continue
+            report = polynomiality_probe(cfg, args.upto_k)
+            assert _chain_json(report) == _json(report)
+            checked += 1
+        assert checked > 40
+
     @settings(max_examples=200, deadline=None)
     @given(_probe_reports())
     def test_text_is_the_json_encoding(self, report):
@@ -584,17 +620,8 @@ class TestChainCommand:
         # non-dyadic H and K up to 40, and both timelike screening roots
         # (a SingularError). The first pass starts from an empty memo, the
         # second finds every chain stored.
-        rng = random.Random(23)
+        pool = _seeded_chain_pool()
         roots = [repr(r) for r in singular_B(Family.LORENTZ_TIMELIKE_AXIS)]
-        pool = []
-        for _ in range(48):
-            family = rng.choice(("timelike", "spacelike", "euclid"))
-            B = repr(rng.uniform(0.05, 5))
-            if rng.random() < 0.1:
-                family, B = "timelike", rng.choice(roots)
-            pool.append(("chain", "--family", family, "--B", B, "--H",
-                         repr(10 ** rng.uniform(-3, 3)), "--upto-k",
-                         str(rng.randint(3, 40))))
         assert {argv[4] for argv in pool} >= set(roots)
         digest = hashlib.sha1()
         for argv in pool + pool:

@@ -153,13 +153,15 @@ class TestDifferentiateChain:
     ])
     def test_true_coefficient_falls_back_to_the_exact_product(self, c2, x,
                                                               scale):
-        assert wp_chain._true_coefficient(1, 0, c2, 2.0, 1, x, scale) == \
+        assert wp_chain._true_coefficient(
+            1, 0, c2, 2.0, 1, x, scale.numerator, scale.denominator) == \
             float(Fraction(c2) * 2 * x * scale)
 
     @pytest.mark.parametrize("cc", [Fraction(10 ** 400), Fraction(1, 10 ** 400)])
     def test_unrepresentable_true_coefficient_is_a_range_error(self, cc):
         with pytest.raises(RangeError, match="chain step 3"):
-            wp_chain._true_coefficient(3, 0, 1.0, 2.0, 1, 1, cc)
+            wp_chain._true_coefficient(3, 0, 1.0, 2.0, 1, 1, cc.numerator,
+                                       cc.denominator)
 
     def test_c2_scales_chain_linearly(self, cfg_t2):
         doubled = cfg_t2._replace(c2=2 * cfg_t2.c2)
@@ -170,8 +172,9 @@ class TestDifferentiateChain:
                 tuple(2 * c for c in tb.num.coeffs), rel=1e-14)
 
     # Dyadic H (a unit odd part), even integers (a negative exponent) and
-    # H whose scale leaves the float range at some order (the fallback); an
-    # overridden c2 can take a product out of the range on its own.
+    # H whose scale leaves the float range at some order (the exact
+    # product); an overridden c2 can take a product out of the range on its
+    # own.
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(list(Family)), st.floats(-1.5, 1.5),
            st.integers(1, 40), st.one_of(
@@ -191,7 +194,8 @@ class TestDifferentiateChain:
             for k, num, scale, _ in _rows_at_h(cfg, K):
                 want.append(Poly([0.0] if cfg.c2 == 0.0 else [
                     wp_chain._true_coefficient(
-                        k, i, cfg.c2, cfg.lam, 2 * k - 2 + i, x, scale)
+                        k, i, cfg.c2, cfg.lam, 2 * k - 2 + i, x,
+                        scale.numerator, scale.denominator)
                     for i, x in enumerate(num.coeffs)]).coeffs)
         except RangeError as exc:
             want = str(exc)
