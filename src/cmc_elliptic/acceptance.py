@@ -21,8 +21,8 @@ from .elliptic_reduction import (discriminant_poly, isolation_seconds,
 from .profiles import CmcParams, Family
 from .weierstrass import WpEvaluator
 from .wp_chain import (_path_axis, _path_parameter, chain_config,
-                       curve_from_wp, differentiate_chain, eval_chain_term,
-                       polynomiality_probe)
+                       curve_points_from_wp, differentiate_chain,
+                       eval_chain_term, polynomiality_probe)
 
 
 class CriterionResult(NamedTuple):
@@ -253,17 +253,17 @@ def criterion_7() -> CriterionResult:
 # 8: wp identities
 
 
-def _series_tail(ev: WpEvaluator, z: float) -> float:
+def _series_tail(coeffs: list[float], z: float) -> float:
     """Term-wise second derivative of the Laurent tail (valid for |z| < r0).
 
-    The full series derivative is 6/z^4 plus this tail; the lowest tail term
-    is (2k-2)(2k-3) c_k z^(2k-4) at k=2, a constant.
+    The full series derivative is 6/z^4 plus this tail, Horner's sum of
+    coeffs = (2k-2)(2k-3) c_k for k = 25..2; the lowest tail term is
+    (2k-2)(2k-3) c_k z^(2k-4) at k=2, a constant.
     """
     v = z * z
     acc = 0.0
-    for k in range(len(ev.laurent) + 1, 1, -1):
-        ck = ev.laurent[k - 2]
-        acc = acc * v + (2 * k - 2) * (2 * k - 3) * ck
+    for c in coeffs:
+        acc = acc * v + c
     return acc
 
 
@@ -282,11 +282,14 @@ def criterion_8() -> CriterionResult:
                 scale = max(1.0, abs(4.0 * p ** 3), abs(data.g2 * p),
                             abs(data.g3))
                 worst_ode = max(worst_ode, abs(pp * pp - cubic) / scale)
-            # Second-derivative identity against the raw series.
+            # Second-derivative identity against the raw series, whose
+            # coefficients come from ev.laurent, not the evaluator's terms.
+            tail = [(2 * k - 2) * (2 * k - 3) * ev.laurent[k - 2]
+                    for k in range(len(ev.laurent) + 1, 1, -1)]
             for i in range(50):
                 z = ev.r0 * (0.02 + 0.96 * i / 49)
                 p, _ = ev.wp(z)
-                lhs = 6.0 / z ** 4 + _series_tail(ev, z)
+                lhs = 6.0 / z ** 4 + _series_tail(tail, z)
                 rhs = 6.0 * p * p - data.g2 / 2.0
                 scale = max(1.0, abs(rhs))
                 worst_second = max(worst_second, abs(lhs - rhs) / scale)
@@ -317,10 +320,9 @@ def criterion_9() -> CriterionResult:
         params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, H, B)
         cfg = chain_config(reduce(params.family, B), H)
         base = profiles.anchor(params)
-        for i in range(20):
-            s = base + 0.05 + (1.5 - 0.05) * i / 19
-            x_c, z_c = curve_from_wp(cfg, params, s)
-            ref = profiles.profile_point(params, s)
+        grid = [base + 0.05 + (1.5 - 0.05) * i / 19 for i in range(20)]
+        for (x_c, z_c), ref in zip(curve_points_from_wp(cfg, params, grid),
+                                   profiles.profile_points(params, grid)):
             worst_x = max(worst_x, abs(x_c - ref.x))
             worst_z = max(worst_z, abs(z_c - ref.second))
     dt = time.perf_counter() - t0

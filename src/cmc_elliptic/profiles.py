@@ -19,6 +19,7 @@ of incomplete elliptic integrals, evaluated in Carlson's symmetric form
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections import namedtuple
 from typing import Callable, NamedTuple, Sequence
@@ -86,8 +87,13 @@ class SurfaceMesh(NamedTuple):
 # Domains
 
 
+@functools.lru_cache(maxsize=128)
 def domain(params: CmcParams) -> SInterval:
-    """Maximal open s-interval (around the base point) with positive radicand."""
+    """Maximal open s-interval (around the base point) with positive radicand.
+
+    Memoized, as CmcParams and SInterval are immutable; an EmptyDomainError
+    is not cached, so every call raises it.
+    """
     H, B = params.H, params.B
     if params.family is Family.EUCLIDEAN:
         if B == 1.0:

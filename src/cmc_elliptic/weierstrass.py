@@ -29,11 +29,13 @@ _N_LAURENT = 24  # series coefficients c_2..c_25
 _MAX_DUPLICATIONS = 12
 
 
-def _laurent_table() -> tuple[tuple[tuple[int, int, float], ...], ...]:
-    """Rows (a, 13 + b, q) of c_4..c_25 = sum q * g2^a * g3^b, 2a + 3b = k:
+def _laurent_table() -> tuple[tuple[tuple, float, float], ...]:
+    """Rows (monomials, 2k - 2, 2k - 1) of c_4..c_25, the monomials
+    (a, 13 + b, q) of c_k = sum q * g2^a * g3^b, 2a + 3b = k:
     c_k = 3/((2k+1)(k-3)) sum_{m=2}^{k-2} c_m c_(k-m) over integer numerators
     keyed by b, one denominator per order, so each q > 0 is rounded once; b
-    is offset past the powers g2^0..g2^12 to index one power list."""
+    is offset past the powers g2^0..g2^12 to index one power list. The two
+    factors form the P' and zeta series terms of c_k."""
     c = {2: ({0: 1}, 20), 3: ({1: 1}, 28)}  # c_2 = g2/20, c_3 = g3/28
     for k in range(4, _N_LAURENT + 2):
         pairs = [(c[m], c[k - m]) for m in range(2, k - 1)]
@@ -45,12 +47,15 @@ def _laurent_table() -> tuple[tuple[tuple[int, int, float], ...], ...]:
                 for b2, x2 in n2.items():
                     num[b1 + b2] = num.get(b1 + b2, 0) + f * x1 * x2
         c[k] = (num, den * (2 * k + 1) * (k - 3))
-    return tuple(tuple(((k - 3 * b) // 2, 13 + b, x / d)
-                       for b, x in sorted(n.items(), reverse=True))
+    return tuple((tuple(((k - 3 * b) // 2, 13 + b, x / d)
+                        for b, x in sorted(n.items(), reverse=True)),
+                  2.0 * k - 2, 2.0 * k - 1)
                  for k, (n, d) in c.items() if k > 3)
 
 
 _LAURENT_TABLE = _laurent_table()
+# 1/(2k) for the orders k = 14..25 that estimate the series radius.
+_RADIUS_EXPONENTS = tuple(1.0 / (2.0 * k) for k in range(14, _N_LAURENT + 2))
 
 
 class WpEvaluator:
@@ -66,7 +71,7 @@ class WpEvaluator:
         if abs(self.disc) <= 1e-14 * scale:
             raise SingularError(
                 f"discriminant {self.disc!r} vanishes; the P-function does not exist")
-        self.laurent = self._laurent_coeffs()
+        self.laurent, self._horner = self._laurent_coeffs()
         self.r0 = self._series_radius()
         self.e_max = self._largest_cubic_root()
         # The other two roots, from the cubic deflated by e_max: their
@@ -87,17 +92,23 @@ class WpEvaluator:
 
     # -- construction helpers ------------------------------------------------
 
-    def _laurent_coeffs(self) -> tuple[float, ...]:
-        """Coefficients c_2..c_25 of P(z) = 1/z^2 + sum c_k z^(2k-2)."""
+    def _laurent_coeffs(self) -> tuple[tuple[float, ...], tuple]:
+        """Coefficients c_2..c_25 of P(z) = 1/z^2 + sum c_k z^(2k-2), and
+        the Horner terms (c_k, (2k-2) c_k, c_k/(2k-1)) of P, P' and zeta,
+        k = 25..2, formed as each c_k is."""
         pw = [*accumulate([1.0] + [self.g2] * 12, mul),
               *accumulate([1.0] + [self.g3] * 8, mul)]
-        out = [self.g2 / 20.0, self.g3 / 28.0]
-        for row in _LAURENT_TABLE:
+        c2, c3 = self.g2 / 20.0, self.g3 / 28.0
+        out = [c2, c3]
+        terms = [(c2, 2.0 * c2, c2 / 3.0), (c3, 4.0 * c3, c3 / 5.0)]
+        for row, dk, zk in _LAURENT_TABLE:
             acc = 0.0
             for a, b, q in row:
                 acc += q * pw[a] * pw[b]
             out.append(acc)
-        return tuple(out)
+            terms.append((acc, dk * acc, acc / zk))
+        terms.reverse()
+        return tuple(out), tuple(terms)
 
     def _series_radius(self) -> float:
         """Radius on which 24 Laurent terms are accurate to ~1e-15.
@@ -108,9 +119,8 @@ class WpEvaluator:
         """
         if not all(map(math.isfinite, self.laurent)):  # none past the range
             return 0.0
-        gamma = 0.0
-        for k in range(14, _N_LAURENT + 2):
-            gamma = max(gamma, abs(self.laurent[k - 2]) ** (1.0 / (2.0 * k)))
+        gamma = max(abs(c) ** e
+                    for c, e in zip(self.laurent[12:], _RADIUS_EXPONENTS))
         if gamma == 0.0:
             return 0.5
         return 0.5 / gamma
@@ -139,14 +149,11 @@ class WpEvaluator:
 
     def _series(self, u: float) -> tuple[float, float, float]:
         v = u * u
-        p_tail = 0.0
-        dp_tail = 0.0
-        zeta_tail = 0.0
-        for k in range(_N_LAURENT + 1, 1, -1):
-            ck = self.laurent[k - 2]
+        p_tail = dp_tail = zeta_tail = 0.0
+        for ck, dk, zk in self._horner:
             p_tail = p_tail * v + ck
-            dp_tail = dp_tail * v + (2 * k - 2) * ck
-            zeta_tail = zeta_tail * v + ck / (2 * k - 1)
+            dp_tail = dp_tail * v + dk
+            zeta_tail = zeta_tail * v + zk
         # p = 1/v + v * p_tail_as_series: c_k v^(k-1) = v * (c_k v^(k-2))
         p = 1.0 / v + v * p_tail
         pp = -2.0 / (v * u) + u * dp_tail

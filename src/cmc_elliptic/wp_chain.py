@@ -33,7 +33,7 @@ import functools
 import math
 import threading
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import profiles
 from ._ratpoly import Poly, _poly
@@ -340,13 +340,16 @@ def _path_axis(cfg: ChainConfig, ev: WpEvaluator, t0: float,
     return cfg.alpha * (t - t0) + cfg.beta * ev.wp_integral(t0, t)
 
 
-def curve_from_wp(cfg: ChainConfig, params: CmcParams,
-                  s: float) -> tuple[float, float]:
-    """(radius, axis) at arc length s, reconstructed through the P path.
+def curve_points_from_wp(cfg: ChainConfig, params: CmcParams,
+                         s_grid: Sequence[float]) -> list[tuple[float, float]]:
+    """(radius, axis) at each arc length of s_grid through the P path.
 
-    Must agree with profiles.profile_point up to the axis translation fixed
-    by the shared anchor. The parameter map is ``_path_parameter``; the axis
-    coordinate integrates forward from the anchor.
+    Must agree with profiles.profile_points up to the axis translation fixed
+    by the shared anchor. Every sample is checked against the domain first;
+    one evaluator and one anchor parameter t0 then serve the grid. The
+    parameter map is ``_path_parameter``; the axis coordinate integrates
+    forward from the anchor. t0 follows the first sample's t, so one sample
+    fails in the order params, domain, evaluator, t(s), t0, radicand.
     """
     if params.family is not cfg.family:
         raise DomainError(
@@ -355,18 +358,31 @@ def curve_from_wp(cfg: ChainConfig, params: CmcParams,
     if abs(params.H - cfg.H) > 1e-12 * cfg.H or \
             abs(params.B - cfg.B) > 1e-12 * max(1.0, cfg.B):
         raise DomainError("params (H, B) do not match the configuration")
+    grid = list(s_grid)
     dom = profiles.domain(params)
-    if not dom.contains(s):
-        raise DomainError(f"s={s!r} outside the profile domain")
+    for s in grid:
+        if not dom.contains(s):
+            raise DomainError(f"s={s!r} outside the profile domain")
     ev = WpEvaluator(cfg.g2, cfg.g3)
-    t, p = _path_parameter(cfg, ev, s)
-    t0, _ = _path_parameter(cfg, ev, profiles.anchor(params))
-    radicand = cfg.c1 + cfg.c2 * p
-    if radicand < 0:
-        raise DomainError(
-            f"negative squared radius {radicand!r}: s={s!r} is off the branch")
-    x = math.sqrt(radicand) / (2.0 * cfg.H)
-    return x, _path_axis(cfg, ev, t0, t)
+    t0, out = None, []
+    for s in grid:
+        t, p = _path_parameter(cfg, ev, s)
+        if t0 is None:
+            t0, _ = _path_parameter(cfg, ev, profiles.anchor(params))
+        radicand = cfg.c1 + cfg.c2 * p
+        if radicand < 0:
+            raise DomainError(f"negative squared radius {radicand!r}: "
+                              f"s={s!r} is off the branch")
+        out.append((math.sqrt(radicand) / (2.0 * cfg.H),
+                    _path_axis(cfg, ev, t0, t)))
+    return out
+
+
+def curve_from_wp(cfg: ChainConfig, params: CmcParams,
+                  s: float) -> tuple[float, float]:
+    """(radius, axis) at arc length s: the one-sample
+    ``curve_points_from_wp``."""
+    return curve_points_from_wp(cfg, params, [s])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,14 @@ are meant to: the point of the gate is an honest scorecard, so nothing
 here is loosened to force green. Run with -s to see every line.
 """
 
+import hashlib
+import re
 import time
 
 import pytest
 
 from cmc_elliptic import acceptance, elliptic_reduction
+from cmc_elliptic.weierstrass import WpEvaluator
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +42,30 @@ def test_scorecard_structure(results, capsys):
     assert len(lines) == 12
     assert all(l.startswith(("PASS", "FAIL")) for l in lines[:11])
     assert lines[11].endswith("criteria passed")
+
+
+def test_scorecard_text_is_pinned(results):
+    # Every detail line, with the timings masked; pinned before criteria 8
+    # and 9 shared their set-up across samples.
+    text = re.sub(r"in \d+\.\d+s", "in #s", acceptance.format_results(results))
+    assert hashlib.sha1(text.encode()).hexdigest() == \
+        "e4c5140ebb7e4ae38ceb3f12597a613729612a15"
+
+
+def test_evaluators_per_criterion(monkeypatch):
+    # 17 per scorecard, one per lattice: criterion 8 checks two per
+    # configuration, criterion 9 one per grid, criterion 10 two, once the
+    # chain memo holds its probe points.
+    acceptance.criterion_10()
+    init, built = WpEvaluator.__init__, []
+    monkeypatch.setattr(WpEvaluator, "__init__",
+                        lambda ev, *a: built.append(a) or init(ev, *a))
+    counts = {}
+    for n in range(1, 11):
+        del built[:]
+        getattr(acceptance, f"criterion_{n}")()
+        counts[n] = len(built)
+    assert counts == {**dict.fromkeys(range(1, 8), 0), 8: 12, 9: 3, 10: 2}
 
 
 def test_root_time_gate_keeps_the_first_isolation_time(monkeypatch):

@@ -12,6 +12,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmc_elliptic.cli_io import main
 from cmc_elliptic.profiles import (CmcParams, Family, anchor, domain, mesh,
@@ -140,14 +142,30 @@ class TestGridOrder:
         for s, x, *_ in rows:
             assert abs(x - axis_reference(params, s)) <= TOL
 
-    def test_grid_point_equals_single_point(self):
-        params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.7, 2.0)
-        grid = [0.1 * i for i in range(1, 12)]
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(list(Family)), st.floats(0.1, 3.0),
+           st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                     st.floats(1e-3, 3.0)),
+           st.lists(st.floats(1e-3, 0.999), max_size=8))
+    def test_grid_point_equals_single_point(self, family, H, B, fractions):
+        """Every sample of a grid is its one-point sample, bit for bit."""
+        if family is Family.LORENTZ_TIMELIKE_AXIS:
+            assume(B >= 0.05)
+        params = CmcParams(family, H, B)
+        dom = domain(params)
+        assume(not dom.degenerate)
+        # Inside the domain: a fraction of a finite width, else of 3/H from
+        # a finite edge (timelike) or around 0.
+        if math.isfinite(dom.lo) and math.isfinite(dom.hi):
+            grid = [dom.lo + f * (dom.hi - dom.lo) for f in fractions]
+        elif math.isfinite(dom.lo):
+            grid = [dom.lo + f * 3.0 / H for f in fractions]
+        else:
+            grid = [(f - 0.5) * 6.0 / H for f in fractions]
+        grid = [s for s in grid if dom.contains(s)]
         for cs in profile_points(params, grid):
             single = profile_point(params, cs.s)
-            assert cs.second == pytest.approx(single.second, rel=1e-12)
-            assert (cs.x, cs.dx, cs.dsecond) == (single.x, single.dx,
-                                                 single.dsecond)
+            assert list(map(float.hex, cs)) == list(map(float.hex, single))
 
 
 class TestFarEuclideanWindow:

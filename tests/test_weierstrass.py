@@ -7,6 +7,8 @@ and root-finding (no Laurent series, no duplication), then rounded here.
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import mpmath as mp
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from cmc_elliptic.elliptic_reduction import reduce
 from cmc_elliptic.errors import (AccuracyError, BranchError, DomainError,
                                  PoleError, SingularError)
+from cmc_elliptic import weierstrass
 from cmc_elliptic.profiles import Family
 from cmc_elliptic.weierstrass import WpEvaluator
 
@@ -194,6 +197,53 @@ class TestWp:
             p_minus, pp_minus = ev_a.wp(-z)
             assert abs(p_plus - p_minus) < 1e-12 * max(1.0, abs(p_plus))
             assert abs(pp_plus + pp_minus) < 1e-12 * max(1.0, abs(pp_plus))
+
+    # Lattices with three real roots (disc > 0) and with a complex pair.
+    _LATTICE = st.one_of(
+        st.builds(lambda g2, t: (g2, t * math.sqrt(g2 ** 3 / 27)),
+                  st.floats(0.01, 10.0), st.floats(-0.99, 0.99)),
+        st.builds(lambda g2, d, sign: (
+            g2, sign * (math.sqrt(max(g2, 0.0) ** 3 / 27) + d)),
+            st.floats(-10.0, 10.0), st.floats(0.01, 5.0),
+            st.sampled_from([1.0, -1.0])))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_LATTICE, st.floats(-1.0, 1.0).filter(lambda f: abs(f) >= 1e-3))
+    def test_series_over_stored_terms_is_the_per_term_sum(self, lattice,
+                                                          frac):
+        """ev.laurent is the table sum, the stored Horner terms are
+        (c_k, (2k-2) c_k, c_k/(2k-1)) of it, and _series is Horner's sum
+        over them, bit for bit, for u of either sign."""
+        g2, g3 = lattice
+        try:
+            ev = WpEvaluator(g2, g3)
+        except SingularError:
+            reject()
+        pw = [*accumulate([1.0] + [g2] * 12, mul),
+              *accumulate([1.0] + [g3] * 8, mul)]
+        laurent = [g2 / 20.0, g3 / 28.0]
+        for row, _, _ in weierstrass._LAURENT_TABLE:
+            acc = 0.0
+            for a, b, q in row:
+                acc += q * pw[a] * pw[b]
+            laurent.append(acc)
+        assert list(map(float.hex, ev.laurent)) == \
+            list(map(float.hex, laurent))
+        terms = [(laurent[k - 2], (2 * k - 2) * laurent[k - 2],
+                  laurent[k - 2] / (2 * k - 1)) for k in range(25, 1, -1)]
+        assert [list(map(float.hex, t)) for t in ev._horner] == \
+            [list(map(float.hex, t)) for t in terms]
+        u = frac * ev.r0
+        v = u * u
+        p_tail = dp_tail = zeta_tail = 0.0
+        for ck, dk, zk in terms:
+            p_tail = p_tail * v + ck
+            dp_tail = dp_tail * v + dk
+            zeta_tail = zeta_tail * v + zk
+        want = (1.0 / v + v * p_tail, -2.0 / (v * u) + u * dp_tail,
+                1.0 / u - v * u * zeta_tail)
+        assert list(map(float.hex, ev._series(u))) == \
+            list(map(float.hex, want))
 
     def test_duplication_matches_direct_series(self, ev_a):
         for z in (0.15, 0.3, 0.55):

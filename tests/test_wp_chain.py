@@ -535,6 +535,37 @@ class TestCurveFromWp:
             assert abs(x - ref) <= 1e-14 * ref
         assert wp_calls == [] and len(rf_calls) == 2 * 20
 
+    def test_grid_builds_one_evaluator_and_one_anchor_inverse(
+            self, monkeypatch, cfg_t2):
+        params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.5, 2.0)
+        grid = [0.05 + (1.5 - 0.05) * i / 19 for i in range(20)]
+        rf, init = weierstrass.rf, WpEvaluator.__init__
+        rf_calls, evaluators = [], []
+        monkeypatch.setattr(weierstrass, "rf",
+                            lambda *a: rf_calls.append(a) or rf(*a))
+        monkeypatch.setattr(WpEvaluator, "__init__",
+                            lambda ev, *a: evaluators.append(a) or init(ev, *a))
+        wp_chain.curve_points_from_wp(cfg_t2, params, grid)
+        assert len(evaluators) == 1 and len(rf_calls) == 20 + 1
+
+    # Timelike B on both sides of 1; below it the anchor sits at the edge.
+    @settings(max_examples=80, deadline=None)
+    @given(st.floats(0.25, 2.0),
+           st.one_of(st.sampled_from([0.5, 0.8, 2.0]), st.floats(0.1, 3.0)),
+           st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+                    max_size=8))
+    def test_grid_equals_its_one_point_form(self, H, B, offsets):
+        try:
+            cfg = config(Family.LORENTZ_TIMELIKE_AXIS, B, H)
+        except SingularError:
+            assume(False)
+        params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, H, B)
+        grid = [anchor(params) + off / H for off in offsets]  # 0: the anchor
+        got = wp_chain.curve_points_from_wp(cfg, params, grid)
+        want = [curve_from_wp(cfg, params, s) for s in grid]
+        assert [(x.hex(), z.hex()) for x, z in got] == \
+            [(x.hex(), z.hex()) for x, z in want]
+
     def test_anchor_maps_to_zero_axis(self, cfg_t2):
         params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.5, 2.0)
         x, z = curve_from_wp(cfg_t2, params, anchor(params))
@@ -542,24 +573,43 @@ class TestCurveFromWp:
         assert x == pytest.approx(profile_point(params, anchor(params)).x, rel=1e-12)
 
     def test_parameter_mismatch_rejected(self, cfg_t2):
-        with pytest.raises(DomainError):
-            curve_from_wp(cfg_t2, CmcParams(Family.EUCLIDEAN, 0.5, 2.0), 0.5)
-        with pytest.raises(DomainError):
-            curve_from_wp(cfg_t2, CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.5, 2.1), 0.5)
+        assert_one_point_raises(
+            cfg_t2, CmcParams(Family.EUCLIDEAN, 0.5, 2.0), 0.5, DomainError,
+            "params family 'euclidean' does not match the configuration "
+            "family 'timelike-axis'")
+        assert_one_point_raises(
+            cfg_t2, CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.5, 2.1), 0.5,
+            DomainError, "params (H, B) do not match the configuration")
 
     def test_out_of_domain_rejected(self, cfg_t2):
         params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.5, 2.0)
         s_min = math.asinh((1 - 4.0) / 4.0)  # domain edge for B=2, 2H=1
-        with pytest.raises(DomainError):
-            curve_from_wp(cfg_t2, params, s_min - 0.1)
+        assert_one_point_raises(cfg_t2, params, s_min - 0.1, DomainError,
+                                f"s={s_min - 0.1!r} outside the profile domain")
 
     def test_bounded_branch_families_propagate_branch_error(self):
         # The spacelike/Euclidean physical interval maps between the two
         # lower branch points, off the real P branch.
-        cfg = config(Family.LORENTZ_SPACELIKE_AXIS, 0.5, 0.5)
-        params = CmcParams(Family.LORENTZ_SPACELIKE_AXIS, 0.5, 0.5)
-        with pytest.raises(BranchError):
-            curve_from_wp(cfg, params, 0.1)
+        for family, B, H, s, message in [
+            (Family.LORENTZ_SPACELIKE_AXIS, 0.5, 0.5, 0.1,
+             "w=-0.37062940122136384 below the real branch "
+             "(e_max=0.8924440770088684)"),
+            (Family.EUCLIDEAN, 0.5, 1.0, 0.3,
+             "w=-0.6181860210089875 below the real branch "
+             "(e_max=0.5249671041228636)")]:
+            assert_one_point_raises(config(family, B, H),
+                                    CmcParams(family, H, B), s, BranchError,
+                                    message)
+
+
+def assert_one_point_raises(cfg, params, s, error, message):
+    """curve_from_wp at s and the one-sample grid [s] raise the same error,
+    with the same message."""
+    for call in (lambda: curve_from_wp(cfg, params, s),
+                 lambda: wp_chain.curve_points_from_wp(cfg, params, [s])):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestPolynomialityProbe:
