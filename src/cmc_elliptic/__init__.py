@@ -14,7 +14,7 @@ from .errors import (AccuracyError, BranchError, CmcError, DomainError,
                      SingularError, UnsupportedCaseError, UsageError)
 from .profiles import (CmcParams, CurveSample, Family, SInterval, SurfaceMesh,
                        anchor, domain, hyperboloid_vertices, implicit_residual,
-                       mean_curvature, mesh, profile_point, surface_point)
+                       mean_curvature, mesh, profile_point)
 from .weierstrass import WpEvaluator
 from .wp_chain import (ChainConfig, ChainTerm, chain_config, curve_from_wp,
                        differentiate_chain, eval_chain_term,
@@ -29,7 +29,7 @@ __all__ = [
     "differentiate_chain", "discriminant_poly", "domain", "eval_chain_term",
     "hyperboloid_vertices", "implicit_residual", "is_singular_value",
     "mean_curvature", "mesh", "polynomiality_probe", "profile_point", "reduce",
-    "reduction_report", "singular_B", "surface_point",
+    "reduction_report", "singular_B",
 ]
 
 __version__ = "0.1.0"

@@ -14,6 +14,11 @@ from .errors import DomainError
 
 _RF_SPREAD = (3 * 2.0 ** -53) ** (-1 / 6)  # (3r)^(-1/6), r the unit roundoff
 _RD_SPREAD = (2.0 ** -53 / 4) ** (-1 / 6)  # (r/4)^(-1/6)
+# Arguments whose error scale overflows are scaled by 4^-8: every finite
+# float is below 2^1024, so the scaled ones are below 2^1008, where the
+# scale is finite. R_F and R_D are homogeneous of degree -1/2 and -3/2
+# (DLMF 19.20), so their values scale back by 2^-8 and 2^-24.
+_SHRINK = 2.0 ** -16
 
 
 def rf(x, y, z):
@@ -27,6 +32,9 @@ def rf(x, y, z):
     a0 = a = (x + y + z) / 3
     spread = _RF_SPREAD * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
     if not (min(x + y, y + z, z + x) > 0 and spread < math.inf):
+        xs, ys, zs = _shrunk(x, y, z)
+        if min(xs + ys, ys + zs, zs + xs) > 0:
+            return rf(xs, ys, zs) * 2.0 ** -8
         raise DomainError(f"R_F({x!r}, {y!r}, {z!r}) is outside its domain")
     fac, xm, ym, zm = 1.0, x, y, z
     while fac * spread >= a:
@@ -36,6 +44,15 @@ def rf(x, y, z):
         fac /= 4
     X, Y = fac * (a0 - x) / a, fac * (a0 - y) / a
     return _rf_series(X * Y - (X + Y) ** 2, -X * Y * (X + Y), a)
+
+
+def _shrunk(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """(x, y, z) times _SHRINK where only the error scale overflowed: all
+    three finite and >= 0, the largest above 2^1008; else (0, 0, 0), which
+    no domain admits."""
+    if min(x, y, z) >= 0 and 2.0 ** 1008 < max(x, y, z) < math.inf:
+        return x * _SHRINK, y * _SHRINK, z * _SHRINK
+    return 0.0, 0.0, 0.0
 
 
 def _rf_pair(x: float, p: float, q: float) -> float:
@@ -73,6 +90,9 @@ def rd(x: float, y: float, z: float) -> float:
     a0 = a = (x + y + 3 * z) / 5
     spread = _RD_SPREAD * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
     if not (x + y > 0 and z > 0 and spread < math.inf):
+        xs, ys, zs = _shrunk(x, y, z)
+        if xs + ys > 0 and zs > 0:
+            return rd(xs, ys, zs) * 2.0 ** -24
         raise DomainError(f"R_D({x!r}, {y!r}, {z!r}) is outside its domain")
     fac, tail, xm, ym, zm = 1.0, 0.0, x, y, z
     while fac * spread >= a:

@@ -118,7 +118,12 @@ def _cmd_reduce(args) -> str:
 
 def _cmd_roots(args) -> str:
     _require_format(args, "json")
-    fam = _family(args.family)
+    return _roots_text(_family(args.family))
+
+
+@functools.cache
+def _roots_text(fam: Family) -> str:
+    """The roots report of a family, which depends on the family alone."""
     roots = singular_B(fam)
     num = discriminant_poly(fam)
     report = {

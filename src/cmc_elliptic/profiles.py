@@ -345,13 +345,6 @@ def profile_point(params: CmcParams, s: float) -> CurveSample:
     return profile_points(params, [s])[0]
 
 
-def surface_point(params: CmcParams, s: float,
-                  theta: float) -> tuple[float, float, float]:
-    """The rotation-orbit map applied to the profile point."""
-    cs = profile_point(params, s)
-    return _orbit(params, cs, [_rotation(params, theta)])[0]
-
-
 def _rotation(params: CmcParams, theta: float) -> tuple[float, float]:
     """(cos, sin) of a circular angle, (sinh, cosh) of the hyperbolic one."""
     if params.family is Family.LORENTZ_SPACELIKE_AXIS:

@@ -25,11 +25,15 @@ is the only recursion: the float coefficients are its graded values
 rounded once, order by order, with (2H)^-(k-1) split into an odd int
 power and a power of two, so a coefficient that vanishes over Q is 0.0
 and every numerator degree is exact, as is the denominator power 2k-1.
+The memo entry of a (family, B) also keeps those rounded terms for its
+few most recently used (H, c2, lam), so a repeated request rounds nothing.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 import threading
 from fractions import Fraction
@@ -181,23 +185,29 @@ _FIRST_ORDER = (1, _poly([1]), Fraction(1), True)
 
 # The memo keeps the chains of the _KEPT_CHAINS most recently used
 # (family, B), each up to order _KEPT_ORDERS; a request past that steps on
-# from the last order it read and stores nothing. Forty orders of timelike
-# B = 2.3 take about 0.7 MB: a full memo of such chains is near 22 MB.
+# from the last order it read and stores nothing. Each chain also keeps the
+# rounded terms of its _KEPT_TERMS most recently used (H, c2, lam), again up
+# to order _KEPT_ORDERS. Forty orders of timelike B = 2.3 take about 0.7 MB
+# and their terms at one H about 41 kB: a full memo of such chains, every
+# one holding four such term lists, is near 27 MB.
 _KEPT_CHAINS = 32
 _KEPT_ORDERS = 40
+_KEPT_TERMS = 4
 _LOCK = threading.Lock()
 
 
 class _Chain:
     """The integer chain of one (family, B) at H = 1/2: its step, orders
-    (orders[k-1] is order k, a prefix grown on demand) and, once a probe
-    asks, the probe points (P, P') on the curve of (family, B)."""
+    (orders[k-1] is order k, a prefix grown on demand), the rounded
+    ChainTerm prefixes keyed by (H, c2, lam), least recently used first,
+    and, once a probe asks, the probe points (P, P') on the curve."""
 
-    __slots__ = ("step", "orders", "points")
+    __slots__ = ("step", "orders", "terms", "points")
 
     def __init__(self, step):
         self.step = step
         self.orders = [_FIRST_ORDER]
+        self.terms = collections.OrderedDict()
         self.points = None
 
 
@@ -240,14 +250,38 @@ def differentiate_chain(cfg: ChainConfig, upto_k: int) -> list[ChainTerm]:
     at H, two ints that _true_coefficient divides once. cfg.c2 may be
     overridden (e.g. the c2 = 0 degenerate control): the chain scales
     linearly with it. Other fields must come from chain_config.
+
+    The terms kept for (cfg.H, cfg.c2, cfg.lam) serve the orders they
+    cover; the orders past them are rounded here, and a call that returns
+    leaves its first _KEPT_ORDERS terms kept in their place.
     """
     if upto_k < 1:
         raise DomainError(f"upto_k must be >= 1, got {upto_k}")
+    chain = _chain(cfg.family, cfg.B)
+    key = (cfg.H, cfg.c2, cfg.lam)
+    terms = chain.terms.get(key, [])[:upto_k]
+    if len(terms) < upto_k:
+        terms += _rounded_terms(cfg, len(terms) + 1, upto_k)
+    with _LOCK:
+        held = chain.terms
+        if len(held.get(key, ())) < min(len(terms), _KEPT_ORDERS):
+            held[key] = terms[:_KEPT_ORDERS]
+        held.move_to_end(key)
+        if len(held) > _KEPT_TERMS:
+            held.popitem(last=False)
+    return terms
+
+
+def _rounded_terms(cfg: ChainConfig, first_k: int,
+                   upto_k: int) -> list[ChainTerm]:
+    """The rounded terms of orders first_k..upto_k of cfg."""
     n, d = cfg.H.as_integer_ratio()
     m, e = n // (n & -n), d.bit_length() - (n & -n).bit_length() - 1
-    c2, lam, mk = cfg.c2, cfg.lam, 1  # mk = m^(k-1)
+    c2, lam, mk = cfg.c2, cfg.lam, m ** (first_k - 1)  # mk = m^(k-1)
     terms = []
-    for k, num, scale, has_prime in _exact_chain(cfg, upto_k):
+    orders = _exact_chain(cfg, upto_k)
+    for k, num, scale, has_prime in itertools.islice(orders, first_k - 1,
+                                                     None):
         shift = e * (k - 1)
         sn = scale.numerator << max(shift, 0)
         sd = scale.denominator * mk << max(-shift, 0)

@@ -57,13 +57,43 @@ class TestCore:
 
     @pytest.mark.parametrize("args", [
         (0.0, 0.0, 1.0), (1.0, math.inf, 1.0), (math.nan, 1.0, 1.0),
-        (1e308, 1e308, 1e308),
+        (-1e308, 1e308, 1e308),
     ])
     def test_outside_the_domain_raises(self, args):
         with pytest.raises(DomainError):
             rf(*args)
         with pytest.raises(DomainError):
             rd(*args)
+
+    @pytest.mark.parametrize("args", [
+        (1.0, 1.0, 8e305), (1e308, 1e308, 1e308), (0.0, 1.0, 1.7e308),
+        (1.7976931348623157e308, 2.0, 1e-300), (5e-324, 1.0, 1.7e308),
+    ])
+    def test_top_of_the_float_range_matches_mpmath(self, args):
+        # The error scale overflows here; the arguments, scaled by 4^-8,
+        # give the value by homogeneity.
+        with mp.workdps(30):
+            _close(rf(*args), mp.elliprf(*args), REL)
+            ref = mp.elliprd(*args)
+            if ref > 1e-280:
+                _close(rd(*args), ref, REL)
+
+    # Log-uniform arguments up to the largest float, half the draws with one
+    # above 2^1008; R_D is compared where its value is a normal float far
+    # from both ends of the range.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-300.0, 308.25), min_size=3, max_size=3),
+           st.one_of(st.none(), st.tuples(st.integers(0, 2),
+                                          st.floats(303.4, 308.25))))
+    def test_rf_and_rd_match_mpmath_up_to_the_largest_float(self, logs, top):
+        if top is not None:
+            logs[top[0]] = top[1]
+        args = [min(10.0 ** x, 1.7976931348623157e308) for x in logs]
+        with mp.workdps(30):
+            _close(rf(*args), mp.elliprf(*args), REL)
+            ref = mp.elliprd(*args)
+            if 1e-280 < ref < 1e280:
+                _close(rd(*args), ref, REL)
 
     def test_rd_needs_positive_z(self):
         with pytest.raises(DomainError):

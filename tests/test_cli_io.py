@@ -21,15 +21,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from surface_point import surface_point
 
 import cmc_elliptic
-from cmc_elliptic import wp_chain
+from cmc_elliptic import cli_io, wp_chain
 from cmc_elliptic.cli_io import (_build_parser, _chain_json, _family, _json,
                                  main)
-from cmc_elliptic.elliptic_reduction import reduce, singular_B
+from cmc_elliptic.elliptic_reduction import (discriminant_poly, reduce,
+                                             singular_B)
 from cmc_elliptic.errors import RangeError, SingularError
-from cmc_elliptic.profiles import (CmcParams, Family, domain, mesh,
-                                   surface_point)
+from cmc_elliptic.profiles import CmcParams, Family, domain, mesh
 from cmc_elliptic.wp_chain import chain_config, polynomiality_probe
 
 
@@ -457,6 +458,26 @@ class TestRootsCommand:
         assert (rc, err) == (0, "")
         assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
+    def test_second_request_evaluates_no_residual(self, capsys,
+                                                  monkeypatch):
+        # The report depends on the family alone: it is built once per
+        # family, so a repeat evaluates no screening polynomial.
+        calls = []
+
+        def counted(family):
+            num = discriminant_poly(family)
+            return lambda r: calls.append(r) or num(r)
+
+        monkeypatch.setattr(cli_io, "discriminant_poly", counted)
+        cli_io._roots_text.cache_clear()
+        try:
+            first = run(capsys, "roots", "--family", "timelike")
+            assert len(calls) == 2
+            assert run(capsys, "roots", "--family", "timelike-axis") == first
+            assert len(calls) == 2
+        finally:
+            cli_io._roots_text.cache_clear()
+
 
 class TestWpCheckCommand:
     def test_residuals_within_tolerance(self, capsys):
@@ -652,6 +673,24 @@ class TestChainCommand:
             "0.5", "--upto-k", "100000")[0])
         assert rc == 1
         assert 0 < held < 2 ** 20
+
+    @pytest.mark.parametrize("H,stored_k,K", [
+        ("1e-100", "3", "12"),  # an exact coefficient past 1.8e308
+        ("0.5", "40", "100"),   # a term value past the float range
+    ])
+    def test_warm_range_error_is_the_cold_one(self, capsys, cold_chains, H,
+                                              stored_k, K):
+        # The terms kept for (B, H) by an earlier request serve the first
+        # orders; the error still comes at the same order with the same text.
+        argv = ("chain", "--family", "timelike", "--B", "2", "--H", H)
+        cold = run(capsys, *argv, "--upto-k", K)
+        assert cold[0] == 1 and json.loads(cold[2])["error"] == "range"
+        cold_chains.cache_clear()
+        run(capsys, *argv, "--upto-k", stored_k)
+        [terms] = cold_chains(Family.LORENTZ_TIMELIKE_AXIS, 2.0).terms.values()
+        assert len(terms) == int(stored_k)
+        assert run(capsys, *argv, "--upto-k", K) == cold
+        assert run(capsys, *argv, "--upto-k", K) == cold
 
     @pytest.mark.parametrize("argv", [
         # An exact coefficient past 1.8e308.

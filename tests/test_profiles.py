@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from surface_point import surface_point
 
 from cmc_elliptic.errors import (DomainError, EmptyDomainError, RangeError,
                                  UnsupportedCaseError)
@@ -22,7 +23,6 @@ from cmc_elliptic.profiles import (
     mean_curvature,
     mesh,
     profile_point,
-    surface_point,
 )
 from cmc_elliptic.profiles import _linspace, _radicand
 
@@ -204,6 +204,16 @@ class TestProfilePoint:
     def test_float_overflow_is_a_range_error(self, family, s):
         with pytest.raises(RangeError):
             profile_point(CmcParams(family, 1.0, 2.0), s)
+
+    def test_carlson_arguments_near_the_largest_float_evaluate(self):
+        # The axis coordinate here takes R_F of an argument near 1.4e306,
+        # where the duplication's error scale overflows; inside the open
+        # domain (about +/-354.54) the sample is finite.
+        params = CmcParams(Family.LORENTZ_SPACELIKE_AXIS, 1.0,
+                           1.1125369292536007e-308)
+        cs = profile_point(params, -353.1598422983792)
+        assert all(map(math.isfinite, cs))
+        assert cs.dx ** 2 - cs.dsecond ** 2 == pytest.approx(1.0, abs=1e-9)
 
     def test_mean_curvature_needs_finite_second_derivatives(self):
         # At s = 200 the profile is representable (see test_axis.py) but

@@ -313,6 +313,19 @@ class TestExactChain:
             assert n * x0 ** 3 + m * x0 + l == value
 
 
+def _hex_terms(terms):
+    """(k, parity, coefficients as float.hex) of each ChainTerm."""
+    return [(t.k, t.has_wp_prime, [c.hex() for c in t.num.coeffs])
+            for t in terms]
+
+
+def _terms_or_error(cfg, upto_k):
+    try:
+        return _hex_terms(differentiate_chain(cfg, upto_k))
+    except RangeError as exc:
+        return str(exc)
+
+
 def _chain_at_own_h(cfg, upto_k):
     """Orders 1..upto_k of the integer chain run at cfg.H itself."""
     B, H2 = Fraction(cfg.B), 2 * Fraction(cfg.H)
@@ -363,18 +376,22 @@ class TestChainMemo:
 
     def test_kept_chains_stay_under_32_mb(self, memo_bytes):
         # Timelike B = 2.3, whose 51-bit denominator makes its integers
-        # grow fast, read past its kept orders: a full memo of such chains
-        # stays under 32 MB.
-        cfg = config(Family.LORENTZ_TIMELIKE_AXIS, 2.3, 0.5)
-        k, held = memo_bytes(lambda: len(list(
-            _exact_chain(cfg, wp_chain._KEPT_ORDERS + 5))))
-        assert k == wp_chain._KEPT_ORDERS + 5
+        # grow fast, read past its kept orders at more H than it keeps
+        # terms for: a full memo of such chains, each holding every term
+        # list it may keep, stays under 32 MB.
+        K = wp_chain._KEPT_ORDERS + 5
+        cfgs = [config(Family.LORENTZ_TIMELIKE_AXIS, 2.3, 0.5 + i / 7)
+                for i in range(wp_chain._KEPT_TERMS + 1)]
+        k, held = memo_bytes(lambda: [len(differentiate_chain(cfg, K))
+                                      for cfg in cfgs])
+        assert k == [K] * len(cfgs)
         assert wp_chain._KEPT_CHAINS * held < 2 ** 25
 
     def test_threads_sharing_the_memo_lose_no_update(self, cold_chains):
         cfgs = [config(family, B, H) for family in Family
                 for B, H in ((2.3, 0.7), (0.4, 1.3))]
         want = [list(_exact_chain(cfg, 8)) for cfg in cfgs]
+        want_terms = [_hex_terms(differentiate_chain(cfg, 8)) for cfg in cfgs]
         # Every thread reads the same chains in the same order, from a
         # stored first order whose list gives up the GIL in len(): a
         # thread that read a length may find it stale when it appends.
@@ -388,6 +405,10 @@ class TestChainMemo:
             try:
                 for j, cfg in enumerate(cfgs):
                     assert list(_exact_chain(cfg, 8)) == want[j]
+                for j, cfg in enumerate(cfgs):
+                    for K in (3, 8, 5):
+                        assert _hex_terms(differentiate_chain(cfg, K)) == \
+                            want_terms[j][:K]
             except BaseException as exc:  # reported by the main thread
                 errors.append(exc)
                 raise
@@ -405,8 +426,85 @@ class TestChainMemo:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         for cfg in cfgs:
-            orders = cold_chains(cfg.family, cfg.B).orders
-            assert [row[0] for row in orders] == list(range(1, 9))
+            chain = cold_chains(cfg.family, cfg.B)
+            assert [row[0] for row in chain.orders] == list(range(1, 9))
+            assert list(chain.terms) == [(cfg.H, cfg.c2, cfg.lam)]
+            assert [t.k for t in chain.terms[cfg.H, cfg.c2, cfg.lam]] == \
+                list(range(1, 9))
+
+    # Requests at interleaved H, among more H than a chain keeps terms for,
+    # with K drawn, ascending or descending and across _KEPT_ORDERS.
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(list(Family)), st.floats(0.1, 6.0),
+           st.lists(st.floats(0.2, 5.0), min_size=1, max_size=6,
+                    unique=True),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(1, 45)),
+                    min_size=1, max_size=12),
+           st.sampled_from([None, False, True]))
+    def test_warm_terms_are_the_cold_terms(self, family, B, hs, requests,
+                                           descending):
+        try:
+            cfgs = [config(family, B, H) for H in hs]
+        except SingularError:
+            assume(False)
+        if descending is not None:
+            requests = sorted(requests, key=lambda r: r[1],
+                              reverse=descending)
+        requests = [(cfgs[i % len(cfgs)], K) for i, K in requests]
+        wp_chain._chain.cache_clear()
+        try:
+            warm = [_terms_or_error(cfg, K) for cfg, K in requests]
+            cold = []
+            for cfg, K in requests:
+                wp_chain._chain.cache_clear()
+                cold.append(_terms_or_error(cfg, K))
+            assert warm == cold
+            assert len(wp_chain._chain(family, B).terms) <= \
+                wp_chain._KEPT_TERMS
+        finally:
+            wp_chain._chain.cache_clear()
+
+    def test_controls_are_not_served_the_terms_of_the_real_c2(
+            self, cold_chains):
+        # The c2 = 0 control of criterion 10, another lam and the opposite
+        # c2 share the chain of (family, B) but never its terms.
+        cfg = config(Family.LORENTZ_TIMELIKE_AXIS, 2.3, 0.7)
+        cfgs = [cfg, cfg._replace(c2=0.0), cfg._replace(lam=2 * cfg.lam),
+                cfg._replace(c2=-cfg.c2)]
+        cold = []
+        for c in cfgs:
+            cold_chains.cache_clear()
+            cold.append(_hex_terms(differentiate_chain(c, 8)))
+        assert all(t[2] == [(0.0).hex()] for t in cold[1])
+        assert len({repr(terms) for terms in cold}) == len(cold)
+        for order in (cfgs, cfgs[::-1]):
+            cold_chains.cache_clear()
+            for c in order:
+                differentiate_chain(c, 8)
+            assert [_hex_terms(differentiate_chain(c, 8))
+                    for c in cfgs] == cold
+            assert len(cold_chains(cfg.family, cfg.B).terms) == len(cfgs)
+
+    def test_term_lists_are_bounded_and_leave_with_their_chain(
+            self, cold_chains):
+        n = wp_chain._KEPT_TERMS
+        cfgs = [config(Family.EUCLIDEAN, 0.4, 0.25 * (i + 1))
+                for i in range(n + 2)]
+        for cfg in cfgs:
+            differentiate_chain(cfg, 5)
+        chain = cold_chains(Family.EUCLIDEAN, 0.4)
+        keys = [(cfg.H, cfg.c2, cfg.lam) for cfg in cfgs]
+        assert list(chain.terms) == keys[2:]
+        differentiate_chain(cfgs[2], 3)  # a use: cfgs[3] is now the oldest
+        differentiate_chain(cfgs[0], 4)
+        assert list(chain.terms) == keys[4:] + [keys[2], keys[0]]
+        assert [len(terms) for terms in chain.terms.values()] == \
+            [5] * (n - 1) + [4]
+        # Filling the chain memo evicts this chain and its terms with it.
+        for i in range(wp_chain._KEPT_CHAINS):
+            differentiate_chain(config(Family.EUCLIDEAN, 2 + i / 8, 0.7), 3)
+        fresh = cold_chains(Family.EUCLIDEAN, 0.4)
+        assert fresh is not chain and not fresh.terms
 
 
 def _mp_chain_values(cfg, upto_k, p, pp):
