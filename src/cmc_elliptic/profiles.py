@@ -133,6 +133,11 @@ def _require_in_domain(params: CmcParams, s_grid: Sequence[float]) -> None:
 def _radicand(params: CmcParams, s: float) -> float:
     H, B = params.H, params.B
     if params.family is Family.EUCLIDEAN:
+        if B == 1.0:
+            # 2(1 + sin 2Hs) = 4 sin^2(H d), d the distance to the nearer
+            # edge of the window: an exact difference near either edge.
+            dom = domain(params)
+            return 4 * math.sin(H * min(s - dom.lo, dom.hi - s)) ** 2
         return 1 + B * B + 2 * B * math.sin(2 * H * s)
     if params.family is Family.LORENTZ_SPACELIKE_AXIS:
         # 1 + B^2 - 2B cosh(2Hs), free of the cancellation as B -> 1.

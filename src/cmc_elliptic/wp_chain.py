@@ -18,24 +18,20 @@ The exact chain works in the unscaled cubic variable X = lambda*P, where
 a = -p/(2H), b = B/(2H). Every step is homogeneous in lambda, so the P^i
 coefficient of N_k is lambda^(2k-2+i) times a rational one. H leaves the
 chain the same way: order k at H is (2H)^-(k-1) times order k at H = 1/2.
-The chain therefore runs once per (family, B), at H = 1/2, over Python
-ints, each order a primitive integer numerator times one exact Fraction
-scale; an LRU memo keeps its first orders for every H and K. That chain
+The chain therefore runs at H = 1/2, over Python ints, each order a
+primitive integer numerator times one exact Fraction scale. That chain
 is the only recursion: the float coefficients are its graded values
 rounded once, order by order, with (2H)^-(k-1) split into an odd int
 power and a power of two, so a coefficient that vanishes over Q is 0.0
 and every numerator degree is exact, as is the denominator power 2k-1.
-The memo entry of a (family, B) also keeps those rounded terms for its
-few most recently used (H, c2, lam), so a repeated request rounds nothing.
+One LRU memo keeps the rounded terms of the most recently used requests
+(configuration, K), so a repeated request steps and rounds nothing.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
-import itertools
 import math
-import threading
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -183,60 +179,26 @@ def _chain_core(alpha, beta, cubic):
 
 _FIRST_ORDER = (1, _poly([1]), Fraction(1), True)
 
-# The memo keeps the chains of the _KEPT_CHAINS most recently used
-# (family, B), each up to order _KEPT_ORDERS; a request past that steps on
-# from the last order it read and stores nothing. Each chain also keeps the
-# rounded terms of its _KEPT_TERMS most recently used (H, c2, lam), again up
-# to order _KEPT_ORDERS. Forty orders of timelike B = 2.3 take about 0.7 MB
-# and their terms at one H about 41 kB: a full memo of such chains, every
-# one holding four such term lists, is near 27 MB.
-_KEPT_CHAINS = 32
+# The memo _kept_terms keeps the rounded terms of the _KEPT_TERMS most
+# recently used requests (cfg, K) with K <= _KEPT_ORDERS; a larger K is
+# rounded and not stored. Forty terms take about 42 kB, so a full memo is
+# near 5.4 MB.
+_KEPT_TERMS = 128
 _KEPT_ORDERS = 40
-_KEPT_TERMS = 4
-_LOCK = threading.Lock()
-
-
-class _Chain:
-    """The integer chain of one (family, B) at H = 1/2: its step, orders
-    (orders[k-1] is order k, a prefix grown on demand), the rounded
-    ChainTerm prefixes keyed by (H, c2, lam), least recently used first,
-    and, once a probe asks, the probe points (P, P') on the curve."""
-
-    __slots__ = ("step", "orders", "terms", "points")
-
-    def __init__(self, step):
-        self.step = step
-        self.orders = [_FIRST_ORDER]
-        self.terms = collections.OrderedDict()
-        self.points = None
-
-
-@functools.lru_cache(maxsize=_KEPT_CHAINS)
-def _chain(family: Family, B: float) -> _Chain:
-    """The chain of (family, B), where alpha = -p and beta = B in the X
-    variable; a construction that raises is not cached."""
-    B = Fraction(B)
-    c, l, m, n = _shift_and_depress(family, B)
-    p, _, _ = _family_constants(family, c, B)
-    return _Chain(_chain_core(-p, B, [l, m, 0, n]))
 
 
 def _exact_chain(cfg: ChainConfig, upto_k: int):
-    """Unit-seed chain in X = lambda*P at H = 1/2, a generator of orders:
-    the stored ones of _chain, then each stepped from the one before,
-    appended only while it extends the stored prefix within _KEPT_ORDERS.
-    Order k at cfg.H is (2H)^-(k-1) times order k here."""
-    chain = _chain(cfg.family, cfg.B)
-    orders = chain.orders
-    row = None
-    for k in range(1, upto_k + 1):
-        if k <= len(orders):
-            row = orders[k - 1]
-        else:
-            row = chain.step(row)
-            with _LOCK:
-                if len(orders) == k - 1 < _KEPT_ORDERS:
-                    orders.append(row)
+    """Unit-seed chain in X = lambda*P at H = 1/2, where alpha = -p and
+    beta = B: a generator of orders 1..upto_k, each stepped from the one
+    before. Order k at cfg.H is (2H)^-(k-1) times order k here."""
+    B = Fraction(cfg.B)
+    c, l, m, n = _shift_and_depress(cfg.family, B)
+    p, _, _ = _family_constants(cfg.family, c, B)
+    step = _chain_core(-p, B, [l, m, 0, n])
+    row = _FIRST_ORDER
+    yield row
+    for _ in range(upto_k - 1):
+        row = step(row)
         yield row
 
 
@@ -251,37 +213,23 @@ def differentiate_chain(cfg: ChainConfig, upto_k: int) -> list[ChainTerm]:
     overridden (e.g. the c2 = 0 degenerate control): the chain scales
     linearly with it. Other fields must come from chain_config.
 
-    The terms kept for (cfg.H, cfg.c2, cfg.lam) serve the orders they
-    cover; the orders past them are rounded here, and a call that returns
-    leaves its first _KEPT_ORDERS terms kept in their place.
+    A request with upto_k <= _KEPT_ORDERS is served from the memo of
+    _kept_terms, keyed by (cfg, upto_k); a call that raises stores nothing.
     """
     if upto_k < 1:
         raise DomainError(f"upto_k must be >= 1, got {upto_k}")
-    chain = _chain(cfg.family, cfg.B)
-    key = (cfg.H, cfg.c2, cfg.lam)
-    terms = chain.terms.get(key, [])[:upto_k]
-    if len(terms) < upto_k:
-        terms += _rounded_terms(cfg, len(terms) + 1, upto_k)
-    with _LOCK:
-        held = chain.terms
-        if len(held.get(key, ())) < min(len(terms), _KEPT_ORDERS):
-            held[key] = terms[:_KEPT_ORDERS]
-        held.move_to_end(key)
-        if len(held) > _KEPT_TERMS:
-            held.popitem(last=False)
-    return terms
+    if upto_k > _KEPT_ORDERS:
+        return list(_rounded_terms(cfg, upto_k))
+    return list(_kept_terms(cfg, upto_k))
 
 
-def _rounded_terms(cfg: ChainConfig, first_k: int,
-                   upto_k: int) -> list[ChainTerm]:
-    """The rounded terms of orders first_k..upto_k of cfg."""
+def _rounded_terms(cfg: ChainConfig, upto_k: int) -> tuple[ChainTerm, ...]:
+    """The rounded terms of orders 1..upto_k of cfg."""
     n, d = cfg.H.as_integer_ratio()
     m, e = n // (n & -n), d.bit_length() - (n & -n).bit_length() - 1
-    c2, lam, mk = cfg.c2, cfg.lam, m ** (first_k - 1)  # mk = m^(k-1)
+    c2, lam, mk = cfg.c2, cfg.lam, 1  # mk = m^(k-1)
     terms = []
-    orders = _exact_chain(cfg, upto_k)
-    for k, num, scale, has_prime in itertools.islice(orders, first_k - 1,
-                                                     None):
+    for k, num, scale, has_prime in _exact_chain(cfg, upto_k):
         shift = e * (k - 1)
         sn = scale.numerator << max(shift, 0)
         sd = scale.denominator * mk << max(-shift, 0)
@@ -290,7 +238,10 @@ def _rounded_terms(cfg: ChainConfig, first_k: int,
             _true_coefficient(k, i, c2, lam, 2 * k - 2 + i, x, sn, sd)
             for i, x in enumerate(num.coeffs)]
         terms.append(ChainTerm(k, _poly(coeffs), has_prime))
-    return terms
+    return tuple(terms)
+
+
+_kept_terms = functools.lru_cache(maxsize=_KEPT_TERMS)(_rounded_terms)
 
 
 def _true_coefficient(k: int, i: int, c2: float, lam: float, power: int,
@@ -427,6 +378,14 @@ def curve_from_wp(cfg: ChainConfig, params: CmcParams,
 _PROBE_OFFSETS = (0.37, 0.83, 1.91, 4.3, 8.7)
 
 
+@functools.lru_cache(maxsize=_KEPT_TERMS)
+def _probe_points(g2: float, g3: float) -> tuple[tuple[float, float], ...]:
+    """The probe points (P, P') on the curve of (g2, g3)."""
+    ev = WpEvaluator(g2, g3)
+    return tuple(ev.wp(ev.wp_inverse(ev.e_max + off))
+                 for off in _PROBE_OFFSETS)
+
+
 def polynomiality_probe(cfg: ChainConfig, K: int) -> dict:
     """Certify that no derivative numerator collapses for k = 1..K.
 
@@ -440,13 +399,8 @@ def polynomiality_probe(cfg: ChainConfig, K: int) -> dict:
     if K < 3:
         raise DomainError(f"K must be >= 3 for a meaningful probe, got {K}")
     terms = differentiate_chain(cfg, K)
-    chain = _chain(cfg.family, cfg.B)
-    if chain.points is None:
-        ev = WpEvaluator(cfg.g2, cfg.g3)
-        chain.points = [ev.wp(ev.wp_inverse(ev.e_max + off))
-                        for off in _PROBE_OFFSETS]
     points = []
-    for p, pp in chain.points:
+    for p, pp in _probe_points(cfg.g2, cfg.g3):
         try:
             points.append((p, pp, _linear_factor(cfg, p)))
         except NearPoleError:

@@ -7,6 +7,7 @@ defining integrals: none of these references uses R_F or R_D.
 """
 
 import math
+import sys
 
 import mpmath as mp
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cmc_elliptic._carlson import rd, rf
-from cmc_elliptic.errors import DomainError, PoleError
+from cmc_elliptic.errors import DomainError, PoleError, RangeError
 from cmc_elliptic.profiles import (CmcParams, Family, _radicand, anchor,
                                    domain, profile_points)
 from cmc_elliptic.weierstrass import WpEvaluator
@@ -38,13 +39,19 @@ class TestCore:
             if args[2] > 0:
                 _close(rd(*args), mp.elliprd(*args), REL)
 
+    # The second line reaches q^2 past the largest float with p < 0, then
+    # error scales that overflow. mpmath at 200 digits: at 30 to 80 its
+    # elliprf disagrees with itself once |p|/q passes about 1e200.
     @pytest.mark.parametrize("x,p,q", [
         (0.0, 1.0, 2.0), (3.0, -2.0, 0.5), (0.5, -2507.3, 1.9e-6),
         (1e-3, 1e4, 1e-8), (2.0, 0.25, 1.0), (1e100, -1e100, 1e99),
+        (1.0, -1e200, 1e160), (0.0, -1e308, 1e300), (2.0, -3.0, 1e155),
+        (1.0, 1e308, 1e308), (1e308, -1e308, 1e308), (1.0, 1.0, 1e308),
+        (1e308, 1e308, 1e-300),
     ])
     def test_rf_conjugate_pair_matches_mpmath(self, x, p, q):
         y = complex(p, q)
-        with mp.workdps(30):
+        with mp.workdps(200):
             ref = mp.elliprf(x, mp.mpc(p, q), mp.mpc(p, -q))
             assert abs(ref.imag) <= 1e-25 * abs(ref)
             _close(rf(x, y, y.conjugate()), ref.real, REL)
@@ -94,6 +101,32 @@ class TestCore:
             ref = mp.elliprd(*args)
             if 1e-280 < ref < 1e280:
                 _close(rd(*args), ref, REL)
+
+    def test_rd_at_the_bottom_of_the_float_range(self):
+        # R_D(t, t, t) = t^-3/2, past the largest float below t ~ 3.2e-206:
+        # a RangeError exactly there, and the value above.
+        top = mp.mpf(sys.float_info.max)
+        lo, hi = math.log(5e-324), math.log(1e-150)
+        for i in range(201):
+            t = max(math.exp(lo + (hi - lo) * i / 200), 5e-324)
+            with mp.workdps(30):
+                ref = mp.mpf(t) ** -1.5
+            if ref > top:
+                with pytest.raises(RangeError):
+                    rd(t, t, t)
+            else:
+                _close(rd(t, t, t), ref, 1e-14)
+
+    @pytest.mark.parametrize("args", [
+        (5e-324, 5e-324, 1e-323), (5e-324, 1e-323, 5e-324),
+        (1e-300, 1e-310, 1e-320),
+    ])
+    def test_rd_past_the_largest_float_raises(self, args):
+        # Duplication steps run here, and one of their powers underflows.
+        with mp.workdps(30):
+            assert mp.elliprd(*args) > sys.float_info.max
+        with pytest.raises(RangeError):
+            rd(*args)
 
     def test_rd_needs_positive_z(self):
         with pytest.raises(DomainError):

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from surface_point import surface_point
 
 import cmc_elliptic
-from cmc_elliptic import cli_io, wp_chain
+from cmc_elliptic import cli_io
 from cmc_elliptic.cli_io import (_build_parser, _chain_json, _family, _json,
                                  main)
 from cmc_elliptic.elliptic_reduction import (discriminant_poly, reduce,
@@ -659,20 +659,19 @@ class TestChainCommand:
         assert json.loads(err) == {
             "error": "range", "message": "chain step 116: exact coefficient "
             "of P^52 is outside the float range"}
-        assert cold_chains.cache_info().currsize == 1
-        chain = cold_chains(Family.LORENTZ_TIMELIKE_AXIS, 2.0)
-        assert len(chain.orders) == wp_chain._KEPT_ORDERS
+        # K is past _KEPT_ORDERS: the request is rounded and stored nowhere.
+        assert cold_chains.cache_info().currsize == 0
 
     def test_one_shot_huge_k_retains_under_a_megabyte(self, capsys,
                                                       memo_bytes):
         # Orders past _KEPT_ORDERS are stepped and dropped: after the
-        # request the memo holds 40 orders (about 0.09 MB), not the 115 in
-        # the float range (about 1.2 MB).
+        # request the memo holds nothing, not the 115 orders in the float
+        # range (about 1.2 MB).
         rc, held = memo_bytes(lambda: run(
             capsys, "chain", "--family", "timelike", "--B", "2", "--H",
             "0.5", "--upto-k", "100000")[0])
         assert rc == 1
-        assert 0 < held < 2 ** 20
+        assert held < 2 ** 20
 
     @pytest.mark.parametrize("H,stored_k,K", [
         ("1e-100", "3", "12"),  # an exact coefficient past 1.8e308
@@ -680,17 +679,18 @@ class TestChainCommand:
     ])
     def test_warm_range_error_is_the_cold_one(self, capsys, cold_chains, H,
                                               stored_k, K):
-        # The terms kept for (B, H) by an earlier request serve the first
-        # orders; the error still comes at the same order with the same text.
+        # The terms kept for (B, H) at a smaller K leave a failing K as it
+        # was: the error comes at the same order with the same text, and
+        # the failing request stores nothing.
         argv = ("chain", "--family", "timelike", "--B", "2", "--H", H)
         cold = run(capsys, *argv, "--upto-k", K)
         assert cold[0] == 1 and json.loads(cold[2])["error"] == "range"
         cold_chains.cache_clear()
         run(capsys, *argv, "--upto-k", stored_k)
-        [terms] = cold_chains(Family.LORENTZ_TIMELIKE_AXIS, 2.0).terms.values()
-        assert len(terms) == int(stored_k)
+        assert cold_chains.cache_info().currsize == 1
         assert run(capsys, *argv, "--upto-k", K) == cold
         assert run(capsys, *argv, "--upto-k", K) == cold
+        assert cold_chains.cache_info().currsize == 1
 
     @pytest.mark.parametrize("argv", [
         # An exact coefficient past 1.8e308.

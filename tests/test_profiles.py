@@ -164,6 +164,24 @@ def test_radicand_near_b_one_matches_mpmath(B):
                 assert err <= slack + 16 * 2.0 ** -52 * size, (family, s, err)
 
 
+# Euclidean B = 1: 2(1 + sin 2Hs) rounds to 0 within about 1e-9 of either
+# edge of the window; as 4 sin^2(H d), d the distance to the nearer edge,
+# it is positive at every float inside, so the first ones are profile
+# points.
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-300.0, 300.0))
+def test_sphere_profile_at_the_window_edges(log_h):
+    params = CmcParams(Family.EUCLIDEAN, 10.0 ** log_h, 1.0)
+    dom = domain(params)
+    for edge, inward in ((dom.lo, dom.hi), (dom.hi, dom.lo)):
+        s = edge
+        for _ in range(4):
+            s = math.nextafter(s, inward)
+            assert _radicand(params, s) > 0
+            cs = profile_point(params, s)
+            assert all(map(math.isfinite, cs)), (params, s)
+
+
 class TestProfilePoint:
     def test_spacelike_b_zero_line(self):
         H = 0.8

@@ -4,7 +4,6 @@ import json
 import math
 import sys
 import threading
-import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -292,7 +291,7 @@ class TestExactChain:
             _chain_core(alpha, beta, cubic)
         # Only a hand-built configuration reaches it: B = 1 is a repeated
         # root of the Euclidean cubic, which chain_config rejects.
-        # The failing chain is not stored: a second call raises the same.
+        # The failing request is not stored: a second call raises the same.
         euclid_cfg = config(Family.EUCLIDEAN, 0.5, 1.0)
         for _ in range(2):
             with pytest.raises(SingularError):
@@ -338,32 +337,22 @@ def _chain_at_own_h(cfg, upto_k):
     return rows
 
 
-class _SlowLen(list):
-    """A list whose len() yields to other threads after reading."""
-
-    def __len__(self):
-        n = super().__len__()
-        time.sleep(0)
-        return n
-
-
 class TestChainMemo:
     def test_orders_equal_the_chain_at_each_h(self):
         # Order k at H is (2H)^-(k-1) times order k at H = 1/2, over Q: the
-        # memoized numerators and scales are the ones a chain run at H gives.
+        # numerators and scales are the ones a chain run at H gives.
         for H in (1e-3, 0.3, 0.5, 1.7, 20.0):
             cfg = config(Family.LORENTZ_TIMELIKE_AXIS, 2.3, H)
             assert _rows_at_h(cfg, 9) == _chain_at_own_h(cfg, 9)
 
-    def test_least_recently_used_chain_is_evicted(self, cold_chains):
-        n = wp_chain._KEPT_CHAINS
-        cfgs = [config(Family.LORENTZ_TIMELIKE_AXIS, 2 + i / 8, 0.7)
-                for i in range(n + 1)]
+    def test_least_recently_used_terms_are_evicted(self, cold_chains):
+        n = wp_chain._KEPT_TERMS
+        data = reduce(Family.EUCLIDEAN, 0.4)
+        cfgs = [chain_config(data, 0.25 + i / 64) for i in range(n + 1)]
 
         def misses(i):
             before = cold_chains.cache_info().misses
-            assert _rows_at_h(cfgs[i], 3) == \
-                _chain_at_own_h(cfgs[i], 3)
+            assert [t.k for t in differentiate_chain(cfgs[i], 3)] == [1, 2, 3]
             return cold_chains.cache_info().misses - before
 
         assert [misses(i) for i in range(n)] == [1] * n
@@ -371,44 +360,33 @@ class TestChainMemo:
         assert misses(n) == 1  # and is evicted
         assert cold_chains.cache_info().currsize == n
         assert (misses(0), misses(2)) == (0, 0)
-        assert misses(1) == 1  # built again from nothing, evicting 3
+        assert misses(1) == 1  # rounded again from nothing, evicting 3
         assert misses(3) == 1
 
-    def test_kept_chains_stay_under_32_mb(self, memo_bytes):
-        # Timelike B = 2.3, whose 51-bit denominator makes its integers
-        # grow fast, read past its kept orders at more H than it keeps
-        # terms for: a full memo of such chains, each holding every term
-        # list it may keep, stays under 32 MB.
-        K = wp_chain._KEPT_ORDERS + 5
-        cfgs = [config(Family.LORENTZ_TIMELIKE_AXIS, 2.3, 0.5 + i / 7)
-                for i in range(wp_chain._KEPT_TERMS + 1)]
-        k, held = memo_bytes(lambda: [len(differentiate_chain(cfg, K))
-                                      for cfg in cfgs])
-        assert k == [K] * len(cfgs)
-        assert wp_chain._KEPT_CHAINS * held < 2 ** 25
+    def test_kept_terms_stay_under_8_mb(self, memo_bytes):
+        # _KEPT_ORDERS terms hold 1,164 floats whatever their (family, B,
+        # H), so one entry sizes a full memo: it stays under 8 MB.
+        K = wp_chain._KEPT_ORDERS
+        cfg = config(Family.LORENTZ_TIMELIKE_AXIS, 2.3, 0.5 + 1 / 7)
+        k, held = memo_bytes(lambda: len(differentiate_chain(cfg, K)))
+        assert k == K
+        assert wp_chain._KEPT_TERMS * held < 2 ** 23
 
-    def test_threads_sharing_the_memo_lose_no_update(self, cold_chains):
+    def test_threads_sharing_the_memo_get_identical_terms(self, cold_chains):
         cfgs = [config(family, B, H) for family in Family
                 for B, H in ((2.3, 0.7), (0.4, 1.3))]
-        want = [list(_exact_chain(cfg, 8)) for cfg in cfgs]
-        want_terms = [_hex_terms(differentiate_chain(cfg, 8)) for cfg in cfgs]
-        # Every thread reads the same chains in the same order, from a
-        # stored first order whose list gives up the GIL in len(): a
-        # thread that read a length may find it stale when it appends.
+        requests = [(cfg, K) for cfg in cfgs for K in (3, 8, 5)]
+        want = [_hex_terms(differentiate_chain(cfg, K))
+                for cfg, K in requests]
+        # Every thread makes the same requests in the same order from an
+        # empty memo, switching often, so that several round one at once.
         cold_chains.cache_clear()
-        for cfg in cfgs:
-            chain = cold_chains(cfg.family, cfg.B)
-            chain.orders = _SlowLen(chain.orders)
         errors = []
 
         def work():
             try:
-                for j, cfg in enumerate(cfgs):
-                    assert list(_exact_chain(cfg, 8)) == want[j]
-                for j, cfg in enumerate(cfgs):
-                    for K in (3, 8, 5):
-                        assert _hex_terms(differentiate_chain(cfg, K)) == \
-                            want_terms[j][:K]
+                for (cfg, K), terms in zip(requests, want):
+                    assert _hex_terms(differentiate_chain(cfg, K)) == terms
             except BaseException as exc:  # reported by the main thread
                 errors.append(exc)
                 raise
@@ -425,15 +403,10 @@ class TestChainMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        for cfg in cfgs:
-            chain = cold_chains(cfg.family, cfg.B)
-            assert [row[0] for row in chain.orders] == list(range(1, 9))
-            assert list(chain.terms) == [(cfg.H, cfg.c2, cfg.lam)]
-            assert [t.k for t in chain.terms[cfg.H, cfg.c2, cfg.lam]] == \
-                list(range(1, 9))
+        assert cold_chains.cache_info().currsize == len(requests)
 
-    # Requests at interleaved H, among more H than a chain keeps terms for,
-    # with K drawn, ascending or descending and across _KEPT_ORDERS.
+    # Requests at interleaved H, with K drawn, ascending or descending and
+    # across _KEPT_ORDERS.
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(list(Family)), st.floats(0.1, 6.0),
            st.lists(st.floats(0.2, 5.0), min_size=1, max_size=6,
@@ -451,23 +424,27 @@ class TestChainMemo:
             requests = sorted(requests, key=lambda r: r[1],
                               reverse=descending)
         requests = [(cfgs[i % len(cfgs)], K) for i, K in requests]
-        wp_chain._chain.cache_clear()
+        memo = wp_chain._kept_terms
+        memo.cache_clear()
         try:
             warm = [_terms_or_error(cfg, K) for cfg, K in requests]
+            # Kept: each request within _KEPT_ORDERS that returned, once.
+            kept = {(cfg, K) for (cfg, K), terms in zip(requests, warm)
+                    if K <= wp_chain._KEPT_ORDERS and not isinstance(terms,
+                                                                     str)}
+            assert memo.cache_info().currsize == len(kept)
             cold = []
             for cfg, K in requests:
-                wp_chain._chain.cache_clear()
+                memo.cache_clear()
                 cold.append(_terms_or_error(cfg, K))
             assert warm == cold
-            assert len(wp_chain._chain(family, B).terms) <= \
-                wp_chain._KEPT_TERMS
         finally:
-            wp_chain._chain.cache_clear()
+            memo.cache_clear()
 
     def test_controls_are_not_served_the_terms_of_the_real_c2(
             self, cold_chains):
         # The c2 = 0 control of criterion 10, another lam and the opposite
-        # c2 share the chain of (family, B) but never its terms.
+        # c2 share (family, B, H) but never its terms.
         cfg = config(Family.LORENTZ_TIMELIKE_AXIS, 2.3, 0.7)
         cfgs = [cfg, cfg._replace(c2=0.0), cfg._replace(lam=2 * cfg.lam),
                 cfg._replace(c2=-cfg.c2)]
@@ -483,28 +460,26 @@ class TestChainMemo:
                 differentiate_chain(c, 8)
             assert [_hex_terms(differentiate_chain(c, 8))
                     for c in cfgs] == cold
-            assert len(cold_chains(cfg.family, cfg.B).terms) == len(cfgs)
+            assert cold_chains.cache_info().currsize == len(cfgs)
 
-    def test_term_lists_are_bounded_and_leave_with_their_chain(
-            self, cold_chains):
-        n = wp_chain._KEPT_TERMS
-        cfgs = [config(Family.EUCLIDEAN, 0.4, 0.25 * (i + 1))
-                for i in range(n + 2)]
-        for cfg in cfgs:
-            differentiate_chain(cfg, 5)
-        chain = cold_chains(Family.EUCLIDEAN, 0.4)
-        keys = [(cfg.H, cfg.c2, cfg.lam) for cfg in cfgs]
-        assert list(chain.terms) == keys[2:]
-        differentiate_chain(cfgs[2], 3)  # a use: cfgs[3] is now the oldest
-        differentiate_chain(cfgs[0], 4)
-        assert list(chain.terms) == keys[4:] + [keys[2], keys[0]]
-        assert [len(terms) for terms in chain.terms.values()] == \
-            [5] * (n - 1) + [4]
-        # Filling the chain memo evicts this chain and its terms with it.
-        for i in range(wp_chain._KEPT_CHAINS):
-            differentiate_chain(config(Family.EUCLIDEAN, 2 + i / 8, 0.7), 3)
-        fresh = cold_chains(Family.EUCLIDEAN, 0.4)
-        assert fresh is not chain and not fresh.terms
+    def test_requests_are_kept_per_k_up_to_the_kept_orders(self,
+                                                           cold_chains):
+        # One entry per (cfg, K) with K <= _KEPT_ORDERS, served whole to a
+        # repeat; a larger K is rounded on every call and stores nothing.
+        n = wp_chain._KEPT_ORDERS
+        cfg = config(Family.EUCLIDEAN, 0.4, 0.7)
+        for K in (12, 8, n, n + 1):
+            assert len(differentiate_chain(cfg, K)) == K
+        info = cold_chains.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 3)
+        # A caller may change its list: the kept terms stay as they were.
+        differentiate_chain(cfg, 8).clear()
+        assert [len(differentiate_chain(cfg, K)) for K in (12, 8, n)] == \
+            [12, 8, n]
+        longer = differentiate_chain(cfg, n + 1)[:n]
+        assert _hex_terms(longer) == _hex_terms(differentiate_chain(cfg, n))
+        info = cold_chains.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (5, 3, 3)
 
 
 def _mp_chain_values(cfg, upto_k, p, pp):
