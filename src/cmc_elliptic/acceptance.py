@@ -386,14 +386,15 @@ def criterion_10() -> CriterionResult:
     ok = True
 
     cfg = chain_config(reduce(Family.LORENTZ_TIMELIKE_AXIS, 2.0), 0.5)
-    terms = differentiate_chain(cfg, 12)
-    parity_ok = all(t.has_wp_prime == (t.k % 2 == 1) for t in terms)
+    parity_ok = all(t["parity"] == ("odd" if t["k"] % 2 else "even")
+                    for t in polynomiality_probe(cfg, 12)["terms"])
     ok = ok and parity_ok
     parts.append(f"parity through k=12: {'ok' if parity_ok else 'FAIL'}")
 
     params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.5, 2.0)
     ev = WpEvaluator(cfg.g2, cfg.g3)
     d1, d2, d3, t_c = fd_chain_reference(cfg, params, 1.0, 0.01)
+    terms = differentiate_chain(cfg, 3)
     tols = (1e-4, 1e-4, 1e-3)
     for k, (fd, tol) in enumerate(zip((d1, d2, d3), tols), start=1):
         val = eval_chain_term(cfg, terms[k - 1], ev, t_c)
@@ -404,7 +405,7 @@ def criterion_10() -> CriterionResult:
                      + ("" if good else f" FAIL (tol {tol:g})"))
 
     probe_cfgs = [
-        chain_config(reduce(Family.LORENTZ_TIMELIKE_AXIS, 2.0), 0.5),
+        cfg,
         chain_config(reduce(Family.LORENTZ_TIMELIKE_AXIS, 0.5), 0.5),
         chain_config(reduce(Family.LORENTZ_SPACELIKE_AXIS, 2.0), 0.5),
         chain_config(reduce(Family.EUCLIDEAN, 0.5), 1.0),
@@ -418,7 +419,7 @@ def criterion_10() -> CriterionResult:
     parts.append("probe k<=8 on 4 configs: "
                  + ("no collapse" if zero_free else "FAIL (collapse found)"))
 
-    control = probe_cfgs[0]._replace(c2=0.0)
+    control = cfg._replace(c2=0.0)
     creport = polynomiality_probe(control, 3)
     control_ok = any(t["identically_zero"] and t["k"] == 2
                      for t in creport["terms"])

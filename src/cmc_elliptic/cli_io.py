@@ -216,11 +216,9 @@ def _cmd_verify(args) -> tuple[str, int]:
 # Parser
 
 
-def _add_common(sp, *, family=True, h=True, b=True, srange=False,
-                tol=False):
-    if family:
-        sp.add_argument("--family", required=True,
-                        help="euclidean | spacelike-axis | timelike-axis")
+def _add_common(sp, *, h=True, b=True, srange=False, tol=False):
+    sp.add_argument("--family", required=True,
+                    help="euclidean | spacelike-axis | timelike-axis")
     if h:
         sp.add_argument("--H", type=float, default=1.0)
     if b:

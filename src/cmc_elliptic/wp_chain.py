@@ -21,11 +21,11 @@ chain the same way: order k at H is (2H)^-(k-1) times order k at H = 1/2.
 The chain therefore runs at H = 1/2, over Python ints, each order a
 primitive integer numerator times one exact Fraction scale. That chain
 is the only recursion: the float coefficients are its graded values
-rounded once, order by order, with (2H)^-(k-1) split into an odd int
-power and a power of two, so a coefficient that vanishes over Q is 0.0
-and every numerator degree is exact, as is the denominator power 2k-1.
-One LRU memo keeps the rounded terms of the most recently used requests
-(configuration, K), so a repeated request steps and rounds nothing.
+rounded once, order by order, at the reduced scale times (2H)^-(k-1), so
+a coefficient that vanishes over Q is 0.0 and every numerator degree is
+exact, as is the denominator power 2k-1. One LRU memo keeps the probe
+rows of the most recently used requests (configuration, K), so a
+repeated probe steps, rounds and evaluates nothing.
 """
 
 from __future__ import annotations
@@ -179,13 +179,6 @@ def _chain_core(alpha, beta, cubic):
 
 _FIRST_ORDER = (1, _poly([1]), Fraction(1), True)
 
-# The memo _kept_terms keeps the rounded terms of the _KEPT_TERMS most
-# recently used requests (cfg, K) with K <= _KEPT_ORDERS; a larger K is
-# rounded and not stored. Forty terms take about 42 kB, so a full memo is
-# near 5.4 MB.
-_KEPT_TERMS = 128
-_KEPT_ORDERS = 40
-
 
 def _exact_chain(cfg: ChainConfig, upto_k: int):
     """Unit-seed chain in X = lambda*P at H = 1/2, where alpha = -p and
@@ -207,41 +200,27 @@ def differentiate_chain(cfg: ChainConfig, upto_k: int) -> list[ChainTerm]:
 
     Each numerator coefficient is cfg.c2 times the graded exact one, rounded
     once as each order arrives; RangeError at the first one with no float
-    value, which is the only bound on upto_k. With 2H = m*2^-e, m odd, the
-    scale num/den of order k at H = 1/2 is num*2^(e(k-1)) / (den*m^(k-1))
-    at H, two ints that _true_coefficient divides once. cfg.c2 may be
-    overridden (e.g. the c2 = 0 degenerate control): the chain scales
-    linearly with it. Other fields must come from chain_config.
-
-    A request with upto_k <= _KEPT_ORDERS is served from the memo of
-    _kept_terms, keyed by (cfg, upto_k); a call that raises stores nothing.
+    value, which is the only bound on upto_k. The scale of order k at H is
+    its scale at H = 1/2 times (2H)^-(k-1), one reduced Fraction whose
+    numerator and denominator _true_coefficient divides once; Fraction(H)
+    is exact for every float H. cfg.c2 may be overridden (e.g. the c2 = 0
+    degenerate control): the chain scales linearly with it. Other fields
+    must come from chain_config.
     """
     if upto_k < 1:
         raise DomainError(f"upto_k must be >= 1, got {upto_k}")
-    if upto_k > _KEPT_ORDERS:
-        return list(_rounded_terms(cfg, upto_k))
-    return list(_kept_terms(cfg, upto_k))
-
-
-def _rounded_terms(cfg: ChainConfig, upto_k: int) -> tuple[ChainTerm, ...]:
-    """The rounded terms of orders 1..upto_k of cfg."""
-    n, d = cfg.H.as_integer_ratio()
-    m, e = n // (n & -n), d.bit_length() - (n & -n).bit_length() - 1
-    c2, lam, mk = cfg.c2, cfg.lam, 1  # mk = m^(k-1)
+    c2, lam, at_h = cfg.c2, cfg.lam, Fraction(1)  # at_h = (2H)^-(k-1)
+    inv_2h = 1 / (2 * Fraction(cfg.H))
     terms = []
     for k, num, scale, has_prime in _exact_chain(cfg, upto_k):
-        shift = e * (k - 1)
-        sn = scale.numerator << max(shift, 0)
-        sd = scale.denominator * mk << max(-shift, 0)
-        mk *= m
+        scale *= at_h
+        at_h *= inv_2h
         coeffs = [0.0] if c2 == 0.0 else [
-            _true_coefficient(k, i, c2, lam, 2 * k - 2 + i, x, sn, sd)
+            _true_coefficient(k, i, c2, lam, 2 * k - 2 + i, x,
+                              scale.numerator, scale.denominator)
             for i, x in enumerate(num.coeffs)]
         terms.append(ChainTerm(k, _poly(coeffs), has_prime))
-    return tuple(terms)
-
-
-_kept_terms = functools.lru_cache(maxsize=_KEPT_TERMS)(_rounded_terms)
+    return terms
 
 
 def _true_coefficient(k: int, i: int, c2: float, lam: float, power: int,
@@ -377,13 +356,33 @@ def curve_from_wp(cfg: ChainConfig, params: CmcParams,
 # rationals so none coincides with the denominator's lone real zero.
 _PROBE_OFFSETS = (0.37, 0.83, 1.91, 4.3, 8.7)
 
+# The memo _probe_rows keeps the rows of the _KEPT_PROBES most recently used
+# requests (cfg, K) with K <= _KEPT_ORDERS; a larger K is probed and not
+# stored. Forty rows take about 4.5 kB, so a full memo is near 0.6 MB.
+_KEPT_PROBES = 128
+_KEPT_ORDERS = 40
 
-@functools.lru_cache(maxsize=_KEPT_TERMS)
-def _probe_points(g2: float, g3: float) -> tuple[tuple[float, float], ...]:
-    """The probe points (P, P') on the curve of (g2, g3)."""
-    ev = WpEvaluator(g2, g3)
-    return tuple(ev.wp(ev.wp_inverse(ev.e_max + off))
-                 for off in _PROBE_OFFSETS)
+
+@functools.lru_cache(maxsize=_KEPT_PROBES)
+def _probe_rows(cfg: ChainConfig, K: int) -> tuple[tuple, ...]:
+    """(k, num_degree, has_wp_prime, min_abs_value, identically_zero) of
+    each order k = 1..K of cfg; a call that raises stores nothing."""
+    terms = differentiate_chain(cfg, K)
+    ev = WpEvaluator(cfg.g2, cfg.g3)
+    points = []
+    for off in _PROBE_OFFSETS:
+        p, pp = ev.wp(ev.wp_inverse(ev.e_max + off))
+        try:
+            points.append((p, pp, _linear_factor(cfg, p)))
+        except NearPoleError:
+            continue
+    rows = []
+    for term in terms:
+        values = [abs(_term_value(term, *point)) for point in points]
+        rows.append((term.k, term.num.degree, term.has_wp_prime,
+                     min(values) if values else float("nan"),
+                     term.num.is_zero()))
+    return tuple(rows)
 
 
 def polynomiality_probe(cfg: ChainConfig, K: int) -> dict:
@@ -395,27 +394,16 @@ def polynomiality_probe(cfg: ChainConfig, K: int) -> dict:
     where alpha + beta*P cancels. A polynomial radius of degree d would
     force the k = d+1 numerator to vanish identically, so an all-nonzero
     report up to K rules out polynomial radii of degree < K.
+
+    A request with K <= _KEPT_ORDERS is served from the memo of
+    _probe_rows, keyed by (cfg, K); a larger K is stored nowhere.
     """
     if K < 3:
         raise DomainError(f"K must be >= 3 for a meaningful probe, got {K}")
-    terms = differentiate_chain(cfg, K)
-    points = []
-    for p, pp in _probe_points(cfg.g2, cfg.g3):
-        try:
-            points.append((p, pp, _linear_factor(cfg, p)))
-        except NearPoleError:
-            continue
-    report_terms = []
-    for term in terms:
-        values = [abs(_term_value(term, *point)) for point in points]
-        min_abs = min(values) if values else float("nan")
-        report_terms.append({
-            "k": term.k,
-            "num_degree": term.num.degree,
-            "den_degree": 2 * term.k - 1,
-            "parity": "odd" if term.has_wp_prime else "even",
-            "min_abs_value": min_abs,
-            "identically_zero": term.num.is_zero(),
-        })
+    probe = _probe_rows if K <= _KEPT_ORDERS else _probe_rows.__wrapped__
+    terms = [{"k": k, "num_degree": degree, "den_degree": 2 * k - 1,
+              "parity": "odd" if odd else "even", "min_abs_value": min_abs,
+              "identically_zero": zero}
+             for k, degree, odd, min_abs, zero in probe(cfg, K)]
     return {"family": cfg.family.value, "H": cfg.H, "B": cfg.B,
-            "terms": report_terms}
+            "terms": terms}

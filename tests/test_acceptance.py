@@ -55,7 +55,7 @@ def test_scorecard_text_is_pinned(results):
 def test_evaluators_per_criterion(monkeypatch):
     # 17 per scorecard, one per lattice: criterion 8 checks two per
     # configuration, criterion 9 one per grid, criterion 10 two, once the
-    # memo of probe points on (g2, g3) holds those of its four probes.
+    # memo of probe rows holds those of its six probes.
     acceptance.criterion_10()
     init, built = WpEvaluator.__init__, []
     monkeypatch.setattr(WpEvaluator, "__init__",

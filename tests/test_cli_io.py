@@ -620,9 +620,8 @@ class TestChainCommand:
 
     def test_h_and_k_sweep_bytes_are_pinned(self, capsys, cold_chains):
         # Frozen bytes over H and K at one non-dyadic B per family. Every H
-        # reads the chain of H = 1/2 scaled by (2H)^-(k-1), and a K below a
-        # stored one reads a prefix: the first pass starts from an empty
-        # memo, the second finds every chain stored.
+        # reads the chain of H = 1/2 scaled by (2H)^-(k-1): the first pass
+        # starts from an empty memo, the second finds every probe stored.
         for _ in range(2):
             digest = hashlib.sha1()
             for family, B in (("timelike", "2.3"), ("spacelike", "0.7"),
@@ -640,7 +639,7 @@ class TestChainCommand:
         # Frozen bytes over a seeded pool: 17-digit B, log-uniform
         # non-dyadic H and K up to 40, and both timelike screening roots
         # (a SingularError). The first pass starts from an empty memo, the
-        # second finds every chain stored.
+        # second finds every probe stored.
         pool = _seeded_chain_pool()
         roots = [repr(r) for r in singular_B(Family.LORENTZ_TIMELIKE_AXIS)]
         assert {argv[4] for argv in pool} >= set(roots)
@@ -659,11 +658,10 @@ class TestChainCommand:
         assert json.loads(err) == {
             "error": "range", "message": "chain step 116: exact coefficient "
             "of P^52 is outside the float range"}
-        # K is past _KEPT_ORDERS: the request is rounded and stored nowhere.
+        # K is past _KEPT_ORDERS: the request is probed and stored nowhere.
         assert cold_chains.cache_info().currsize == 0
 
-    def test_one_shot_huge_k_retains_under_a_megabyte(self, capsys,
-                                                      memo_bytes):
+    def test_one_shot_huge_k_retains_under_4_kb(self, capsys, memo_bytes):
         # Orders past _KEPT_ORDERS are stepped and dropped: after the
         # request the memo holds nothing, not the 115 orders in the float
         # range (about 1.2 MB).
@@ -671,15 +669,16 @@ class TestChainCommand:
             capsys, "chain", "--family", "timelike", "--B", "2", "--H",
             "0.5", "--upto-k", "100000")[0])
         assert rc == 1
-        assert held < 2 ** 20
+        assert held < 2 ** 12
 
     @pytest.mark.parametrize("H,stored_k,K", [
-        ("1e-100", "3", "12"),  # an exact coefficient past 1.8e308
+        ("1e-60", "3", "12"),   # an exact coefficient past 1.8e308
         ("0.5", "40", "100"),   # a term value past the float range
+        ("1e5", "12", "40"),    # the same, at a K the memo keeps
     ])
     def test_warm_range_error_is_the_cold_one(self, capsys, cold_chains, H,
                                               stored_k, K):
-        # The terms kept for (B, H) at a smaller K leave a failing K as it
+        # The rows kept for (B, H) at a smaller K leave a failing K as it
         # was: the error comes at the same order with the same text, and
         # the failing request stores nothing.
         argv = ("chain", "--family", "timelike", "--B", "2", "--H", H)

@@ -291,11 +291,13 @@ class TestExactChain:
             _chain_core(alpha, beta, cubic)
         # Only a hand-built configuration reaches it: B = 1 is a repeated
         # root of the Euclidean cubic, which chain_config rejects.
-        # The failing request is not stored: a second call raises the same.
-        euclid_cfg = config(Family.EUCLIDEAN, 0.5, 1.0)
+        # The failing probe is not stored: a second call raises the same.
+        singular_cfg = config(Family.EUCLIDEAN, 0.5, 1.0)._replace(B=1.0)
+        with pytest.raises(SingularError):
+            differentiate_chain(singular_cfg, 4)
         for _ in range(2):
             with pytest.raises(SingularError):
-                differentiate_chain(euclid_cfg._replace(B=1.0), 4)
+                polynomiality_probe(singular_cfg, 4)
         info = cold_chains.cache_info()
         assert (info.misses, info.currsize) == (2, 0)
 
@@ -312,15 +314,11 @@ class TestExactChain:
             assert n * x0 ** 3 + m * x0 + l == value
 
 
-def _hex_terms(terms):
-    """(k, parity, coefficients as float.hex) of each ChainTerm."""
-    return [(t.k, t.has_wp_prime, [c.hex() for c in t.num.coeffs])
-            for t in terms]
-
-
-def _terms_or_error(cfg, upto_k):
+def _report_or_error(cfg, K):
+    """repr of the probe report, which tells every float apart, or the
+    RangeError text."""
     try:
-        return _hex_terms(differentiate_chain(cfg, upto_k))
+        return repr(polynomiality_probe(cfg, K))
     except RangeError as exc:
         return str(exc)
 
@@ -346,13 +344,14 @@ class TestChainMemo:
             assert _rows_at_h(cfg, 9) == _chain_at_own_h(cfg, 9)
 
     def test_least_recently_used_terms_are_evicted(self, cold_chains):
-        n = wp_chain._KEPT_TERMS
+        n = wp_chain._KEPT_PROBES
         data = reduce(Family.EUCLIDEAN, 0.4)
         cfgs = [chain_config(data, 0.25 + i / 64) for i in range(n + 1)]
 
         def misses(i):
             before = cold_chains.cache_info().misses
-            assert [t.k for t in differentiate_chain(cfgs[i], 3)] == [1, 2, 3]
+            report = polynomiality_probe(cfgs[i], 3)
+            assert [t["k"] for t in report["terms"]] == [1, 2, 3]
             return cold_chains.cache_info().misses - before
 
         assert [misses(i) for i in range(n)] == [1] * n
@@ -360,33 +359,34 @@ class TestChainMemo:
         assert misses(n) == 1  # and is evicted
         assert cold_chains.cache_info().currsize == n
         assert (misses(0), misses(2)) == (0, 0)
-        assert misses(1) == 1  # rounded again from nothing, evicting 3
+        assert misses(1) == 1  # probed again from nothing, evicting 3
         assert misses(3) == 1
 
-    def test_kept_terms_stay_under_8_mb(self, memo_bytes):
-        # _KEPT_ORDERS terms hold 1,164 floats whatever their (family, B,
-        # H), so one entry sizes a full memo: it stays under 8 MB.
+    def test_kept_rows_stay_under_1_mb(self, memo_bytes):
+        # _KEPT_ORDERS rows hold the same ints, bools and floats whatever
+        # their (family, B, H), so one entry sizes a full memo: it stays
+        # under 1 MB.
         K = wp_chain._KEPT_ORDERS
         cfg = config(Family.LORENTZ_TIMELIKE_AXIS, 2.3, 0.5 + 1 / 7)
-        k, held = memo_bytes(lambda: len(differentiate_chain(cfg, K)))
+        k, held = memo_bytes(lambda: len(polynomiality_probe(cfg, K)["terms"]))
         assert k == K
-        assert wp_chain._KEPT_TERMS * held < 2 ** 23
+        assert 0 < held
+        assert wp_chain._KEPT_PROBES * held < 2 ** 20
 
     def test_threads_sharing_the_memo_get_identical_terms(self, cold_chains):
         cfgs = [config(family, B, H) for family in Family
                 for B, H in ((2.3, 0.7), (0.4, 1.3))]
         requests = [(cfg, K) for cfg in cfgs for K in (3, 8, 5)]
-        want = [_hex_terms(differentiate_chain(cfg, K))
-                for cfg, K in requests]
+        want = [_report_or_error(cfg, K) for cfg, K in requests]
         # Every thread makes the same requests in the same order from an
-        # empty memo, switching often, so that several round one at once.
+        # empty memo, switching often, so that several probe one at once.
         cold_chains.cache_clear()
         errors = []
 
         def work():
             try:
-                for (cfg, K), terms in zip(requests, want):
-                    assert _hex_terms(differentiate_chain(cfg, K)) == terms
+                for (cfg, K), report in zip(requests, want):
+                    assert _report_or_error(cfg, K) == report
             except BaseException as exc:  # reported by the main thread
                 errors.append(exc)
                 raise
@@ -411,7 +411,7 @@ class TestChainMemo:
     @given(st.sampled_from(list(Family)), st.floats(0.1, 6.0),
            st.lists(st.floats(0.2, 5.0), min_size=1, max_size=6,
                     unique=True),
-           st.lists(st.tuples(st.integers(0, 5), st.integers(1, 45)),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(3, 45)),
                     min_size=1, max_size=12),
            st.sampled_from([None, False, True]))
     def test_warm_terms_are_the_cold_terms(self, family, B, hs, requests,
@@ -424,62 +424,64 @@ class TestChainMemo:
             requests = sorted(requests, key=lambda r: r[1],
                               reverse=descending)
         requests = [(cfgs[i % len(cfgs)], K) for i, K in requests]
-        memo = wp_chain._kept_terms
+        memo = wp_chain._probe_rows
         memo.cache_clear()
         try:
-            warm = [_terms_or_error(cfg, K) for cfg, K in requests]
+            warm = [_report_or_error(cfg, K) for cfg, K in requests]
             # Kept: each request within _KEPT_ORDERS that returned, once.
-            kept = {(cfg, K) for (cfg, K), terms in zip(requests, warm)
-                    if K <= wp_chain._KEPT_ORDERS and not isinstance(terms,
-                                                                     str)}
+            kept = {(cfg, K) for (cfg, K), report in zip(requests, warm)
+                    if K <= wp_chain._KEPT_ORDERS and report.startswith("{")}
             assert memo.cache_info().currsize == len(kept)
             cold = []
             for cfg, K in requests:
                 memo.cache_clear()
-                cold.append(_terms_or_error(cfg, K))
+                cold.append(_report_or_error(cfg, K))
             assert warm == cold
         finally:
             memo.cache_clear()
 
     def test_controls_are_not_served_the_terms_of_the_real_c2(
             self, cold_chains):
-        # The c2 = 0 control of criterion 10, another lam and the opposite
-        # c2 share (family, B, H) but never its terms.
+        # The c2 = 0 control of criterion 10, another lam and an opposite
+        # c2 share (family, B, H) but never its rows.
         cfg = config(Family.LORENTZ_TIMELIKE_AXIS, 2.3, 0.7)
         cfgs = [cfg, cfg._replace(c2=0.0), cfg._replace(lam=2 * cfg.lam),
-                cfg._replace(c2=-cfg.c2)]
+                cfg._replace(c2=-2 * cfg.c2)]
         cold = []
         for c in cfgs:
             cold_chains.cache_clear()
-            cold.append(_hex_terms(differentiate_chain(c, 8)))
-        assert all(t[2] == [(0.0).hex()] for t in cold[1])
-        assert len({repr(terms) for terms in cold}) == len(cold)
+            cold.append(_report_or_error(c, 8))
+        control = polynomiality_probe(cfgs[1], 8)["terms"]
+        assert all(t["identically_zero"] for t in control)
+        assert len(set(cold)) == len(cold)
         for order in (cfgs, cfgs[::-1]):
             cold_chains.cache_clear()
             for c in order:
-                differentiate_chain(c, 8)
-            assert [_hex_terms(differentiate_chain(c, 8))
-                    for c in cfgs] == cold
+                polynomiality_probe(c, 8)
+            assert [_report_or_error(c, 8) for c in cfgs] == cold
             assert cold_chains.cache_info().currsize == len(cfgs)
 
     def test_requests_are_kept_per_k_up_to_the_kept_orders(self,
                                                            cold_chains):
         # One entry per (cfg, K) with K <= _KEPT_ORDERS, served whole to a
-        # repeat; a larger K is rounded on every call and stores nothing.
+        # repeat; a larger K is probed on every call and stores nothing.
         n = wp_chain._KEPT_ORDERS
         cfg = config(Family.EUCLIDEAN, 0.4, 0.7)
         for K in (12, 8, n, n + 1):
-            assert len(differentiate_chain(cfg, K)) == K
+            assert len(polynomiality_probe(cfg, K)["terms"]) == K
         info = cold_chains.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 3, 3)
-        # A caller may change its list: the kept terms stay as they were.
-        differentiate_chain(cfg, 8).clear()
-        assert [len(differentiate_chain(cfg, K)) for K in (12, 8, n)] == \
-            [12, 8, n]
-        longer = differentiate_chain(cfg, n + 1)[:n]
-        assert _hex_terms(longer) == _hex_terms(differentiate_chain(cfg, n))
+        # A caller may change its report: the kept rows stay as they were.
+        report = polynomiality_probe(cfg, 8)
+        report["terms"][0]["k"] = 0
+        report["terms"].clear()
+        assert [len(polynomiality_probe(cfg, K)["terms"])
+                for K in (12, 8, n)] == [12, 8, n]
+        assert polynomiality_probe(cfg, 8)["terms"][0]["k"] == 1
+        longer = polynomiality_probe(cfg, n + 1)["terms"][:n]
+        assert longer == polynomiality_probe(cfg, n)["terms"]
         info = cold_chains.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (5, 3, 3)
+        assert (info.hits, info.misses, info.currsize) == (6, 3, 3)
 
 
 def _mp_chain_values(cfg, upto_k, p, pp):
@@ -726,10 +728,16 @@ class TestPolynomialityProbe:
         # A cold memo: the probe points of cfg are computed here.
         report = polynomiality_probe(cfg, 12)
         assert len(calls) == len(wp_chain._PROBE_OFFSETS)
-        # Warm: the memo keeps them, and the report is the same.
+        # Warm: the memo keeps the rows, and the report is the same; no
+        # coefficient is rounded and no term evaluated again.
+        for name in ("_term_value", "_true_coefficient"):
+            fn = getattr(wp_chain, name)
+            monkeypatch.setattr(wp_chain, name, lambda *a, fn=fn:
+                                calls.append(a) or fn(*a))
         del calls[:]
         assert polynomiality_probe(cfg, 12) == report
         assert len(calls) == 0
+        monkeypatch.undo()
         # The values are those of eval_chain_term at each probe parameter,
         # all five of them at every order.
         ev = WpEvaluator(cfg.g2, cfg.g3)
