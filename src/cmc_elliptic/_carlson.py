@@ -1,9 +1,9 @@
 """Carlson's symmetric elliptic integrals R_F and R_D by duplication.
 
 B. C. Carlson, Numer. Algorithms 10 (1995); DLMF 19.36.i. Each step divides
-the spread of the arguments by 4; the loop stops once the truncated series
-of the last step is accurate to the unit roundoff, which takes five or six
-steps for arguments of comparable size.
+the spread of the arguments by 4; each series stops once its last step is
+accurate to the unit roundoff, five or six steps for comparable arguments.
+The sequence depends on the arguments alone: rf_rd gives both of a triple.
 """
 
 from __future__ import annotations
@@ -91,21 +91,50 @@ def rd(x: float, y: float, z: float) -> float:
     x, y >= 0, not both 0, and z > 0; RangeError where the value is past
     the largest float, which only arguments near the smallest ones give.
     """
+    return _duplicate(x, y, z, False)[1]
+
+
+def rf_rd(x: float, y: float, z: float) -> tuple[float, float]:
+    """(rf(x, y, z), rd(x, y, z)); rf's error if it has one, else rd's."""
+    return _duplicate(x, y, z, True)
+
+
+def _duplicate(x: float, y: float, z: float, with_rf: bool):
+    """(R_F if with_rf else None, R_D) from one sequence, a series per value.
+
+    rf and rd give both where either needs the 4^-8 rescale or leaves its
+    domain; rf gives R_F where it needs more steps. An R_D below 2^-969 may
+    have lost terms to underflow: it is redone with the arguments times 4^-j
+    (largest near 1, smallest nonzero normal) and scaled back by 2^-3j.
+    """
     a0 = a = (x + y + 3 * z) / 5
     spread = _RD_SPREAD * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
-    if not (x + y > 0 and z > 0 and spread < math.inf):
+    f0 = f = (x + y + z) / 3
+    f_end = None if with_rf else ()  # R_F's (fac, mean) once it stops
+    ok = x + y > 0 and z > 0 and spread < math.inf
+    if with_rf:
+        f_spread = _RF_SPREAD * max(abs(f0 - x), abs(f0 - y), abs(f0 - z))
+        if not (ok and min(x + y, y + z, z + x) > 0 and f_spread < math.inf):
+            return rf(x, y, z), rd(x, y, z)
+    if not ok:
         xs, ys, zs = _shrunk(x, y, z)
         if xs + ys > 0 and zs > 0:
-            return rd(xs, ys, zs) * 2.0 ** -24
+            return None, rd(xs, ys, zs) * 2.0 ** -24
         raise DomainError(f"R_D({x!r}, {y!r}, {z!r}) is outside its domain")
     try:
         fac, tail, xm, ym, zm = 1.0, 0.0, x, y, z
-        while fac * spread >= a:
+        while True:
+            if f_end is None and fac * f_spread < f:
+                f_end = fac, f
+            if fac * spread < a:
+                break
             sx, sy, sz = math.sqrt(xm), math.sqrt(ym), math.sqrt(zm)
             lam = sx * (sy + sz) + sy * sz
             tail += fac / (sz * (zm + lam))
-            xm, ym, zm, a = (xm + lam) / 4, (ym + lam) / 4, (zm + lam) / 4, (a + lam) / 4
-            fac /= 4
+            xm, ym, zm = (xm + lam) / 4, (ym + lam) / 4, (zm + lam) / 4
+            a, fac = (a + lam) / 4, fac / 4
+            if f_end is None:
+                f = (f + lam) / 4
         X, Y = fac * (a0 - x) / a, fac * (a0 - y) / a
         Z = -(X + Y) / 3
         xy, zz = X * Y, Z * Z
@@ -118,4 +147,14 @@ def rd(x: float, y: float, z: float) -> float:
         value = math.inf
     if value == math.inf:
         raise RangeError(f"R_D({x!r}, {y!r}, {z!r}) is past the float range")
-    return value
+    if value < 2.0 ** -969:
+        low = min(v for v in (x, y, z) if v > 0)
+        j = min(math.frexp(max(x, y, z))[1], math.frexp(low)[1] + 1021) // 2
+        if j > 0:  # rd is homogeneous of degree -3/2
+            value = math.ldexp(rd(*(math.ldexp(v, -2 * j) for v in (x, y, z))),
+                               -3 * j)
+    if not f_end:  # () without R_F; None if its series needs more steps
+        return (rf(x, y, z) if with_rf else None), value
+    fac, f = f_end
+    X, Y = fac * (f0 - x) / f, fac * (f0 - y) / f
+    return _rf_series(X * Y - (X + Y) ** 2, -X * Y * (X + Y), f), value

@@ -127,11 +127,10 @@ def criterion_5() -> CriterionResult:
             for B in (0.1, 0.5, 0.9, 1.5, 3.0):
                 params = CmcParams(fam, H, B)
                 lo, hi = _in_domain_window(params)
-                for i in range(20):
-                    s = lo + (hi - lo) * (i + 0.5) / 20
-                    rel = abs(profiles.mean_curvature(params, s) - H) / H
-                    worst = max(worst, rel)
-                    n += 1
+                grid = [lo + (hi - lo) * (i + 0.5) / 20 for i in range(20)]
+                for k in profiles.mean_curvatures(params, grid):
+                    worst = max(worst, abs(k - H) / H)
+                n += len(grid)
     dt = time.perf_counter() - t0
     ok = worst < 1e-8 and dt < 5.0
     return CriterionResult(
@@ -166,7 +165,7 @@ def criterion_6() -> CriterionResult:
             lo, hi = _in_domain_window(params)
             s = rng.uniform(lo, hi)
             profiles._require_in_domain(params, [s])  # no axis value needed
-            _, drad, _, dax, _ = profiles._closed_pieces(params, s)
+            [(_, drad, _, dax, _)] = profiles._closed_pieces(params, [s])
             dx, dsecond = profiles._finite(params, s, (dax, drad))[::flip]
             worst = max(worst, abs(dx ** 2 + sign * dsecond ** 2 - 1.0))
     ok = worst < 1e-9
@@ -179,25 +178,16 @@ def criterion_6() -> CriterionResult:
 # 7: algebraic special cases
 
 
-def _mesh_vertices(params: CmcParams, s_lo: float, s_hi: float):
-    return profiles.mesh(params, (s_lo, s_hi), 40, 25).vertices
-
-
 def _fitted_hyperboloid_residual(vertices, H: float) -> float:
     """Residual of x1^2+x2^2-(x3+C)^2 = -1/H^2 with the best axis shift C.
 
     The profile is defined up to translation along the rotation axis, so the
     claim is tested against the most favorable constant.
     """
-    shifts = []
-    for x1, x2, x3 in vertices:
-        target = x1 * x1 + x2 * x2 + 1.0 / (H * H)
-        if target < 0:
-            return math.inf
-        shifts.append(math.sqrt(target) - x3)
-    c = sum(shifts) / len(shifts)
-    return max(abs(x1 * x1 + x2 * x2 - (x3 + c) ** 2 + 1.0 / (H * H))
-               for x1, x2, x3 in vertices)
+    inv = 1.0 / (H * H)
+    rows = [(x1 * x1 + x2 * x2, x3) for x1, x2, x3 in vertices]
+    c = sum(math.sqrt(r2 + inv) - x3 for r2, x3 in rows) / len(rows)
+    return max(abs(r2 - (x3 + c) ** 2 + inv) for r2, x3 in rows)
 
 
 def criterion_7() -> CriterionResult:
@@ -214,13 +204,13 @@ def criterion_7() -> CriterionResult:
 
     # Round cylinder (Euclidean B=0).
     params = CmcParams(Family.EUCLIDEAN, 0.7, 0.0)
-    verts = _mesh_vertices(params, -1.0, 1.0)
+    verts = profiles._mesh_vertices(params, (-1.0, 1.0), 40, 25)[0]
     record("euclidean B=0",
            max(profiles.implicit_residual(params, v) for v in verts),
            len(verts))
     # Hyperbolic cylinder (spacelike axis, B=0).
     params = CmcParams(Family.LORENTZ_SPACELIKE_AXIS, 0.5, 0.0)
-    verts = _mesh_vertices(params, -1.0, 1.0)
+    verts = profiles._mesh_vertices(params, (-1.0, 1.0), 40, 25)[0]
     record("spacelike-axis B=0",
            max(profiles.implicit_residual(params, v) for v in verts),
            len(verts))
@@ -228,7 +218,7 @@ def criterion_7() -> CriterionResult:
     params = CmcParams(Family.EUCLIDEAN, 0.5, 1.0)
     lo = -math.pi / 2 + 0.1
     hi = 3 * math.pi / 2 - 0.1
-    verts = _mesh_vertices(params, lo, hi)
+    verts = profiles._mesh_vertices(params, (lo, hi), 40, 25)[0]
     record("euclidean B=1",
            max(profiles.implicit_residual(params, v) for v in verts),
            len(verts))
@@ -242,7 +232,7 @@ def criterion_7() -> CriterionResult:
     # Timelike axis B=1: tested against the actual profile mesh with the
     # most favorable axis translation.
     params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.5, 1.0)
-    verts = _mesh_vertices(params, 0.05, 1.2)
+    verts = profiles._mesh_vertices(params, (0.05, 1.2), 40, 25)[0]
     record("timelike-axis B=1 (best shift)",
            _fitted_hyperboloid_residual(verts, 0.5), len(verts))
 

@@ -10,10 +10,10 @@ fixed mean curvature H > 0:
 * ``LORENTZ_TIMELIKE_AXIS``: profile (x(s), z(s)) rotated about the
   timelike z-axis, orbit (x cos(theta), x sin(theta), z).
 
-In every family the radius coordinate is an explicit square root of a
-trigonometric/hyperbolic expression in s, and the axis coordinate is a sum
-of incomplete elliptic integrals, evaluated in Carlson's symmetric form
-(``_carlson``); first and second derivatives are analytic throughout.
+In every family the radius is an explicit square root of a trigonometric or
+hyperbolic expression in s, and the axis coordinate a sum of incomplete
+elliptic integrals in Carlson's form (``_carlson.rf_rd``); derivatives are
+analytic, and the kernels take a whole grid of s per call.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from collections import namedtuple
 from typing import Callable, NamedTuple, Sequence
 
-from ._carlson import rd, rf
+from ._carlson import rd, rf, rf_rd
 from .errors import (DomainError, EmptyDomainError, RangeError,
                      UnsupportedCaseError)
 
@@ -145,45 +145,47 @@ def _radicand(params: CmcParams, s: float) -> float:
     return (B * B - 1) + 2 * B * math.sinh(2 * H * s)  # exact at B = 1
 
 
-def _closed_pieces(params: CmcParams, s: float):
-    """Radius coordinate, its two derivatives, and the axis derivatives.
+def _closed_pieces(params: CmcParams, grid: Sequence[float]):
+    """(radius, d(radius), dd(radius), d(axis), dd(axis)) at each sample.
 
-    Returns (radius, d(radius), dd(radius), d(axis), dd(axis)). Raises
-    RangeError where sinh/cosh or sin overflows or R**1.5 underflows to 0
-    in a divisor; past that a piece may still come out inf or nan, so
-    callers check the ones they use with ``_finite``.
+    Generated over grid in order, the family resolved once. RangeError
+    where sinh/cosh or sin overflows or R**1.5 underflows to 0 in a divisor;
+    past that a piece may be inf or nan, which callers check with _finite.
     """
     H, B = params.H, params.B
     try:
-        R = _radicand(params, s)
-        if R <= 0:
-            raise DomainError(f"radicand non-positive at s={s!r}")
-        sq = math.sqrt(R)
-        R32 = R * sq
         if params.family is Family.EUCLIDEAN:
-            sn, cs = math.sin(2 * H * s), math.cos(2 * H * s)
-            radius = sq / (2 * H)
-            drad = B * cs / sq
-            ddrad = -2 * B * H * (1 + B * sn) * (B + sn) / R32
-            dax = (1 + B * sn) / sq
-            ddax = 2 * B * B * H * cs * (B + sn) / R32
+            for s in grid:
+                sq, R32 = _root(params, s)
+                sn, cs = math.sin(2 * H * s), math.cos(2 * H * s)
+                yield (sq / (2 * H), B * cs / sq,
+                       -2 * B * H * (1 + B * sn) * (B + sn) / R32,
+                       (1 + B * sn) / sq, 2 * B * B * H * cs * (B + sn) / R32)
         elif params.family is Family.LORENTZ_SPACELIKE_AXIS:
-            sh, ch = math.sinh(2 * H * s), math.cosh(2 * H * s)
-            radius = sq / (2 * H)
-            drad = -B * sh / sq
-            ddrad = -2 * B * H * (ch - B) * (1 - B * ch) / R32
-            dax = (B * ch - 1) / sq
-            ddax = 2 * B * B * H * sh * (B - ch) / R32
+            for s in grid:
+                sq, R32 = _root(params, s)
+                sh, ch = math.sinh(2 * H * s), math.cosh(2 * H * s)
+                yield (sq / (2 * H), -B * sh / sq,
+                       -2 * B * H * (ch - B) * (1 - B * ch) / R32,
+                       (B * ch - 1) / sq, 2 * B * B * H * sh * (B - ch) / R32)
         else:
-            sh, ch = math.sinh(2 * H * s), math.cosh(2 * H * s)
-            radius = sq / (2 * H)
-            drad = B * ch / sq
-            ddrad = 2 * B * H * (B + sh) * (B * sh - 1) / R32
-            dax = (B * sh - 1) / sq
-            ddax = 2 * B * B * H * ch * (B + sh) / R32
+            for s in grid:
+                sq, R32 = _root(params, s)
+                sh, ch = math.sinh(2 * H * s), math.cosh(2 * H * s)
+                yield (sq / (2 * H), B * ch / sq,
+                       2 * B * H * (B + sh) * (B * sh - 1) / R32,
+                       (B * sh - 1) / sq, 2 * B * B * H * ch * (B + sh) / R32)
     except (OverflowError, ValueError, ZeroDivisionError):
         raise _overflow(params, s) from None
-    return radius, drad, ddrad, dax, ddax
+
+
+def _root(params: CmcParams, s: float) -> tuple[float, float]:
+    """sqrt(R) and R**1.5 of the radicand R at s, which must be positive."""
+    R = _radicand(params, s)
+    if R <= 0:
+        raise DomainError(f"radicand non-positive at s={s!r}")
+    sq = math.sqrt(R)
+    return sq, R * sq
 
 
 def _overflow(params: CmcParams, s: float) -> RangeError:
@@ -226,8 +228,8 @@ def _legendre(sn: float, c2: float, m: float,
 
     m1 = 1 - m comes separately so that it keeps its digits near m = 1.
     """
-    d2 = c2 + m1 * sn * sn  # 1 - m sin^2(phi)
-    return sn * rf(c2, d2, 1.0), m / 3 * sn ** 3 * rd(c2, d2, 1.0)
+    f, d = rf_rd(c2, c2 + m1 * sn * sn, 1.0)  # y = 1 - m sin^2(phi)
+    return sn * f, m / 3 * sn ** 3 * d
 
 
 def _euclidean_axis(H: float, B: float) -> Callable[[float], float]:
@@ -243,7 +245,8 @@ def _euclidean_axis(H: float, B: float) -> Callable[[float], float]:
     f0, d0 = _legendre(math.sqrt(0.5), 0.5, m, m1)
     sphere = B == 1.0
     if not sphere:
-        half_k, half_d = 2 * rf(0.0, m1, 1.0), 2 * m / 3 * rd(0.0, m1, 1.0)
+        k, d = rf_rd(0.0, m1, 1.0)
+        half_k, half_d = 2 * k, 2 * m / 3 * d
 
     def axis(s: float) -> float:
         theta = math.pi / 4 - H * s
@@ -332,10 +335,9 @@ def profile_points(params: CmcParams,
     """
     grid = [float(s) for s in s_grid]
     _require_in_domain(params, grid)
-    pieces = []
-    for s in grid:
-        radius, drad, _, dax, _ = _closed_pieces(params, s)
-        pieces.append(_finite(params, s, (radius, drad, dax)))
+    pieces = [_finite(params, s, (radius, drad, dax))
+              for s, (radius, drad, _, dax, _)
+              in zip(grid, _closed_pieces(params, grid))]
     axes = _axis_values(params, grid)
     if params.family is Family.LORENTZ_TIMELIKE_AXIS:
         # Profile is (x, z) = (radius, axis).
@@ -375,26 +377,32 @@ def _orbit(params: CmcParams, cs: CurveSample,
     return [(x, r * c, r * sn) for c, sn in rotations]
 
 
-def mean_curvature(params: CmcParams, s: float) -> float:
-    """Mean curvature of the rotation surface at profile parameter s.
+def mean_curvatures(params: CmcParams,
+                    s_grid: Sequence[float]) -> list[float]:
+    """Mean curvature of the rotation surface at each profile parameter.
 
-    Evaluated from the analytic first/second derivatives of the profile
-    (no finite differences); orientation is fixed so the cylinder case
-    returns +H, and by continuity every profile of the family returns +H.
+    From the analytic derivatives of the profile, after one domain check
+    for the whole grid; orientation is fixed so the cylinder case returns
+    +H, and by continuity every profile of the family returns +H.
     """
-    _require_in_domain(params, [s])
-    radius, drad, ddrad, dax, ddax = _finite(params, s,
-                                             _closed_pieces(params, s))
-    if params.family is Family.EUCLIDEAN:
-        # (1/2) [x'/y + x'' y' - x' y'']
-        return 0.5 * (dax / radius + ddax * drad - dax * ddrad)
+    _require_in_domain(params, s_grid)
+    rows = (_finite(params, s, pieces)
+            for s, pieces in zip(s_grid, _closed_pieces(params, s_grid)))
+    if params.family is Family.EUCLIDEAN:  # (1/2) [x'/y + x'' y' - x' y'']
+        return [0.5 * (dx / y + ddx * dy - dx * ddy)
+                for y, dy, ddy, dx, ddx in rows]
     if params.family is Family.LORENTZ_SPACELIKE_AXIS:
         # [-x' z - z^2 (x' z'' - z' x'')] / (2 z^2)
-        z, dz, ddz, dx, ddx = radius, drad, ddrad, dax, ddax
-        return (-dx * z - z * z * (dx * ddz - dz * ddx)) / (2 * z * z)
+        return [(-dx * z - z * z * (dx * ddz - dz * ddx)) / (2 * z * z)
+                for z, dz, ddz, dx, ddx in rows]
     # timelike axis: (1/2) [z'/x + x' z'' - x'' z']
-    x, dx, ddx, dz, ddz = radius, drad, ddrad, dax, ddax
-    return 0.5 * (dz / x + dx * ddz - ddx * dz)
+    return [0.5 * (dz / x + dx * ddz - ddx * dz)
+            for x, dx, ddx, dz, ddz in rows]
+
+
+def mean_curvature(params: CmcParams, s: float) -> float:
+    """Mean curvature at s: the one-sample ``mean_curvatures``."""
+    return mean_curvatures(params, [s])[0]
 
 
 def implicit_residual(params: CmcParams, pt: Sequence[float]) -> float:
@@ -445,6 +453,19 @@ def mesh(params: CmcParams, s_range: tuple[float, float], n_s: int,
     spacelike-axis family. Quads are triangulated; vertex (i, j) sits at
     index i*n_theta + j.
     """
+    vertices, grid = _mesh_vertices(params, s_range, n_s, n_theta, angle_range)
+    faces: list[tuple[int, int, int]] = []
+    for i in range(n_s - 1):
+        for v in range(i * n_theta, (i + 1) * n_theta - 1):  # vertex (i, j)
+            w = v + n_theta  # vertex (i + 1, j)
+            faces.append((v, w, w + 1))
+            faces.append((v, w + 1, v + 1))
+    return SurfaceMesh(vertices=vertices, faces=faces, grid=grid)
+
+
+def _mesh_vertices(params: CmcParams, s_range: tuple[float, float], n_s: int,
+                   n_theta: int, angle_range: float = 2.0):
+    """``mesh``'s vertices and (s grid, angle grid), without its faces."""
     if n_s < 2 or n_theta < 2:
         raise DomainError("n_s and n_theta must both be at least 2")
     dom = domain(params)
@@ -468,17 +489,7 @@ def mesh(params: CmcParams, s_range: tuple[float, float], n_s: int,
     vertices: list[tuple[float, float, float]] = []
     for cs in profile_points(params, s_samples):
         vertices += _orbit(params, cs, rotations)
-    faces: list[tuple[int, int, int]] = []
-    for i in range(n_s - 1):
-        for j in range(n_theta - 1):
-            v00 = i * n_theta + j
-            v01 = v00 + 1
-            v10 = v00 + n_theta
-            v11 = v10 + 1
-            faces.append((v00, v10, v11))
-            faces.append((v00, v11, v01))
-    return SurfaceMesh(vertices=vertices, faces=faces,
-                       grid=(s_samples, theta_samples))
+    return vertices, (s_samples, theta_samples)
 
 
 def hyperboloid_vertices(H: float, n_s: int,
@@ -492,9 +503,8 @@ def hyperboloid_vertices(H: float, n_s: int,
     """
     if n_s < 2 or n_theta < 2:
         raise DomainError("n_s and n_theta must both be at least 2")
-    out = []
-    for x in _linspace(-1.0, 1.0, n_s):
-        z = math.sqrt(x * x + 1 / (H * H))
-        for theta in _linspace(-2.0, 2.0, n_theta):
-            out.append((x, z * math.sinh(theta), z * math.cosh(theta)))
-    return out
+    rotations = [(math.sinh(t), math.cosh(t))
+                 for t in _linspace(-2.0, 2.0, n_theta)]
+    rows = [(x, math.sqrt(x * x + 1 / (H * H)))
+            for x in _linspace(-1.0, 1.0, n_s)]
+    return [(x, z * sh, z * ch) for x, z in rows for sh, ch in rotations]

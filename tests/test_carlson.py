@@ -14,8 +14,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cmc_elliptic._carlson import rd, rf
-from cmc_elliptic.errors import DomainError, PoleError, RangeError
+from cmc_elliptic import _carlson
+from cmc_elliptic._carlson import rd, rf, rf_rd
+from cmc_elliptic.errors import CmcError, DomainError, PoleError, RangeError
 from cmc_elliptic.profiles import (CmcParams, Family, _radicand, anchor,
                                    domain, profile_points)
 from cmc_elliptic.weierstrass import WpEvaluator
@@ -135,6 +136,94 @@ class TestCore:
     def test_pair_needs_a_non_real_pair(self):
         with pytest.raises(DomainError):
             rf(1.0, complex(-1.0, 0.0), complex(-1.0, 0.0))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except CmcError as exc:
+        return type(exc), str(exc)
+
+
+# Log-uniform over the whole float range, moderate sizes, and the ends.
+ARGUMENTS = st.one_of(
+    st.floats(-323, 308.25).map(lambda e: min(10.0 ** e, sys.float_info.max)),
+    st.floats(-3, 3).map(lambda e: 10.0 ** e),
+    st.sampled_from([0.0, 5e-324, 1.0, sys.float_info.max, math.inf,
+                     math.nan]),
+)
+
+
+class TestSharedLoop:
+    @settings(max_examples=600, deadline=None)
+    @given(ARGUMENTS, ARGUMENTS, ARGUMENTS)
+    # The 4^-8 rescale; R_F's domain without R_D's; R_D past the largest
+    # float; R_D below 2^-969, where it is rescaled.
+    @example(1e300, 1.7e308, 1.0)
+    @example(1.0, 1.0, 1.7976931348623157e308)
+    @example(1.0, 1.0, 0.0)
+    @example(1e-300, 1e-310, 1e-320)
+    @example(8.950284134331344e-90, 1.355894701451932e-147,
+             5.465413864078468e206)
+    def test_the_pair_is_rf_and_rd(self, x, y, z):
+        # All three below 1e-300 can make rf's mean underflow to 0, where
+        # its loop does not end (a separate fault, not the pair's).
+        assume(not max(x, y, z) < 1e-300)
+        f, d = _outcome(rf, x, y, z), _outcome(rd, x, y, z)
+        if isinstance(f, tuple):
+            want = f
+        else:
+            want = d if isinstance(d, tuple) else (f, d)
+        assert _outcome(rf_rd, x, y, z) == want
+
+    def test_the_legendre_triples_take_one_loop(self, monkeypatch):
+        # On (cos^2, 1 - m sin^2, 1) and (0, 1 - m, 1) R_F's series stops
+        # no later than R_D's, so the pair never falls back to rf and rd.
+        triples = []
+        for i in range(200):
+            c2, m1 = (i + 0.5) / 200, (i * 0.618) % 1 * 0.999 + 1e-3
+            triples += [(c2, c2 + m1 * (1 - c2), 1.0), (0.0, m1, 1.0)]
+        want = [(rf(*t), rd(*t)) for t in triples]
+
+        def fall_back(*args):
+            raise AssertionError(f"two loops at {args}")
+
+        monkeypatch.setattr(_carlson, "rf", fall_back)
+        monkeypatch.setattr(_carlson, "rd", fall_back)
+        assert [rf_rd(*t) for t in triples] == want
+
+    @pytest.mark.parametrize("args", [
+        (8.950284134331344e-90, 1.355894701451932e-147, 5.465413864078468e206),
+        (4.039980398582997e299, 8.223829520605984e303, 3.828944350941564e-17),
+        (1.0, 1.0, 1e200), (1e200, 1e200, 1e200), (0.0, 1e100, 1e200),
+    ])
+    def test_rd_near_underflow_matches_mpmath(self, args):
+        # Normal values below 2^-969, where the unscaled duplication's terms
+        # can go subnormal or overflow their divisors (the first triple read
+        # 7.840e-308 that way).
+        with mp.workdps(30):
+            ref = mp.elliprd(*args)
+        assert 2.2250738585072014e-308 < ref < 2.0 ** -969
+        _close(rd(*args), ref, REL)
+        _close(rf_rd(*args)[1], ref, REL)
+
+    # A triple with largest 1, scaled so that its R_D lands between 2^-1000
+    # and 2^-969 (homogeneity); compared where a scaled argument is normal.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-200.0, 0.0), min_size=3, max_size=3),
+           st.integers(0, 2), st.floats(-1000.0, -969.0))
+    def test_rd_near_underflow_matches_mpmath_everywhere(self, logs, top,
+                                                         log2_value):
+        logs[top] = 0.0
+        with mp.workdps(30):
+            unit = mp.elliprd(*[mp.mpf(10) ** e for e in logs])
+            scale = (unit / mp.mpf(2) ** log2_value) ** (mp.mpf(2) / 3)
+            assume(scale < sys.float_info.max)
+            args = [float(scale * mp.mpf(10) ** e) for e in logs]
+            assume(min(args) > 2.2250738585072014e-308)
+            ref = mp.elliprd(*args)
+        _close(rd(*args), ref, REL)
 
 
 # ---------------------------------------------------------------------------

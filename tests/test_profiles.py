@@ -7,12 +7,12 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from surface_point import surface_point
 
-from cmc_elliptic.errors import (DomainError, EmptyDomainError, RangeError,
-                                 UnsupportedCaseError)
+from cmc_elliptic.errors import (CmcError, DomainError, EmptyDomainError,
+                                 RangeError, UnsupportedCaseError)
 from cmc_elliptic.profiles import (
     CmcParams,
     Family,
@@ -21,10 +21,12 @@ from cmc_elliptic.profiles import (
     hyperboloid_vertices,
     implicit_residual,
     mean_curvature,
+    mean_curvatures,
     mesh,
     profile_point,
 )
-from cmc_elliptic.profiles import _linspace, _radicand
+from cmc_elliptic.profiles import (_closed_pieces, _linspace, _mesh_vertices,
+                                   _radicand)
 
 
 def in_domain_samples(params, n, seed=0, margin=0.05):
@@ -462,3 +464,86 @@ class TestParityAndConsistency:
                        - getattr(profile_point(params, s - h), axis)) / (2 * h)
             assert numeric == pytest.approx(
                 getattr(profile_point(params, s), daxis), abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# Grid forms against their one-sample forms
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or the type and message of the error it raised;
+    repr, so that a nan piece compares equal to itself."""
+    try:
+        return repr(fn(*args))
+    except CmcError as exc:
+        return type(exc), str(exc)
+
+
+def _one_by_one(fn, params, grid):
+    """fn at each sample in turn, up to the first error."""
+    return _outcome(lambda: [fn(params, s) for s in grid])
+
+
+@st.composite
+def grids(draw):
+    """(params, s grid) inside the open domain: a finite window's interior
+    and the rounding distance of its edges, or 1e-3..1e3 in units of 1/H
+    past the edge (or 0) of an unbounded side, where sinh overflows."""
+    family = draw(st.sampled_from(list(Family)))
+    H = 10.0 ** draw(st.floats(-2, 1))
+    B = draw(st.one_of(st.sampled_from([0.0, 1.0, 1 - 1e-12, 1 + 1e-12]),
+                       st.floats(-3, 1).map(lambda e: 10.0 ** e)))
+    assume(not (family is Family.LORENTZ_TIMELIKE_AXIS and B == 0.0))
+    params = CmcParams(family, H, B)
+    dom = domain(params)
+    if dom.degenerate:
+        return params, [0.0]
+    offsets = st.floats(-3, 3).map(lambda e: 10.0 ** e / H)
+    if math.isfinite(dom.lo) and math.isfinite(dom.hi):
+        width = dom.hi - dom.lo
+        s = st.one_of(
+            st.floats(0.0, 1.0).map(lambda f: dom.lo + f * width),
+            st.floats(-17, -8).map(lambda e: dom.lo + 10.0 ** e * width),
+            st.floats(-17, -8).map(lambda e: dom.hi - 10.0 ** e * width))
+    elif math.isfinite(dom.lo):
+        s = offsets.map(lambda d: dom.lo + d)
+    else:
+        s = st.tuples(offsets, st.sampled_from([-1, 1])).map(
+            lambda t: t[0] * t[1])
+    grid = draw(st.lists(s, min_size=1, max_size=6))
+    assume(all(dom.contains(x) for x in grid))
+    return params, grid
+
+
+class TestGridForms:
+    @settings(max_examples=300, deadline=None)
+    @given(grids())
+    # Timelike overflow past s ~ 355/H, after two finite samples.
+    @example((CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 1.0, 2.0),
+              [0.5, 1.0, 400.0, 2.0]))
+    def test_mean_curvatures_is_mean_curvature_per_sample(self, case):
+        params, grid = case
+        assert (_outcome(mean_curvatures, params, grid)
+                == _one_by_one(mean_curvature, params, grid))
+
+    @settings(max_examples=300, deadline=None)
+    @given(grids())
+    @example((CmcParams(Family.LORENTZ_SPACELIKE_AXIS, 1.0, 0.0),
+              [1.0, -500.0, 2.0]))
+    def test_closed_pieces_of_a_grid_are_its_samples(self, case):
+        params, grid = case
+        assert (_outcome(lambda: list(_closed_pieces(params, grid)))
+                == _one_by_one(lambda p, s: next(_closed_pieces(p, [s])),
+                               params, grid))
+
+    @settings(max_examples=100, deadline=None)
+    @given(grids(), st.integers(2, 5), st.integers(2, 5),
+           st.floats(0.5, 3.0))
+    def test_mesh_vertices_are_the_mesh_vertices(self, case, n_s, n_theta,
+                                                 angle_range):
+        params, grid = case
+        s_range = (min(grid), max(grid) + (max(grid) - min(grid) or 1.0))
+        m = _outcome(lambda: (lambda m: (m.vertices, m.grid))(
+            mesh(params, s_range, n_s, n_theta, angle_range)))
+        assert _outcome(_mesh_vertices, params, s_range, n_s, n_theta,
+                        angle_range) == m
