@@ -19,6 +19,11 @@ _RD_SPREAD = (2.0 ** -53 / 4) ** (-1 / 6)  # (r/4)^(-1/6)
 # scale is finite. R_F and R_D are homogeneous of degree -1/2 and -3/2
 # (DLMF 19.20), so their values scale back by 2^-8 and 2^-24.
 _SHRINK = 2.0 ** -16
+# Below this mean (the largest argument of a conjugate pair, whose mean can
+# cancel at any scale) R_F's duplication mean can underflow to 0 and never
+# stop: the arguments are scaled up by 4^j, the largest to about 1/2, and
+# the value by 2^j, by the same homogeneity.
+_TINY = 2.0 ** -969
 
 
 def rf(x, y, z):
@@ -36,12 +41,19 @@ def rf(x, y, z):
         if min(xs + ys, ys + zs, zs + xs) > 0:
             return rf(xs, ys, zs) * 2.0 ** -8
         raise DomainError(f"R_F({x!r}, {y!r}, {z!r}) is outside its domain")
+    if a0 < _TINY and min(x, y, z) >= 0:
+        j = -math.frexp(max(x, y, z))[1] // 2
+        return math.ldexp(rf(*(math.ldexp(v, 2 * j) for v in (x, y, z))), j)
     fac, xm, ym, zm = 1.0, x, y, z
-    while fac * spread >= a:
-        sx, sy, sz = math.sqrt(xm), math.sqrt(ym), math.sqrt(zm)
-        lam = sx * (sy + sz) + sy * sz
-        xm, ym, zm, a = (xm + lam) / 4, (ym + lam) / 4, (zm + lam) / 4, (a + lam) / 4
-        fac /= 4
+    try:
+        while fac * spread >= a:
+            sx, sy, sz = math.sqrt(xm), math.sqrt(ym), math.sqrt(zm)
+            lam = sx * (sy + sz) + sy * sz
+            xm, ym, zm, a = (xm + lam) / 4, (ym + lam) / 4, (zm + lam) / 4, (a + lam) / 4
+            fac /= 4
+    except ValueError:  # the square root of a negative argument
+        raise DomainError(
+            f"R_F({x!r}, {y!r}, {z!r}) is outside its domain") from None
     X, Y = fac * (a0 - x) / a, fac * (a0 - y) / a
     return _rf_series(X * Y - (X + Y) ** 2, -X * Y * (X + Y), a)
 
@@ -50,7 +62,7 @@ def _shrunk(x: float, y: float, z: float) -> tuple[float, float, float]:
     """(x, y, z) times _SHRINK where only the error scale overflowed: all
     three finite and >= 0, the largest above 2^1008; else (0, 0, 0), which
     no domain admits."""
-    if min(x, y, z) >= 0 and 2.0 ** 1008 < max(x, y, z) < math.inf:
+    if all(0 <= v < math.inf for v in (x, y, z)) and max(x, y, z) > 2.0 ** 1008:
         return x * _SHRINK, y * _SHRINK, z * _SHRINK
     return 0.0, 0.0, 0.0
 
@@ -66,9 +78,14 @@ def _rf_pair(x: float, p: float, q: float) -> float:
     a0 = a = (x + 2 * p) / 3
     spread = _RF_SPREAD * max(abs(a0 - x), math.hypot(a0 - p, q))
     if not (x >= 0 and q > 0 and spread < math.inf):
-        if x >= 0 and q > 0 and 2.0 ** 1008 < max(x, abs(p), q) < math.inf:
-            return _rf_pair(x * _SHRINK, p * _SHRINK, q * _SHRINK) * 2.0 ** -8
+        xs, ps, qs = _shrunk(x, abs(p), q)
+        if qs > 0:
+            return _rf_pair(xs, math.copysign(ps, p), qs) * 2.0 ** -8
         raise DomainError(f"R_F({x!r}, {p!r} +/- {q!r}i) is outside its domain")
+    if x < _TINY and abs(p) < _TINY and q < _TINY:
+        j = -math.frexp(max(x, abs(p), q))[1] // 2
+        return math.ldexp(_rf_pair(*(math.ldexp(v, 2 * j) for v in (x, p, q))),
+                          j)
     fac, xm, pm, qm = 1.0, x, p, q
     while fac * spread >= abs(a):
         r = math.hypot(pm, qm)
@@ -145,6 +162,11 @@ def _duplicate(x: float, y: float, z: float, with_rf: bool):
         value = fac * series / (a * math.sqrt(a)) + 3 * tail
     except ZeroDivisionError:  # a power of tiny arguments underflowed to 0
         value = math.inf
+    except ValueError:  # the square root of a negative argument
+        if with_rf:
+            return rf(x, y, z), rd(x, y, z)
+        raise DomainError(
+            f"R_D({x!r}, {y!r}, {z!r}) is outside its domain") from None
     if value == math.inf:
         raise RangeError(f"R_D({x!r}, {y!r}, {z!r}) is past the float range")
     if value < 2.0 ** -969:

@@ -98,9 +98,9 @@ class Poly:
 
     def __call__(self, x):
         """Horner evaluation in the arithmetic of the coefficients and x."""
-        cs = self.coeffs
-        acc = cs[-1]
-        for c in reversed(cs[:-1]):
+        cs = reversed(self.coeffs)
+        acc = next(cs)
+        for c in cs:
             acc = acc * x + c
         return acc
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from itertools import starmap
 from typing import NamedTuple
 
 from . import profiles
@@ -202,33 +203,23 @@ def criterion_7() -> CriterionResult:
         parts.append(f"{label}: {_fmt(residual)} on {count} vertices"
                      + ("" if good else " FAIL"))
 
-    # Round cylinder (Euclidean B=0).
-    params = CmcParams(Family.EUCLIDEAN, 0.7, 0.0)
-    verts = profiles._mesh_vertices(params, (-1.0, 1.0), 40, 25)[0]
-    record("euclidean B=0",
-           max(profiles.implicit_residual(params, v) for v in verts),
-           len(verts))
-    # Hyperbolic cylinder (spacelike axis, B=0).
-    params = CmcParams(Family.LORENTZ_SPACELIKE_AXIS, 0.5, 0.0)
-    verts = profiles._mesh_vertices(params, (-1.0, 1.0), 40, 25)[0]
-    record("spacelike-axis B=0",
-           max(profiles.implicit_residual(params, v) for v in verts),
-           len(verts))
-    # Round sphere (Euclidean B=1).
-    params = CmcParams(Family.EUCLIDEAN, 0.5, 1.0)
-    lo = -math.pi / 2 + 0.1
-    hi = 3 * math.pi / 2 - 0.1
-    verts = profiles._mesh_vertices(params, (lo, hi), 40, 25)[0]
-    record("euclidean B=1",
-           max(profiles.implicit_residual(params, v) for v in verts),
-           len(verts))
+    # Round cylinder, hyperbolic cylinder (spacelike axis) and round sphere.
+    for label, params, s_range in (
+            ("euclidean B=0", CmcParams(Family.EUCLIDEAN, 0.7, 0.0),
+             (-1.0, 1.0)),
+            ("spacelike-axis B=0",
+             CmcParams(Family.LORENTZ_SPACELIKE_AXIS, 0.5, 0.0), (-1.0, 1.0)),
+            ("euclidean B=1", CmcParams(Family.EUCLIDEAN, 0.5, 1.0),
+             (-math.pi / 2 + 0.1, 3 * math.pi / 2 - 0.1))):
+        verts = profiles._mesh_vertices(params, s_range, 40, 25)[0]
+        record(label, max(starmap(profiles._quadric(params), verts)),
+               len(verts))
     # Hyperboloid, spacelike axis B=1: the profile domain collapses to a
     # point, so the canonical parametrization supplies the vertices.
     verts = profiles.hyperboloid_vertices(0.5, 40, 25)
+    hyperboloid = CmcParams(Family.LORENTZ_SPACELIKE_AXIS, 0.5, 1.0)
     record("spacelike-axis B=1 (canonical)",
-           max(abs(v[0] ** 2 + v[1] ** 2 - v[2] ** 2 + 1.0 / 0.25)
-               for v in verts),
-           len(verts))
+           max(starmap(profiles._quadric(hyperboloid), verts)), len(verts))
     # Timelike axis B=1: tested against the actual profile mesh with the
     # most favorable axis translation.
     params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.5, 1.0)
@@ -243,20 +234,6 @@ def criterion_7() -> CriterionResult:
 # 8: wp identities
 
 
-def _series_tail(coeffs: list[float], z: float) -> float:
-    """Term-wise second derivative of the Laurent tail (valid for |z| < r0).
-
-    The full series derivative is 6/z^4 plus this tail, Horner's sum of
-    coeffs = (2k-2)(2k-3) c_k for k = 25..2; the lowest tail term is
-    (2k-2)(2k-3) c_k z^(2k-4) at k=2, a constant.
-    """
-    v = z * z
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * v + c
-    return acc
-
-
 def criterion_8() -> CriterionResult:
     worst_ode = worst_second = worst_hom = 0.0
     for fam in Family:
@@ -267,19 +244,16 @@ def criterion_8() -> CriterionResult:
             for i in range(50):
                 w = ev.e_max + 10.0 ** (-1.0 + 2.3 * i / 49)
                 z = ev.wp_inverse(w)
-                p, pp = ev.wp(z)
-                cubic = 4.0 * p ** 3 - data.g2 * p - data.g3
-                scale = max(1.0, abs(4.0 * p ** 3), abs(data.g2 * p),
-                            abs(data.g3))
-                worst_ode = max(worst_ode, abs(pp * pp - cubic) / scale)
-            # Second-derivative identity against the raw series, whose
-            # coefficients come from ev.laurent, not the evaluator's terms.
-            tail = [(2 * k - 2) * (2 * k - 3) * ev.laurent[k - 2]
-                    for k in range(len(ev.laurent) + 1, 1, -1)]
+                worst_ode = max(worst_ode, ev.ode_residual(*ev.wp(z)))
+            # Second-derivative identity against the raw series from
+            # ev.laurent, not the evaluator's terms: P'' = 6/z^4 plus the
+            # sum of (2k-2)(2k-3) c_k z^(2k-4), a polynomial in z^2.
+            tail = Poly([(2 * k - 2) * (2 * k - 3) * c
+                         for k, c in enumerate(ev.laurent, 2)])
             for i in range(50):
                 z = ev.r0 * (0.02 + 0.96 * i / 49)
                 p, _ = ev.wp(z)
-                lhs = 6.0 / z ** 4 + _series_tail(tail, z)
+                lhs = 6.0 / z ** 4 + tail(z * z)
                 rhs = 6.0 * p * p - data.g2 / 2.0
                 scale = max(1.0, abs(rhs))
                 worst_second = max(worst_second, abs(lhs - rhs) / scale)
@@ -340,28 +314,24 @@ def _solve_t(cfg, ev, t0, z_target, t_guess):
     raise RuntimeError("Newton inversion of the axis coordinate stalled")
 
 
-def fd_chain_reference(cfg, params, s_center: float, delta: float):
-    """(d^k r/dx3^k for k=1,2,3) by centered differences on an even z-grid.
+def fd_chain_reference(cfg, params, ev):
+    """(d^k r/dx3^k for k=1,2,3, t) by centered differences on an even
+    z-grid around the path parameter t of s = 1; ev is cfg's evaluator.
 
     r is the rescaled squared radius c1 + c2*P. Fifth-order stencils for
-    k=1,2; the k=3 stencil is Richardson-extrapolated from spacings delta
-    and delta/2.
+    k=1,2; the k=3 stencil is Richardson-extrapolated from spacings d = 0.01
+    and d/2.
     """
-    ev = WpEvaluator(cfg.g2, cfg.g3)
     t0, _ = _path_parameter(cfg, ev, profiles.anchor(params))
-    t_c, _ = _path_parameter(cfg, ev, s_center)
+    t_c, _ = _path_parameter(cfg, ev, 1.0)
     z_c = _path_axis(cfg, ev, t0, t_c)
-
-    cache: dict[float, float] = {}
+    slope = cfg.alpha + cfg.beta * ev.wp(t_c)[0]
 
     def r_at(dz: float) -> float:
-        if dz not in cache:
-            slope = cfg.alpha + cfg.beta * ev.wp(t_c)[0]
-            t = _solve_t(cfg, ev, t0, z_c + dz, t_c + dz / slope)
-            cache[dz] = cfg.c1 + cfg.c2 * ev.wp(t)[0]
-        return cache[dz]
+        t = _solve_t(cfg, ev, t0, z_c + dz, t_c + dz / slope)
+        return cfg.c1 + cfg.c2 * ev.wp(t)[0]
 
-    d = delta
+    d = 0.01
     f = {i: r_at(i * d / 2.0) for i in (-4, -3, -2, -1, 0, 1, 2, 3, 4)}
     d1 = (-f[4] + 8 * f[2] - 8 * f[-2] + f[-4]) / (12 * d)
     d2 = (-f[4] + 16 * f[2] - 30 * f[0] + 16 * f[-2] - f[-4]) / (12 * d * d)
@@ -383,7 +353,7 @@ def criterion_10() -> CriterionResult:
 
     params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.5, 2.0)
     ev = WpEvaluator(cfg.g2, cfg.g3)
-    d1, d2, d3, t_c = fd_chain_reference(cfg, params, 1.0, 0.01)
+    d1, d2, d3, t_c = fd_chain_reference(cfg, params, ev)
     terms = differentiate_chain(cfg, 3)
     tols = (1e-4, 1e-4, 1e-3)
     for k, (fd, tol) in enumerate(zip((d1, d2, d3), tols), start=1):

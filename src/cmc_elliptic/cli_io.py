@@ -147,9 +147,7 @@ def _cmd_wp_check(args) -> str:
         w = ev.e_max + 10.0 ** (-1.0 + 2.0 * i / 24)
         z = ev.wp_inverse(w)
         p, pp = ev.wp(z)
-        cubic = 4.0 * p ** 3 - data.g2 * p - data.g3
-        scale = max(1.0, abs(4.0 * p ** 3), abs(data.g2 * p), abs(data.g3))
-        ode = max(ode, abs(pp * pp - cubic) / scale)
+        ode = max(ode, ev.ode_residual(p, pp))
         roundtrip = max(roundtrip, abs(p - w) / max(1.0, abs(w)))
         h = 1e-4 * z  # relative: z is tiny where P is huge
         fd = (ev.wp(z + h)[1] - ev.wp(z - h)[1]) / (2.0 * h)

@@ -388,16 +388,14 @@ def mean_curvatures(params: CmcParams,
     _require_in_domain(params, s_grid)
     rows = (_finite(params, s, pieces)
             for s, pieces in zip(s_grid, _closed_pieces(params, s_grid)))
-    if params.family is Family.EUCLIDEAN:  # (1/2) [x'/y + x'' y' - x' y'']
-        return [0.5 * (dx / y + ddx * dy - dx * ddy)
-                for y, dy, ddy, dx, ddx in rows]
     if params.family is Family.LORENTZ_SPACELIKE_AXIS:
         # [-x' z - z^2 (x' z'' - z' x'')] / (2 z^2)
         return [(-dx * z - z * z * (dx * ddz - dz * ddx)) / (2 * z * z)
                 for z, dz, ddz, dx, ddx in rows]
-    # timelike axis: (1/2) [z'/x + x' z'' - x'' z']
-    return [0.5 * (dz / x + dx * ddz - ddx * dz)
-            for x, dx, ddx, dz, ddz in rows]
+    # Euclidean and timelike axis, r the radius and a the axis coordinate:
+    # (1/2) [a'/r + a'' r' - a' r'']
+    return [0.5 * (da / r + dda * dr - da * ddr)
+            for r, dr, ddr, da, dda in rows]
 
 
 def mean_curvature(params: CmcParams, s: float) -> float:
@@ -405,27 +403,33 @@ def mean_curvature(params: CmcParams, s: float) -> float:
     return mean_curvatures(params, [s])[0]
 
 
-def implicit_residual(params: CmcParams, pt: Sequence[float]) -> float:
-    """Residual of the algebraic special-case surface equation at a point.
+def _quadric(params: CmcParams) -> Callable[[float, float, float], float]:
+    """(x1, x2, x3) -> residual of the algebraic special-case surface.
 
     Supported only for B in {0, 1}: cylinders (B=0), the Euclidean sphere and
     the Lorentzian hyperboloid x1^2+x2^2-x3^2 = -1/H^2 (B=1).
     """
     H, B = params.H, params.B
-    x1, x2, x3 = pt
     if B == 0.0:
+        c = 1 / (4 * H * H)
         if params.family is Family.EUCLIDEAN:
-            return abs(x2 * x2 + x3 * x3 - 1 / (4 * H * H))
+            return lambda x1, x2, x3: abs(x2 * x2 + x3 * x3 - c)
         if params.family is Family.LORENTZ_SPACELIKE_AXIS:
-            return abs(x3 * x3 - x2 * x2 - 1 / (4 * H * H))
-        return abs(x1 * x1 + x2 * x2 - 1 / (4 * H * H))
+            return lambda x1, x2, x3: abs(x3 * x3 - x2 * x2 - c)
+        return lambda x1, x2, x3: abs(x1 * x1 + x2 * x2 - c)
     if B == 1.0:
+        c = 1 / (H * H)
         if params.family is Family.EUCLIDEAN:
             x0 = math.sqrt(2) / (2 * H)  # axis value at the equator
-            return abs((x1 - x0) ** 2 + x2 * x2 + x3 * x3 - 1 / (H * H))
-        return abs(x1 * x1 + x2 * x2 - x3 * x3 + 1 / (H * H))
+            return lambda x1, x2, x3: abs((x1 - x0) ** 2 + x2 * x2 + x3 * x3 - c)
+        return lambda x1, x2, x3: abs(x1 * x1 + x2 * x2 - x3 * x3 + c)
     raise UnsupportedCaseError(
         f"no known implicit polynomial for B={B!r} (need B in {{0, 1}})")
+
+
+def implicit_residual(params: CmcParams, pt: Sequence[float]) -> float:
+    """Residual of the special-case surface at pt: ``_quadric``'s one point."""
+    return _quadric(params)(*pt)
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:

@@ -190,6 +190,13 @@ class WpEvaluator:
             zeta = 2.0 * zeta + q
         return p, pp, zeta
 
+    def ode_residual(self, p: float, pp: float) -> float:
+        """|P'^2 - (4P^3 - g2 P - g3)| at (P, P') = (p, pp), relative to
+        max(1, |4P^3|, |g2 P|, |g3|): how far the pair is off the curve."""
+        p3, g2p, g3 = 4.0 * p ** 3, self.g2 * p, self.g3
+        scale = max(1.0, abs(p3), abs(g2p), abs(g3))
+        return abs(pp * pp - (p3 - g2p - g3)) / scale
+
     def wp_second(self, z: float) -> float:
         """P''(z) = 6 P(z)^2 - g2/2."""
         p, _ = self.wp(z)

@@ -1,11 +1,14 @@
 """Fixtures shared by the test modules."""
 
 import gc
+import signal
 import tracemalloc
 
 import pytest
 
 from cmc_elliptic import wp_chain
+
+WATCHDOG_S = 5.0
 
 
 @pytest.fixture
@@ -38,3 +41,27 @@ def memo_bytes(cold_chains):
             tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture
+def watchdog():
+    """call(fn, *args) -> fn(*args), or a test failure once the call has run
+    WATCHDOG_S seconds: a loop that never ends fails instead of blocking the
+    suite. The timer is the process's real-time one (SIGALRM), so it sees
+    pure-Python loops; it must run in the main thread."""
+    def expire(signum, frame):
+        pytest.fail(f"call still running after {WATCHDOG_S} s",
+                    pytrace=False)
+
+    def call(fn, *args):
+        signal.setitimer(signal.ITIMER_REAL, WATCHDOG_S)
+        try:
+            return fn(*args)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        yield call
+    finally:
+        signal.signal(signal.SIGALRM, previous)

@@ -53,8 +53,8 @@ def test_scorecard_text_is_pinned(results):
 
 
 def test_evaluators_per_criterion(monkeypatch):
-    # 17 per scorecard, one per lattice: criterion 8 checks two per
-    # configuration, criterion 9 one per grid, criterion 10 two, once the
+    # 16 per scorecard, one per lattice: criterion 8 checks two per
+    # configuration, criterion 9 one per grid, criterion 10 one, once the
     # memo of probe rows holds those of its six probes.
     acceptance.criterion_10()
     init, built = WpEvaluator.__init__, []
@@ -65,7 +65,7 @@ def test_evaluators_per_criterion(monkeypatch):
         del built[:]
         getattr(acceptance, f"criterion_{n}")()
         counts[n] = len(built)
-    assert counts == {**dict.fromkeys(range(1, 8), 0), 8: 12, 9: 3, 10: 2}
+    assert counts == {**dict.fromkeys(range(1, 8), 0), 8: 12, 9: 3, 10: 1}
 
 
 def test_root_time_gate_keeps_the_first_isolation_time(monkeypatch):

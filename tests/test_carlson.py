@@ -11,7 +11,7 @@ import sys
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cmc_elliptic import _carlson
@@ -137,6 +137,71 @@ class TestCore:
         with pytest.raises(DomainError):
             rf(1.0, complex(-1.0, 0.0), complex(-1.0, 0.0))
 
+    @pytest.mark.parametrize("fn,args", [
+        (rf, (-1.0, 2.0, 2.0)), (rd, (-1.0, 2.0, 1.0)),
+        (rf_rd, (-1.0, 2.0, 2.0)), (rf_rd, (-1.0, 2.0, 1.0)),
+        (rd, (2.0, -5e-324, 1.0)),
+    ])
+    def test_a_negative_argument_raises_domain_error(self, fn, args):
+        # Every sum the domain tests read is positive here; the duplication
+        # would take the square root of the negative argument.
+        with pytest.raises(DomainError, match=r"\(-|, -"):
+            fn(*args)
+
+    @pytest.mark.parametrize("fn,args,message", [
+        (rf, (1.0735328020057738e52, 1.7976931348623157e308, math.nan),
+         "R_F(1.0735328020057738e+52, 1.7976931348623157e+308, nan)"),
+        (rd, (math.nan, 1.7976931348623157e308, 1.0),
+         "R_D(nan, 1.7976931348623157e+308, 1.0)"),
+        (rf, (1.0, complex(math.nan, 1e308), complex(math.nan, -1e308)),
+         "R_F(1.0, nan +/- 1e+308i)"),
+    ])
+    def test_a_domain_error_names_the_callers_arguments(self, fn, args,
+                                                        message):
+        # A nan beside an argument above 2^1008: the error names the
+        # arguments as passed, not as scaled by 4^-8.
+        with pytest.raises(DomainError) as exc:
+            fn(*args)
+        assert str(exc.value) == message + " is outside its domain"
+
+
+class TestBottomOfRange:
+    """R_F where the mean of its arguments is below 2^-969, where the
+    duplication's own mean can underflow to 0 and its loop would not end;
+    every call runs under the watchdog."""
+
+    @pytest.mark.parametrize("args", [
+        (0.0, 5e-324, 5e-324), (1e-300, 0.0, 5e-324), (5e-324, 1e-323, 0.0),
+        (1e-310, 2e-310, 3e-310), (1.5e-323, 0.0, 1e-323),
+    ])
+    def test_rf_matches_mpmath(self, watchdog, args):
+        value = watchdog(rf, *args)
+        with mp.workdps(30):
+            _close(value, mp.elliprf(*args), REL)
+
+    @pytest.mark.parametrize("x,p,q", [
+        (0.0, 5e-324, 5e-324), (1.5e-323, -0.0, 1e-323),
+        (1e-300, -2e-300, 1e-310),
+    ])
+    def test_the_pair_matches_mpmath(self, watchdog, x, p, q):
+        y = complex(p, q)
+        value = watchdog(rf, x, y, y.conjugate())
+        with mp.workdps(200):
+            _close(value, mp.elliprf(x, mp.mpc(p, q), mp.mpc(p, -q)).real, REL)
+
+    # Log-uniform triples with their largest argument below 2^-969.
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.floats(-1074.0, -969.0), min_size=3, max_size=3),
+           st.integers(0, 3))
+    def test_rf_matches_mpmath_everywhere(self, watchdog, logs, zero):
+        args = [math.ldexp(1.0, round(e)) for e in logs]
+        if zero < 3:
+            args[zero] = 0.0
+        value = watchdog(rf, *args)
+        with mp.workdps(30):
+            _close(value, mp.elliprf(*args), REL)
+
 
 def _outcome(fn, *args):
     """fn(*args), or the type and message of the error it raised."""
@@ -156,7 +221,8 @@ ARGUMENTS = st.one_of(
 
 
 class TestSharedLoop:
-    @settings(max_examples=600, deadline=None)
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(ARGUMENTS, ARGUMENTS, ARGUMENTS)
     # The 4^-8 rescale; R_F's domain without R_D's; R_D past the largest
     # float; R_D below 2^-969, where it is rescaled.
@@ -166,16 +232,15 @@ class TestSharedLoop:
     @example(1e-300, 1e-310, 1e-320)
     @example(8.950284134331344e-90, 1.355894701451932e-147,
              5.465413864078468e206)
-    def test_the_pair_is_rf_and_rd(self, x, y, z):
-        # All three below 1e-300 can make rf's mean underflow to 0, where
-        # its loop does not end (a separate fault, not the pair's).
-        assume(not max(x, y, z) < 1e-300)
-        f, d = _outcome(rf, x, y, z), _outcome(rd, x, y, z)
+    @example(0.0, 5e-324, 5e-324)
+    @example(-1.0, 2.0, 1.0)
+    def test_the_pair_is_rf_and_rd(self, watchdog, x, y, z):
+        f, d = watchdog(_outcome, rf, x, y, z), watchdog(_outcome, rd, x, y, z)
         if isinstance(f, tuple):
             want = f
         else:
             want = d if isinstance(d, tuple) else (f, d)
-        assert _outcome(rf_rd, x, y, z) == want
+        assert watchdog(_outcome, rf_rd, x, y, z) == want
 
     def test_the_legendre_triples_take_one_loop(self, monkeypatch):
         # On (cos^2, 1 - m sin^2, 1) and (0, 1 - m, 1) R_F's series stops

@@ -292,6 +292,41 @@ class TestWpSecond:
             base.wp_second(z) / t ** 4, rel=1e-9)
 
 
+class TestOdeResidual:
+    """|P'^2 - (4P^3 - g2 P - g3)| / max(1, |4P^3|, |g2 P|, |g3|)."""
+
+    @staticmethod
+    def _mp_wp_b(z):
+        # (P, P') for (4, 0), roots 1, 0, -1, from Jacobi's functions:
+        # P = -1 + 2/sn^2(sqrt(2) z | 1/2), P' = -2^(5/2) cn dn / sn^3.
+        u, m = mp.sqrt(2) * z, mp.mpf(1) / 2
+        sn, cn, dn = (mp.ellipfun(k, u, m=m) for k in ("sn", "cn", "dn"))
+        return -1 + 2 / sn ** 2, -2 * mp.sqrt(2) ** 3 * cn * dn / sn ** 3
+
+    @pytest.mark.parametrize("z", [0.05, 0.4, 0.9, 1.3, 2.0])
+    def test_points_of_the_curve_read_at_rounding_level(self, ev_b, z):
+        with mp.workdps(40):
+            p, pp = self._mp_wp_b(mp.mpf(z))
+        assert ev_b.ode_residual(float(p), float(pp)) < 2e-15
+        assert ev_b.ode_residual(*ev_b.wp(z)) < 1e-13
+
+    @pytest.mark.parametrize("g2,g3", [(4.0, 0.0), (7.0, -6.0), (-3.0, 50.0)])
+    @pytest.mark.parametrize("w,off", [(1.5, 1e-6), (30.0, -1e-9),
+                                       (2e3, 3e-3)])
+    def test_matches_mpmath_off_the_curve(self, g2, g3, w, off):
+        # (P, P') rounded from a point of the curve, P' then moved by a
+        # relative off; the reference is the formula at those floats.
+        ev = WpEvaluator(g2, g3)
+        w += ev.e_max
+        with mp.workdps(40):
+            pp = float(-mp.sqrt(4 * mp.mpf(w) ** 3 - g2 * mp.mpf(w) - g3))
+            pp *= 1 + off
+            P, Q = mp.mpf(w), mp.mpf(pp)
+            want = abs(Q * Q - (4 * P ** 3 - g2 * P - g3)) / max(
+                1, abs(4 * P ** 3), abs(g2 * P), abs(g3))
+        assert ev.ode_residual(w, pp) == pytest.approx(float(want), rel=1e-6)
+
+
 class TestWpInverse:
     def test_roundtrip(self, ev_a):
         for w in (ev_a.e_max + 0.1, ev_a.e_max + 1.0, ev_a.e_max + 10.0):

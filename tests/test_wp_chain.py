@@ -528,9 +528,9 @@ class TestEvalChainTerm:
     @pytest.mark.parametrize("k,tol", [(1, 1e-4), (2, 1e-4), (3, 1e-3)])
     def test_matches_finite_differences(self, cfg_t2, k, tol):
         params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.5, 2.0)
-        fd = fd_chain_reference(cfg_t2, params, s_center=1.0, delta=0.01)
-        t_c = fd[3]
         ev = WpEvaluator(cfg_t2.g2, cfg_t2.g3)
+        fd = fd_chain_reference(cfg_t2, params, ev)
+        t_c = fd[3]
         term = differentiate_chain(cfg_t2, 3)[k - 1]
         val = eval_chain_term(cfg_t2, term, ev, t_c)
         assert val == pytest.approx(fd[k - 1], rel=tol)
