@@ -24,6 +24,11 @@ _SHRINK = 2.0 ** -16
 # stop: the arguments are scaled up by 4^j, the largest to about 1/2, and
 # the value by 2^j, by the same homogeneity.
 _TINY = 2.0 ** -969
+# Smallest normal float. Below it the conjugate pair's first 2 Re(sqrt y)^2
+# has lost its digits, or is 0 and the loop need not end: the arguments
+# are scaled up by 4^j, the largest to below 2^1008, where _shrunk starts,
+# and a second call still below it is a RangeError.
+_NORMAL = 2.0 ** -1022
 
 
 def rf(x, y, z):
@@ -67,33 +72,46 @@ def _shrunk(x: float, y: float, z: float) -> tuple[float, float, float]:
     return 0.0, 0.0, 0.0
 
 
-def _rf_pair(x: float, p: float, q: float) -> float:
+def _rf_pair(x: float, p: float, q: float, named=None) -> float:
     """R_F(x, p + iq, p - iq) in real arithmetic.
 
     sqrt(y) sqrt(conj y) = |y| and 2 Re(sqrt y)^2 = |y| + p; for p < 0 the
     sum is formed as q * (q / (|y| - p)), so that arguments near the
     negative real axis keep their digits and q^2 does not overflow.
-    Arguments whose error scale overflows are scaled by 4^-8 as in rf.
+    Arguments whose error scale overflows are scaled by 4^-8 as in rf, and
+    a RangeError then names the caller's (x, p, q), passed as named.
     """
     a0 = a = (x + 2 * p) / 3
     spread = _RF_SPREAD * max(abs(a0 - x), math.hypot(a0 - p, q))
     if not (x >= 0 and q > 0 and spread < math.inf):
         xs, ps, qs = _shrunk(x, abs(p), q)
         if qs > 0:
-            return _rf_pair(xs, math.copysign(ps, p), qs) * 2.0 ** -8
+            return _rf_pair(xs, math.copysign(ps, p), qs,
+                            (x, p, q)) * 2.0 ** -8
         raise DomainError(f"R_F({x!r}, {p!r} +/- {q!r}i) is outside its domain")
     if x < _TINY and abs(p) < _TINY and q < _TINY:
         j = -math.frexp(max(x, abs(p), q))[1] // 2
         return math.ldexp(_rf_pair(*(math.ldexp(v, 2 * j) for v in (x, p, q))),
                           j)
+    r = math.hypot(p, q)
+    re2 = p + r if p >= 0 else q * (q / (r - p))
+    if re2 < _NORMAL:  # the first step's, before the loop forms it
+        named = named or (x, p, q)
+        j = (1008 - math.frexp(max(x, abs(p), q))[1]) // 2
+        if j <= 0:
+            raise RangeError(
+                "R_F(%r, %r +/- %ri) is past the float range: the imaginary "
+                "part is too small beside the others" % named)
+        return math.ldexp(
+            _rf_pair(*(math.ldexp(v, 2 * j) for v in (x, p, q)), named), j)
     fac, xm, pm, qm = 1.0, x, p, q
     while fac * spread >= abs(a):
-        r = math.hypot(pm, qm)
-        re2 = pm + r if pm >= 0 else qm * (qm / (r - pm))
         cross = 2 * math.sqrt(xm) * math.sqrt(re2 / 2)
         lam = cross + r
         xm, pm, qm, a = (xm + lam) / 4, (re2 + cross) / 4, qm / 4, (a + lam) / 4
         fac /= 4
+        r = math.hypot(pm, qm)
+        re2 = pm + r if pm >= 0 else qm * (qm / (r - pm))
     X, u, v = fac * (a0 - x) / a, fac * (a0 - p) / a, fac * q / a  # Y = u - iv
     return _rf_series(2 * X * u + u * u + v * v, X * (u * u + v * v), a)
 

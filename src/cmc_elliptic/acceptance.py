@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from itertools import starmap
 from typing import NamedTuple
 
 from . import profiles
@@ -129,8 +128,9 @@ def criterion_5() -> CriterionResult:
                 params = CmcParams(fam, H, B)
                 lo, hi = _in_domain_window(params)
                 grid = [lo + (hi - lo) * (i + 0.5) / 20 for i in range(20)]
-                for k in profiles.mean_curvatures(params, grid):
-                    worst = max(worst, abs(k - H) / H)
+                ks = profiles.mean_curvatures(params, grid)
+                # x -> x/H is monotone in floats: one division per grid.
+                worst = max(worst, max([abs(k - H) for k in ks]) / H)
                 n += len(grid)
     dt = time.perf_counter() - t0
     ok = worst < 1e-8 and dt < 5.0
@@ -167,7 +167,9 @@ def criterion_6() -> CriterionResult:
             s = rng.uniform(lo, hi)
             profiles._require_in_domain(params, [s])  # no axis value needed
             [(_, drad, _, dax, _)] = profiles._closed_pieces(params, [s])
-            dx, dsecond = profiles._finite(params, s, (dax, drad))[::flip]
+            if not (math.isfinite(dax) and math.isfinite(drad)):
+                raise profiles._overflow(params, s)
+            dx, dsecond = (dax, drad)[::flip]
             worst = max(worst, abs(dx ** 2 + sign * dsecond ** 2 - 1.0))
     ok = worst < 1e-9
     return CriterionResult(
@@ -187,8 +189,8 @@ def _fitted_hyperboloid_residual(vertices, H: float) -> float:
     """
     inv = 1.0 / (H * H)
     rows = [(x1 * x1 + x2 * x2, x3) for x1, x2, x3 in vertices]
-    c = sum(math.sqrt(r2 + inv) - x3 for r2, x3 in rows) / len(rows)
-    return max(abs(r2 - (x3 + c) ** 2 + inv) for r2, x3 in rows)
+    c = sum([math.sqrt(r2 + inv) - x3 for r2, x3 in rows]) / len(rows)
+    return max([abs(r2 - (x3 + c) ** 2 + inv) for r2, x3 in rows])
 
 
 def criterion_7() -> CriterionResult:
@@ -212,14 +214,14 @@ def criterion_7() -> CriterionResult:
             ("euclidean B=1", CmcParams(Family.EUCLIDEAN, 0.5, 1.0),
              (-math.pi / 2 + 0.1, 3 * math.pi / 2 - 0.1))):
         verts = profiles._mesh_vertices(params, s_range, 40, 25)[0]
-        record(label, max(starmap(profiles._quadric(params), verts)),
+        record(label, max(profiles._quadric_residuals(params, verts)),
                len(verts))
     # Hyperboloid, spacelike axis B=1: the profile domain collapses to a
     # point, so the canonical parametrization supplies the vertices.
     verts = profiles.hyperboloid_vertices(0.5, 40, 25)
     hyperboloid = CmcParams(Family.LORENTZ_SPACELIKE_AXIS, 0.5, 1.0)
     record("spacelike-axis B=1 (canonical)",
-           max(starmap(profiles._quadric(hyperboloid), verts)), len(verts))
+           max(profiles._quadric_residuals(hyperboloid, verts)), len(verts))
     # Timelike axis B=1: tested against the actual profile mesh with the
     # most favorable axis translation.
     params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.5, 1.0)
@@ -301,13 +303,20 @@ def criterion_9() -> CriterionResult:
 # 10: derivative chain
 
 
-def _solve_t(cfg, ev, t0, z_target, t_guess):
+def _axis_and_slope(cfg, ev, t0, zeta0, t):
+    """(z(t), dz/dt = alpha + beta*P(t), zeta(t0)) as ``_path_axis`` gives
+    them; P(t) comes from the series that gave zeta(t)."""
+    z, zeta0, series = _path_axis(cfg, ev, t0, t, zeta0)
+    p = series[0] if series else ev.wp(t)[0]  # t = t0 reads no series
+    return z, cfg.alpha + cfg.beta * p, zeta0
+
+
+def _solve_t(cfg, ev, t0, zeta0, z_target, t_guess):
     """Invert z(t) by Newton; dz/dt = alpha + beta*P(t) must not vanish."""
     t = t_guess
     for _ in range(60):
-        g = _path_axis(cfg, ev, t0, t) - z_target
-        dg = cfg.alpha + cfg.beta * ev.wp(t)[0]
-        step = g / dg
+        z, dg, zeta0 = _axis_and_slope(cfg, ev, t0, zeta0, t)
+        step = (z - z_target) / dg
         t -= step
         if abs(step) < 1e-14 * max(1.0, abs(t)):
             return t
@@ -320,15 +329,14 @@ def fd_chain_reference(cfg, params, ev):
 
     r is the rescaled squared radius c1 + c2*P. Fifth-order stencils for
     k=1,2; the k=3 stencil is Richardson-extrapolated from spacings d = 0.01
-    and d/2.
+    and d/2. One zeta(t0) serves every Newton step.
     """
     t0, _ = _path_parameter(cfg, ev, profiles.anchor(params))
     t_c, _ = _path_parameter(cfg, ev, 1.0)
-    z_c = _path_axis(cfg, ev, t0, t_c)
-    slope = cfg.alpha + cfg.beta * ev.wp(t_c)[0]
+    z_c, slope, zeta0 = _axis_and_slope(cfg, ev, t0, None, t_c)
 
     def r_at(dz: float) -> float:
-        t = _solve_t(cfg, ev, t0, z_c + dz, t_c + dz / slope)
+        t = _solve_t(cfg, ev, t0, zeta0, z_c + dz, t_c + dz / slope)
         return cfg.c1 + cfg.c2 * ev.wp(t)[0]
 
     d = 0.01

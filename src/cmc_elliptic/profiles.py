@@ -116,14 +116,13 @@ def domain(params: CmcParams) -> SInterval:
 
 
 def _require_in_domain(params: CmcParams, s_grid: Sequence[float]) -> None:
-    dom = domain(params)
-    if dom.degenerate:
+    lo, hi, degenerate = domain(params)
+    if degenerate:
         raise DomainError(
             f"domain of {params.family.value} B={params.B} degenerates to a point")
     for s in s_grid:
-        if not dom.contains(s):
-            raise DomainError(
-                f"s={s!r} outside open domain ({dom.lo!r}, {dom.hi!r})")
+        if not lo < s < hi:
+            raise DomainError(f"s={s!r} outside open domain ({lo!r}, {hi!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +130,7 @@ def _require_in_domain(params: CmcParams, s_grid: Sequence[float]) -> None:
 
 
 def _radicand(params: CmcParams, s: float) -> float:
+    """The radicand R at one s, as _closed_pieces forms it in its loop."""
     H, B = params.H, params.B
     if params.family is Family.EUCLIDEAN:
         if B == 1.0:
@@ -148,57 +148,62 @@ def _radicand(params: CmcParams, s: float) -> float:
 def _closed_pieces(params: CmcParams, grid: Sequence[float]):
     """(radius, d(radius), dd(radius), d(axis), dd(axis)) at each sample.
 
-    Generated over grid in order, the family resolved once. RangeError
-    where sinh/cosh or sin overflows or R**1.5 underflows to 0 in a divisor;
-    past that a piece may be inf or nan, which callers check with _finite.
+    Generated over grid in order, the family and its constants resolved
+    once; the radicand R (``_radicand``) shares its sin or sinh of 2Hs with
+    the pieces. DomainError where R <= 0; RangeError where sinh/cosh or sin
+    overflows or R**1.5 underflows to 0 in a divisor. Past that a piece may
+    be inf or nan, which callers check.
     """
     H, B = params.H, params.B
+    h2, b2 = 2 * H, 2 * B
     try:
         if params.family is Family.EUCLIDEAN:
+            sphere, r0 = B == 1.0, 1 + B * B
+            if sphere:
+                lo, hi, _ = domain(params)
+            k1, k2 = -2 * B * H, 2 * B * B * H
             for s in grid:
-                sq, R32 = _root(params, s)
-                sn, cs = math.sin(2 * H * s), math.cos(2 * H * s)
-                yield (sq / (2 * H), B * cs / sq,
-                       -2 * B * H * (1 + B * sn) * (B + sn) / R32,
-                       (1 + B * sn) / sq, 2 * B * B * H * cs * (B + sn) / R32)
+                sn = math.sin(h2 * s)
+                R = (4 * math.sin(H * min(s - lo, hi - s)) ** 2 if sphere
+                     else r0 + b2 * sn)
+                if R <= 0:
+                    raise DomainError(f"radicand non-positive at s={s!r}")
+                sq = math.sqrt(R)
+                R32, cs, u, v = R * sq, math.cos(h2 * s), 1 + B * sn, B + sn
+                yield (sq / h2, B * cs / sq, k1 * u * v / R32, u / sq,
+                       k2 * cs * v / R32)
         elif params.family is Family.LORENTZ_SPACELIKE_AXIS:
+            b4, k1, k2 = 4 * B, -2 * B * H, 2 * B * B * H
             for s in grid:
-                sq, R32 = _root(params, s)
-                sh, ch = math.sinh(2 * H * s), math.cosh(2 * H * s)
-                yield (sq / (2 * H), -B * sh / sq,
-                       -2 * B * H * (ch - B) * (1 - B * ch) / R32,
-                       (B * ch - 1) / sq, 2 * B * B * H * sh * (B - ch) / R32)
+                # (1 - B)**2 stays per sample: past B = 2^512 it overflows,
+                # a RangeError that names the first sample.
+                R = (1 - B) ** 2 - b4 * math.sinh(H * s) ** 2
+                if R <= 0:
+                    raise DomainError(f"radicand non-positive at s={s!r}")
+                sq = math.sqrt(R)
+                R32, sh, ch = R * sq, math.sinh(h2 * s), math.cosh(h2 * s)
+                yield (sq / h2, -B * sh / sq,
+                       k1 * (ch - B) * (1 - B * ch) / R32, (B * ch - 1) / sq,
+                       k2 * sh * (B - ch) / R32)
         else:
+            r0, k1, k2 = B * B - 1, 2 * B * H, 2 * B * B * H
             for s in grid:
-                sq, R32 = _root(params, s)
-                sh, ch = math.sinh(2 * H * s), math.cosh(2 * H * s)
-                yield (sq / (2 * H), B * ch / sq,
-                       2 * B * H * (B + sh) * (B * sh - 1) / R32,
-                       (B * sh - 1) / sq, 2 * B * B * H * ch * (B + sh) / R32)
+                sh = math.sinh(h2 * s)
+                R = r0 + b2 * sh  # exact at B = 1
+                if R <= 0:
+                    raise DomainError(f"radicand non-positive at s={s!r}")
+                sq = math.sqrt(R)
+                R32, ch, u = R * sq, math.cosh(h2 * s), B * sh - 1
+                yield (sq / h2, B * ch / sq, k1 * (B + sh) * u / R32, u / sq,
+                       k2 * ch * (B + sh) / R32)
     except (OverflowError, ValueError, ZeroDivisionError):
         raise _overflow(params, s) from None
-
-
-def _root(params: CmcParams, s: float) -> tuple[float, float]:
-    """sqrt(R) and R**1.5 of the radicand R at s, which must be positive."""
-    R = _radicand(params, s)
-    if R <= 0:
-        raise DomainError(f"radicand non-positive at s={s!r}")
-    sq = math.sqrt(R)
-    return sq, R * sq
 
 
 def _overflow(params: CmcParams, s: float) -> RangeError:
     return RangeError(
         f"profile of {params.family.value} H={params.H!r} B={params.B!r} "
         f"overflows the float range at s={s!r}")
-
-
-def _finite(params: CmcParams, s: float, values: tuple) -> tuple:
-    """values, or RangeError if any of them left the float range."""
-    if not all(map(math.isfinite, values)):
-        raise _overflow(params, s)
-    return values
 
 
 def anchor(params: CmcParams) -> float:
@@ -312,12 +317,15 @@ def _axis_values(params: CmcParams, grid: Sequence[float]) -> list[float]:
         axis = _spacelike_axis(H, B)
     else:
         axis = _timelike_axis(H, B, domain(params).lo, anchor(params))
-    values = []
+    isfinite, values = math.isfinite, []
     for s in grid:
         try:
-            values.append(_finite(params, s, (axis(s),))[0])
+            value = axis(s)
         except (OverflowError, ZeroDivisionError):  # exp, or H|1-B| -> 0
             raise _overflow(params, s) from None
+        if not isfinite(value):
+            raise _overflow(params, s)
+        values.append(value)
     return values
 
 
@@ -335,9 +343,12 @@ def profile_points(params: CmcParams,
     """
     grid = [float(s) for s in s_grid]
     _require_in_domain(params, grid)
-    pieces = [_finite(params, s, (radius, drad, dax))
-              for s, (radius, drad, _, dax, _)
-              in zip(grid, _closed_pieces(params, grid))]
+    isfinite, pieces = math.isfinite, []
+    rows = zip(grid, _closed_pieces(params, grid))
+    for s, (radius, drad, _, dax, _) in rows:
+        if not (isfinite(radius) and isfinite(drad) and isfinite(dax)):
+            raise _overflow(params, s)
+        pieces.append((radius, drad, dax))
     axes = _axis_values(params, grid)
     if params.family is Family.LORENTZ_TIMELIKE_AXIS:
         # Profile is (x, z) = (radius, axis).
@@ -386,16 +397,21 @@ def mean_curvatures(params: CmcParams,
     +H, and by continuity every profile of the family returns +H.
     """
     _require_in_domain(params, s_grid)
-    rows = (_finite(params, s, pieces)
-            for s, pieces in zip(s_grid, _closed_pieces(params, s_grid)))
-    if params.family is Family.LORENTZ_SPACELIKE_AXIS:
-        # [-x' z - z^2 (x' z'' - z' x'')] / (2 z^2)
-        return [(-dx * z - z * z * (dx * ddz - dz * ddx)) / (2 * z * z)
-                for z, dz, ddz, dx, ddx in rows]
-    # Euclidean and timelike axis, r the radius and a the axis coordinate:
-    # (1/2) [a'/r + a'' r' - a' r'']
-    return [0.5 * (da / r + dda * dr - da * ddr)
-            for r, dr, ddr, da, dda in rows]
+    isfinite, out = math.isfinite, []
+    spacelike = params.family is Family.LORENTZ_SPACELIKE_AXIS
+    rows = zip(s_grid, _closed_pieces(params, s_grid))
+    for s, (r, dr, ddr, da, dda) in rows:
+        if not (isfinite(r) and isfinite(dr) and isfinite(ddr)
+                and isfinite(da) and isfinite(dda)):
+            raise _overflow(params, s)
+        if spacelike:
+            # [-x' z - z^2 (x' z'' - z' x'')] / (2 z^2), z = r and x = a
+            out.append((-da * r - r * r * (da * ddr - dr * dda)) / (2 * r * r))
+        else:
+            # Euclidean and timelike axis, r the radius and a the axis
+            # coordinate: (1/2) [a'/r + a'' r' - a' r'']
+            out.append(0.5 * (da / r + dda * dr - da * ddr))
+    return out
 
 
 def mean_curvature(params: CmcParams, s: float) -> float:
@@ -403,8 +419,9 @@ def mean_curvature(params: CmcParams, s: float) -> float:
     return mean_curvatures(params, [s])[0]
 
 
-def _quadric(params: CmcParams) -> Callable[[float, float, float], float]:
-    """(x1, x2, x3) -> residual of the algebraic special-case surface.
+def _quadric_residuals(params: CmcParams,
+                       points: Sequence[Sequence[float]]) -> list[float]:
+    """Residual of the algebraic special-case surface at each (x1, x2, x3).
 
     Supported only for B in {0, 1}: cylinders (B=0), the Euclidean sphere and
     the Lorentzian hyperboloid x1^2+x2^2-x3^2 = -1/H^2 (B=1).
@@ -413,23 +430,25 @@ def _quadric(params: CmcParams) -> Callable[[float, float, float], float]:
     if B == 0.0:
         c = 1 / (4 * H * H)
         if params.family is Family.EUCLIDEAN:
-            return lambda x1, x2, x3: abs(x2 * x2 + x3 * x3 - c)
+            return [abs(x2 * x2 + x3 * x3 - c) for _, x2, x3 in points]
         if params.family is Family.LORENTZ_SPACELIKE_AXIS:
-            return lambda x1, x2, x3: abs(x3 * x3 - x2 * x2 - c)
-        return lambda x1, x2, x3: abs(x1 * x1 + x2 * x2 - c)
+            return [abs(x3 * x3 - x2 * x2 - c) for _, x2, x3 in points]
+        return [abs(x1 * x1 + x2 * x2 - c) for x1, x2, _ in points]
     if B == 1.0:
         c = 1 / (H * H)
         if params.family is Family.EUCLIDEAN:
             x0 = math.sqrt(2) / (2 * H)  # axis value at the equator
-            return lambda x1, x2, x3: abs((x1 - x0) ** 2 + x2 * x2 + x3 * x3 - c)
-        return lambda x1, x2, x3: abs(x1 * x1 + x2 * x2 - x3 * x3 + c)
+            return [abs((x1 - x0) ** 2 + x2 * x2 + x3 * x3 - c)
+                    for x1, x2, x3 in points]
+        return [abs(x1 * x1 + x2 * x2 - x3 * x3 + c) for x1, x2, x3 in points]
     raise UnsupportedCaseError(
         f"no known implicit polynomial for B={B!r} (need B in {{0, 1}})")
 
 
 def implicit_residual(params: CmcParams, pt: Sequence[float]) -> float:
-    """Residual of the special-case surface at pt: ``_quadric``'s one point."""
-    return _quadric(params)(*pt)
+    """Residual of the special-case surface at pt: the one-point
+    ``_quadric_residuals``."""
+    return _quadric_residuals(params, [pt])[0]
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:

@@ -147,27 +147,39 @@ class WpEvaluator:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _series(self, u: float) -> tuple[float, float, float]:
+    def _series(self, u: float, with_zeta: bool = True) -> tuple:
+        """(P, P', zeta) of the Laurent series at u; zeta is None, and its
+        tail never summed, without with_zeta."""
         v = u * u
-        p_tail = dp_tail = zeta_tail = 0.0
-        for ck, dk, zk in self._horner:
-            p_tail = p_tail * v + ck
-            dp_tail = dp_tail * v + dk
-            zeta_tail = zeta_tail * v + zk
+        p_tail = dp_tail = 0.0
+        if with_zeta:
+            zeta_tail = 0.0
+            for ck, dk, zk in self._horner:
+                p_tail = p_tail * v + ck
+                dp_tail = dp_tail * v + dk
+                zeta_tail = zeta_tail * v + zk
+        else:
+            for ck, dk, _ in self._horner:
+                p_tail = p_tail * v + ck
+                dp_tail = dp_tail * v + dk
         # p = 1/v + v * p_tail_as_series: c_k v^(k-1) = v * (c_k v^(k-2))
         p = 1.0 / v + v * p_tail
         pp = -2.0 / (v * u) + u * dp_tail
+        if not with_zeta:
+            return p, pp, None
         # zeta = 1/u - sum c_k u^(2k-1) / (2k-1), the antiderivative of -P
         zeta = 1.0 / u - v * u * zeta_tail
         return p, pp, zeta
 
     def wp(self, z: float) -> tuple[float, float]:
-        """(P(z), P'(z)) by Laurent series plus argument duplication."""
-        p, pp, _ = self._wp_zeta(z)
+        """(P(z), P'(z)) by Laurent series plus argument duplication; the
+        zeta series is not run."""
+        p, pp, _ = self._wp_zeta(z, False)
         return p, pp
 
-    def _wp_zeta(self, z: float) -> tuple[float, float, float]:
-        """(P(z), P'(z), zeta(z)), duplicated together from the series."""
+    def _wp_zeta(self, z: float, with_zeta: bool = True) -> tuple:
+        """(P(z), P'(z), zeta(z)), duplicated together from the series;
+        zeta is None without with_zeta, and P, P' the same floats."""
         if z == 0.0:
             raise PoleError("P has a pole at z=0")
         if not math.isfinite(z):
@@ -180,14 +192,15 @@ class WpEvaluator:
             if n_dup > _MAX_DUPLICATIONS:
                 raise AccuracyError(
                     f"|z|={abs(z)!r} needs more than {_MAX_DUPLICATIONS} duplications")
-        p, pp, zeta = self._series(zz)
+        p, pp, zeta = self._series(zz, with_zeta)
         for _ in range(n_dup):
             if abs(pp) < 1e-14:
                 raise BranchError(
                     "argument duplication hit a half-period (P' vanished)")
             q = (6.0 * p * p - self.g2 / 2.0) / (2.0 * pp)  # P''/(2P')
             p, pp = -2.0 * p + q * q, -pp + 6.0 * p * q - 2.0 * q ** 3
-            zeta = 2.0 * zeta + q
+            if with_zeta:
+                zeta = 2.0 * zeta + q
         return p, pp, zeta
 
     def ode_residual(self, p: float, pp: float) -> float:
@@ -219,14 +232,21 @@ class WpEvaluator:
         P = -zeta', so the integral is zeta(t0) - zeta(t1). The poles on
         the real axis sit at the multiples of the real period 2 omega.
         """
+        if self._empty_stretch(t0, t1):
+            return 0.0
+        return self._wp_zeta(t0)[2] - self._wp_zeta(t1)[2]
+
+    def _empty_stretch(self, t0: float, t1: float) -> bool:
+        """Whether t0 == t1; DomainError where a bound is not finite and
+        PoleError where [t0, t1] holds a pole, as wp_integral checks."""
         if not (math.isfinite(t0) and math.isfinite(t1)):
             raise DomainError(f"bounds must be finite, got {t0!r}, {t1!r}")
         if t0 == t1:
-            return 0.0
+            return True
         period = 2.0 * self.omega
         lo, hi = min(t0, t1), max(t0, t1)
         if math.ceil(lo / period) <= math.floor(hi / period):
             raise PoleError(
                 f"integration interval [{lo!r}, {hi!r}] contains a pole "
                 f"(real period {period!r})")
-        return self._wp_zeta(t0)[2] - self._wp_zeta(t1)[2]
+        return False

@@ -298,10 +298,23 @@ def _path_parameter(cfg: ChainConfig, ev: WpEvaluator, s: float) -> tuple:
     return -ev.wp_inverse(w), max(w, ev.e_max)
 
 
-def _path_axis(cfg: ChainConfig, ev: WpEvaluator, t0: float,
-               t: float) -> float:
-    """Axis coordinate at path parameter t, vanishing at t0."""
-    return cfg.alpha * (t - t0) + cfg.beta * ev.wp_integral(t0, t)
+def _path_axis(cfg: ChainConfig, ev: WpEvaluator, t0: float, t: float,
+               zeta0: float | None = None) -> tuple:
+    """(axis coordinate at path parameter t, vanishing at t0; zeta(t0); the
+    (P, P', zeta) of t, or None where t = t0 reads no series).
+
+    The axis coordinate is alpha*(t - t0) + beta*ev.wp_integral(t0, t), the
+    same floats and the same errors in the same order. zeta(t0) is summed
+    only where zeta0 is None and t needs it; a path passes back the one it
+    got, so that it is summed once per path.
+    """
+    if ev._empty_stretch(t0, t):
+        return cfg.alpha * (t - t0) + cfg.beta * 0.0, zeta0, None
+    if zeta0 is None:
+        zeta0 = ev._wp_zeta(t0)[2]
+    series = ev._wp_zeta(t)
+    return (cfg.alpha * (t - t0) + cfg.beta * (zeta0 - series[2]), zeta0,
+            series)
 
 
 def curve_points_from_wp(cfg: ChainConfig, params: CmcParams,
@@ -310,10 +323,11 @@ def curve_points_from_wp(cfg: ChainConfig, params: CmcParams,
 
     Must agree with profiles.profile_points up to the axis translation fixed
     by the shared anchor. Every sample is checked against the domain first;
-    one evaluator and one anchor parameter t0 then serve the grid. The
-    parameter map is ``_path_parameter``; the axis coordinate integrates
-    forward from the anchor. t0 follows the first sample's t, so one sample
-    fails in the order params, domain, evaluator, t(s), t0, radicand.
+    one evaluator, one anchor parameter t0 and one zeta(t0) then serve the
+    grid. The parameter map is ``_path_parameter``; the axis coordinate
+    integrates forward from the anchor. t0 follows the first sample's t, so
+    one sample fails in the order params, domain, evaluator, t(s), t0,
+    radicand, axis.
     """
     if params.family is not cfg.family:
         raise DomainError(
@@ -323,12 +337,13 @@ def curve_points_from_wp(cfg: ChainConfig, params: CmcParams,
             abs(params.B - cfg.B) > 1e-12 * max(1.0, cfg.B):
         raise DomainError("params (H, B) do not match the configuration")
     grid = list(s_grid)
-    dom = profiles.domain(params)
+    lo, hi, _ = profiles.domain(params)  # a degenerate one holds no s
     for s in grid:
-        if not dom.contains(s):
+        if not lo < s < hi:
             raise DomainError(f"s={s!r} outside the profile domain")
     ev = WpEvaluator(cfg.g2, cfg.g3)
-    t0, out = None, []
+    t0 = zeta0 = None
+    out = []
     for s in grid:
         t, p = _path_parameter(cfg, ev, s)
         if t0 is None:
@@ -337,8 +352,8 @@ def curve_points_from_wp(cfg: ChainConfig, params: CmcParams,
         if radicand < 0:
             raise DomainError(f"negative squared radius {radicand!r}: "
                               f"s={s!r} is off the branch")
-        out.append((math.sqrt(radicand) / (2.0 * cfg.H),
-                    _path_axis(cfg, ev, t0, t)))
+        axis, zeta0, _ = _path_axis(cfg, ev, t0, t, zeta0)
+        out.append((math.sqrt(radicand) / (2.0 * cfg.H), axis))
     return out
 
 

@@ -1,12 +1,15 @@
 """Fixtures shared by the test modules."""
 
+import functools
 import gc
+import importlib
+import inspect
 import signal
 import tracemalloc
 
 import pytest
 
-from cmc_elliptic import wp_chain
+from cmc_elliptic import acceptance, wp_chain
 
 WATCHDOG_S = 5.0
 
@@ -65,3 +68,46 @@ def watchdog():
         yield call
     finally:
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """count(*targets) -> {n: {target: [calls]}} over criteria 1..10.
+
+    Each target names a package callable by its path under cmc_elliptic,
+    'weierstrass.WpEvaluator._series' say; it is wrapped for the rest of
+    the test, so a call from anywhere that looks it up there counts. Each
+    call is kept as its BoundArguments, defaults applied, so a test can
+    tell the calls apart by their arguments. One scorecard runs first and
+    is not counted: every memo is then as warm as in a repeated scorecard.
+    """
+    def wrap(target):
+        module, *path, name = target.split(".")
+        owner = importlib.import_module(f"cmc_elliptic.{module}")
+        for attr in path:
+            owner = getattr(owner, attr)
+        original, calls = getattr(owner, name), []
+        signature = inspect.signature(original)
+
+        @functools.wraps(original)
+        def counted(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def count(*targets):
+        acceptance.run_all()
+        calls = {target: wrap(target) for target in targets}
+        counts = {}
+        for n in range(1, 11):
+            for kept in calls.values():
+                del kept[:]
+            getattr(acceptance, f"criterion_{n}")()
+            counts[n] = {target: list(kept) for target, kept in calls.items()}
+        return counts
+
+    return count

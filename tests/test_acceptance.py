@@ -14,7 +14,6 @@ import time
 import pytest
 
 from cmc_elliptic import acceptance, elliptic_reduction
-from cmc_elliptic.weierstrass import WpEvaluator
 
 
 @pytest.fixture(scope="session")
@@ -52,20 +51,27 @@ def test_scorecard_text_is_pinned(results):
         "e4c5140ebb7e4ae38ceb3f12597a613729612a15"
 
 
-def test_evaluators_per_criterion(monkeypatch):
+def test_evaluators_per_criterion(call_counts):
     # 16 per scorecard, one per lattice: criterion 8 checks two per
     # configuration, criterion 9 one per grid, criterion 10 one, once the
     # memo of probe rows holds those of its six probes.
-    acceptance.criterion_10()
-    init, built = WpEvaluator.__init__, []
-    monkeypatch.setattr(WpEvaluator, "__init__",
-                        lambda ev, *a: built.append(a) or init(ev, *a))
-    counts = {}
-    for n in range(1, 11):
-        del built[:]
-        getattr(acceptance, f"criterion_{n}")()
-        counts[n] = len(built)
+    init = "weierstrass.WpEvaluator.__init__"
+    counts = {n: len(calls[init]) for n, calls in call_counts(init).items()}
     assert counts == {**dict.fromkeys(range(1, 8), 0), 8: 12, 9: 3, 10: 1}
+
+
+def test_series_work_per_criterion(call_counts):
+    # The P Laurent series: criterion 8 reads P and P' alone, so none of
+    # its 720 series sums the zeta tail; criterion 9 needs zeta once per
+    # sample and once per grid for zeta(t0), 3 * (20 + 1); criterion 10 is
+    # one series per Newton step and per P read, 45 here.
+    series = "weierstrass.WpEvaluator._series"
+    calls = {n: c[series] for n, c in call_counts(series).items()}
+    zeta = {n: sum(c.arguments["with_zeta"] for c in calls[n]) for n in calls}
+    assert len(calls[8]) == 720 and zeta[8] == 0
+    assert zeta[9] <= 63
+    assert len(calls[10]) <= 50
+    assert all(not calls[n] for n in range(1, 8))
 
 
 def test_root_time_gate_keeps_the_first_isolation_time(monkeypatch):

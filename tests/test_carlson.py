@@ -189,6 +189,37 @@ class TestBottomOfRange:
         with mp.workdps(200):
             _close(value, mp.elliprf(x, mp.mpc(p, q), mp.mpc(p, -q)).real, REL)
 
+    # A normal x beside a pair whose first 2 Re(sqrt y)^2 leaves the normal
+    # range: a subnormal imaginary part at p = 0 never returned, and near
+    # the negative real axis the flushed value came out 32% high at
+    # q = 1e-240. mpmath needs about log10(|p|/q) + 30 digits here.
+    @pytest.mark.parametrize("x,p,q", [
+        (1.0, 0.0, 5e-324), (1.0, -0.0, 5e-324), (3.0, 2e-320, 1e-323),
+        (1.5519000950421402, -4.158576264162672e-118, 1e-240),
+        (1.5519000950421402, -4.158576264162672e-118, 1e-300),
+        (1.5519000950421402, -4.158576264162672e-118, 5e-324),
+        (1.0, -1.0, 1e-200),
+    ])
+    def test_the_pair_with_a_subnormal_first_step(self, watchdog, x, p, q):
+        y = complex(p, q)
+        value = watchdog(rf, x, y, y.conjugate())
+        with mp.workdps(800):
+            ref = mp.elliprf(x, mp.mpc(p, q), mp.mpc(p, -q)).real
+        _close(value, ref, 4 * 2.0 ** -52)
+
+    # No power of four brings 2 Re(sqrt y)^2 into the normal range while
+    # the largest argument stays below 2^1008.
+    @pytest.mark.parametrize("x,p,q", [
+        (0.0, -1.0, 5e-324), (1.0, -1e300, 1e-30), (2.0 ** 1007, 0.0, 1e-310),
+        # the 4^-8 rescale first: the error still names these arguments
+        (1e308, 0.0, 1e-310), (1.0, -1e308, 1e-100),
+    ])
+    def test_the_pair_past_any_scale_is_a_range_error(self, watchdog, x, p, q):
+        y = complex(p, q)
+        with pytest.raises(RangeError) as info:
+            watchdog(rf, x, y, y.conjugate())
+        assert str(info.value).startswith(f"R_F({x!r}, {p!r} +/- {q!r}i) ")
+
     # Log-uniform triples with their largest argument below 2^-969.
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

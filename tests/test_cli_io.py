@@ -111,6 +111,19 @@ class TestExitCodes:
             assert repr(float(flag.split("=")[1])) in payload["message"]
         assert "nan" not in payload["message"]
 
+    # (1 - B)**2 overflows before any sample's radicand is formed; the
+    # error still names the first sample, s = -1.0 on the default grid.
+    @pytest.mark.parametrize("command", ["profile", "surface"])
+    def test_radicand_constant_overflow_names_the_first_sample(self, capsys,
+                                                               command):
+        rc, out, err = run(capsys, command, "--family", "spacelike",
+                           "--B=1e300")
+        assert rc == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "range",
+            "message": "profile of spacelike-axis H=1.0 B=1e+300 overflows "
+                       "the float range at s=-1.0"}
+
     # One ulp either side of B = 1, H*|1-B| underflows to zero in the
     # spacelike axis coordinate; main would let a ZeroDivisionError out.
     @pytest.mark.parametrize("B", ["0.9999999999999999", "1.0000000000000002"])

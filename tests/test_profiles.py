@@ -536,6 +536,26 @@ class TestGridForms:
                 == _one_by_one(lambda p, s: next(_closed_pieces(p, [s])),
                                params, grid))
 
+    # _closed_pieces forms the radicand in its loop; _radicand is that
+    # radicand at one s: each radius is sqrt(R)/(2H) of it, bit for bit,
+    # and a DomainError comes where it is <= 0.
+    @settings(max_examples=300, deadline=None)
+    @given(grids())
+    def test_radius_is_the_root_of_the_radicand(self, case):
+        params, grid = case
+        radii = []
+        try:
+            for pieces in _closed_pieces(params, grid):
+                radii.append(pieces[0])
+        except DomainError as exc:
+            s = grid[len(radii)]
+            assert str(exc) == f"radicand non-positive at s={s!r}"
+            assert _radicand(params, s) <= 0
+        except RangeError:
+            pass
+        for s, radius in zip(grid, radii):
+            assert radius == math.sqrt(_radicand(params, s)) / (2 * params.H)
+
     @settings(max_examples=100, deadline=None)
     @given(grids(), st.integers(2, 5), st.integers(2, 5),
            st.floats(0.5, 3.0))

@@ -43,6 +43,15 @@ WP_B_04 = (6.282054656384248, -31.08917972340278)
 WP_C_03 = (11.11590103689849, -74.04020390844637)
 
 
+def _outcome(fn, *args):
+    """The hex of each float fn(*args) returns, or the type and message of
+    the error it raised."""
+    try:
+        return [value.hex() for value in fn(*args)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 @pytest.fixture(scope="module")
 def ev_a():
     return WpEvaluator(G2_A, G3_A)
@@ -269,6 +278,30 @@ class TestWp:
         zs = [0.1 + 0.18 * i for i in range(10)]
         ps = [ev_a.wp(z)[0] for z in zs]
         assert all(a > b for a, b in zip(ps, ps[1:]))
+
+    # wp skips the zeta series; P and P' are still the floats of the
+    # duplication that carries zeta, and every error is the same error.
+    # "far" is a z past 2^12 series radii, more duplications than allowed.
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(Family)), st.floats(-3.0, 3.0),
+           st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                     st.sampled_from([0.0, math.inf, -math.inf, math.nan,
+                                      "far"])))
+    def test_wp_is_the_zeta_duplication_without_zeta(self, family, log_b,
+                                                     where):
+        try:
+            data = reduce(family, 10.0 ** log_b)
+            ev = WpEvaluator(data.g2, data.g3)
+        except SingularError:
+            reject()
+        if where == "far":
+            z = 1.5 * 2.0 ** 12 * ev.r0
+        elif isinstance(where, float) and 0.0 < where < 1.0:
+            z = where * 2.0 * ev.omega
+        else:
+            z = where
+        assert _outcome(ev.wp, z) == \
+            _outcome(lambda z: ev._wp_zeta(z)[:2], z)
 
 
 class TestWpSecond:

@@ -20,6 +20,7 @@ from cmc_elliptic.errors import (
     BranchError,
     DomainError,
     NearPoleError,
+    PoleError,
     RangeError,
     SingularError,
 )
@@ -640,6 +641,38 @@ class TestCurveFromWp:
         want = [curve_from_wp(cfg, params, s) for s in grid]
         assert [(x.hex(), z.hex()) for x, z in got] == \
             [(x.hex(), z.hex()) for x, z in want]
+
+    def test_grid_sums_zeta_once_per_sample_and_once_for_the_anchor(
+            self, monkeypatch, cfg_t2):
+        params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.5, 2.0)
+        grid = [0.05 + (1.5 - 0.05) * i / 19 for i in range(20)]
+        series, zeta_sums = WpEvaluator._series, []
+        monkeypatch.setattr(
+            WpEvaluator, "_series",
+            lambda ev, u, with_zeta=True:
+                zeta_sums.append(with_zeta) or series(ev, u, with_zeta))
+        wp_chain.curve_points_from_wp(cfg_t2, params, grid)
+        assert zeta_sums == [True] * (20 + 1)
+
+    # zeta(t0) is held across the grid, yet every sample's stretch [t0, t]
+    # is still checked against the real period: here the path parameter of
+    # s = 1 is moved one period on, past the pole at -2 omega.
+    def test_later_sample_across_a_pole_fails_as_its_one_point_form(
+            self, monkeypatch, cfg_t2):
+        params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.5, 2.0)
+        path = wp_chain._path_parameter
+
+        def shifted(cfg, ev, s):
+            t, p = path(cfg, ev, s)
+            return (t - 2.0 * ev.omega if s == 1.0 else t), p
+
+        monkeypatch.setattr(wp_chain, "_path_parameter", shifted)
+        with pytest.raises(PoleError) as one:
+            curve_from_wp(cfg_t2, params, 1.0)
+        with pytest.raises(PoleError) as grid:
+            wp_chain.curve_points_from_wp(cfg_t2, params, [0.5, 1.0])
+        assert "contains a pole" in str(one.value)
+        assert str(grid.value) == str(one.value)
 
     def test_anchor_maps_to_zero_axis(self, cfg_t2):
         params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.5, 2.0)
