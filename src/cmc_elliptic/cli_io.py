@@ -90,8 +90,14 @@ def _cmd_surface(args) -> str:
     params = CmcParams(_family(args.family), args.H, args.B)
     if args.samples < 2 or args.theta_samples < 2:
         raise UsageError("--samples and --theta-samples must be at least 2")
+    angle_range = args.angle_range
+    if angle_range is None:
+        angle_range = 2.0
+    elif params.family is not Family.LORENTZ_SPACELIKE_AXIS:
+        raise UsageError("--angle-range applies only to the spacelike-axis "
+                         f"family, not {params.family.value}")
     m = profiles.mesh(params, (args.s_min, args.s_max), args.samples,
-                      args.theta_samples, angle_range=args.angle_range)
+                      args.theta_samples, angle_range=angle_range)
     V, n_t = m.vertices, len(m.grid[1])
     timelike = params.family is Family.LORENTZ_TIMELIKE_AXIS
     lines = []
@@ -230,53 +236,57 @@ def _add_common(sp, *, h=True, b=True, srange=False, tol=False):
     sp.add_argument("--format", choices=("csv", "obj", "json"), default=None)
 
 
+_PROG = "cmc-elliptic"
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; parse_args leaves it unchanged and
-    returns a fresh namespace on every call."""
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The one parser of the process and its subcommand parsers by name;
+    parsing leaves them unchanged and returns a fresh namespace each call."""
     parser = argparse.ArgumentParser(
-        prog="cmc-elliptic",
+        prog=_PROG,
         description="CMC rotation surfaces: profiles, meshes, elliptic "
                     "reduction, P-function checks, derivative chains.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    sp = sub.add_parser("profile", help="sample one profile curve as CSV")
+    def add(name, func, **kwargs):
+        sp = commands[name] = sub.add_parser(name, **kwargs)
+        sp.set_defaults(command=name, func=func)
+        return sp
+
+    sp = add("profile", _cmd_profile, help="sample one profile curve as CSV")
     _add_common(sp, srange=True)
     sp.add_argument("--samples", type=int, default=21)
-    sp.set_defaults(func=_cmd_profile)
 
-    sp = sub.add_parser("surface", help="triangulated rotation surface as OBJ")
+    sp = add("surface", _cmd_surface,
+             help="triangulated rotation surface as OBJ")
     _add_common(sp, srange=True)
     sp.add_argument("--samples", type=int, default=21)
     sp.add_argument("--theta-samples", type=int, default=17,
                     dest="theta_samples")
-    sp.add_argument("--angle-range", type=float, default=2.0,
+    sp.add_argument("--angle-range", type=float, default=None,
                     dest="angle_range")
-    sp.set_defaults(func=_cmd_surface)
 
-    sp = sub.add_parser("reduce", help="cubic reduction report as JSON")
+    sp = add("reduce", _cmd_reduce, help="cubic reduction report as JSON")
     _add_common(sp, h=False)
-    sp.set_defaults(func=_cmd_reduce)
 
-    sp = sub.add_parser("roots", help="screening-polynomial roots as JSON")
+    sp = add("roots", _cmd_roots, help="screening-polynomial roots as JSON")
     _add_common(sp, h=False, b=False)
-    sp.set_defaults(func=_cmd_roots)
 
-    sp = sub.add_parser("wp-check", help="P-function identity residuals")
+    sp = add("wp-check", _cmd_wp_check, help="P-function identity residuals")
     _add_common(sp, h=False, tol=True)
-    sp.set_defaults(func=_cmd_wp_check)
 
-    sp = sub.add_parser("chain", help="derivative-chain collapse probe")
+    sp = add("chain", _cmd_chain, help="derivative-chain collapse probe")
     _add_common(sp)
     sp.add_argument("--upto-k", type=int, default=8, dest="upto_k")
-    sp.set_defaults(func=_cmd_chain)
 
-    sp = sub.add_parser("verify", help="run the acceptance suite")
+    sp = add("verify", _cmd_verify, help="run the acceptance suite")
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=("csv", "obj", "json"), default=None)
-    sp.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, commands
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -290,15 +300,33 @@ def _emit(text: str, out: str | None) -> None:
         raise UsageError(f"cannot write --out {out}: {exc.strerror}") from None
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """parse_args of the top-level parser, with the subcommand's parser run
+    directly when argv[0] names one.
+
+    The top-level parser hands its subcommand parser exactly argv[1:], so
+    help, usage errors and exit codes are the same either way; only the
+    top-level pass over the subcommand's flags is skipped. Anything else
+    (no command first, or tokens the subcommand leaves unrecognised) goes
+    through the top-level parser unchanged.
+    """
+    parser, commands = _build_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         result = args.func(args)
         text, status = result if isinstance(result, tuple) else (result, 0)
         _emit(text, args.out)
     except UsageError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return 2
     except CmcError as exc:
         payload = {"error": _error_slug(exc), "message": str(exc)}

@@ -4,6 +4,7 @@ Every command is exercised through main(argv) so exit codes and the split
 between stdout (payload) and stderr (diagnostics) are covered too.
 """
 
+import argparse
 import contextlib
 import hashlib
 import inspect
@@ -218,6 +219,20 @@ class TestExitCodes:
         rc, out, _ = run(capsys, "reduce", "--family", "euclid", "--B", "2")
         assert rc == 0 and out
 
+    # The Euclidean and timelike rotations are circular, over [0, 2 pi]; an
+    # angle range there would be silently ignored. The usage error comes
+    # before any domain check (timelike B = 0.5 has no s = -1).
+    @pytest.mark.parametrize("family", ["euclid", "timelike-axis"])
+    @pytest.mark.parametrize("angle", ["2", "5", "nan"])
+    def test_angle_range_on_a_circular_family_exits_two(self, capsys, family,
+                                                        angle):
+        rc, out, err = run(capsys, "surface", "--family", family, "--B",
+                           "0.5", "--samples", "3", "--theta-samples", "3",
+                           f"--angle-range={angle}")
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1
+        assert "--angle-range applies only to the spacelike-axis" in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
@@ -340,6 +355,15 @@ class TestSurfaceCommand:
                 _, x1, x2, x3 = line.split()
                 val = float(x3) ** 2 - float(x2) ** 2
                 assert val == pytest.approx(0.25, abs=1e-12)
+
+    def test_spacelike_angle_range_defaults_to_two(self, capsys):
+        argv = ("surface", "--family", "spacelike", "--B", "2", "--s-min",
+                "-0.1", "--s-max", "0.1", "--samples", "3",
+                "--theta-samples", "4")
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert run(capsys, *argv, "--angle-range", "2") == (rc, out, err)
+        assert run(capsys, *argv, "--angle-range", "3")[1] != out
 
     def test_subnormal_span_samples_like_numpy(self, capsys):
         # The grid step 5e-324/4 underflows to zero; the samples must still
@@ -569,7 +593,7 @@ class TestChainReportText:
         # and _chain_json leaves out fails here.
         checked = 0
         for argv in _seeded_chain_pool():
-            args = _build_parser().parse_args(argv)
+            args = _build_parser()[0].parse_args(argv)
             try:
                 cfg = chain_config(reduce(_family(args.family), args.B),
                                    args.H)
@@ -865,7 +889,7 @@ def test_one_parser_serves_every_run_in_a_process(capsys, monkeypatch):
     src = os.path.dirname(os.path.dirname(cmc_elliptic.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    parser = _build_parser()
+    parser, _ = _build_parser()
     for argv in REUSE_ARGV:
         try:
             rc = main(list(argv))
@@ -877,7 +901,91 @@ def test_one_parser_serves_every_run_in_a_process(capsys, monkeypatch):
             capture_output=True, text=True, env=env)
         assert (rc, _strip_timings(captured.out), captured.err) == (
             proc.returncode, _strip_timings(proc.stdout), proc.stderr), argv
-    assert _build_parser() is parser
+    assert _build_parser()[0] is parser
+
+
+# A valid request of every subcommand, answered by its own parser.
+VALID_ARGV = {
+    "profile": ["profile", "--family", "euclid", "--B", "0.5", "--s-min",
+                "-0.3", "--s-max", "0.3", "--samples", "4"],
+    "surface": ["surface", "--family", "spacelike", "--B", "2", "--s-min",
+                "-0.1", "--s-max", "0.1", "--samples", "3",
+                "--theta-samples", "3", "--angle-range=1.5"],
+    "reduce": ["reduce", "--family", "spacelike", "--B=2"],
+    "roots": ["roots", "--family", "timelike"],
+    "wp-check": ["wp-check", "--family", "timelike", "--B", "2", "--tol",
+                 "1e-6"],
+    "chain": ["chain", "--family", "timelike", "--B", "2", "--H", "0.5",
+              "--upto-k", "5"],
+    "verify": ["verify"],
+}
+# Requests that fall back to the top-level parser (nothing, help or an
+# option before the command, unknown commands, tokens the subcommand leaves
+# over) and ones its own parser answers (help, errors, abbreviations,
+# repeats, "--").
+DISPATCH_ARGV = [
+    *VALID_ARGV.values(),
+    [], ["-h"], ["--help"], ["--he"], ["-h", "roots"], ["frobnicate"],
+    ["Roots", "--family", "timelike"], ["root", "--family", "timelike"],
+    ["--family", "timelike", "roots"], ["--", "roots", "--family", "euclid"],
+    ["roots", "-h"], ["chain", "--help"], ["verify", "--he"],
+    ["roots", "--family", "timelike", "--help", "--frobnicate"],
+    ["roots"], ["roots", "--family"], ["roots", "--family", "timelike", "x"],
+    ["roots", "--family", "timelike", "--frobnicate", "1"],
+    ["reduce", "--family", "euclid", "--B", "2", "--H", "1"],
+    ["roots", "--", "--family", "timelike"],
+    ["roots", "--family", "timelike", "--"],
+    ["roots", "--family", "timelike", "--", "x"],
+    ["chain", "--fam", "timelike", "--B", "2", "--H", "0.5", "--upto", "4"],
+    ["chain", "--family", "timelike", "--B", "2", "--H", "0.5", "--u=4"],
+    ["reduce", "--family", "euclid", "--fo", "json", "--B", "2"],
+    ["reduce", "--family", "euclid", "--B", "2", "--B", "3"],
+    ["reduce", "--family", "klein", "--family", "euclid", "--B", "3"],
+    ["reduce", "--family", "euclid", "--B", "abc"],
+    ["reduce", "--family", "euclid", "--format", "xml"],
+    ["surface", "--family", "euclid", "--B", "0.5", "--samples", "3",
+     "--theta-samples", "3", "--angle-range", "2"],
+]
+
+
+def _answer(capsys, argv):
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, _strip_timings(captured.out), captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
+def test_main_answers_as_the_top_level_parse(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    answer = _answer(capsys, argv)
+    monkeypatch.setattr(cli_io, "_parse",
+                        lambda argv: _build_parser()[0].parse_args(argv))
+    assert answer == _answer(capsys, argv)
+
+
+def test_a_well_formed_request_skips_the_top_level_parse(capsys,
+                                                         monkeypatch):
+    top, _ = _build_parser()
+    calls = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def counting(self, *args, **kwargs):
+        if self is top:
+            calls.append(args)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counting)
+    for argv in VALID_ARGV.values():
+        main(list(argv))
+    capsys.readouterr()
+    assert calls == []
+    # The counter sees a request that the subcommand's parser cannot finish.
+    with pytest.raises(SystemExit):
+        main(["roots", "--family", "timelike", "x"])
+    assert len(calls) == 1
 
 
 def test_export_list_matches_the_public_bindings():

@@ -113,6 +113,19 @@ class TestRootIsolation:
         x = refine_root(Poly([-2, 0, 1]), F(1), F(2))
         assert x == pytest.approx(2.0 ** 0.5, rel=1e-14)
 
+    # Triple roots, where Newton converges only linearly, so only the exact
+    # returns give them exactly: at lo, at hi, at a non-dyadic lo, and at
+    # 3/8, the third bisection midpoint of [0, 1].
+    @pytest.mark.parametrize("coeffs, lo, hi, root", [
+        ([-1, 3, -3, 1], F(1), F(2), 1.0),
+        ([-27, 27, -9, 1], F(2), F(3), 3.0),
+        ([-1, 9, -27, 27], F(1, 3), F(1), 1 / 3),
+        ([-27, 216, -576, 512], F(0), F(1), 0.375),
+    ])
+    def test_refine_root_returns_an_exact_root(self, coeffs, lo, hi, root):
+        x = refine_root(Poly(coeffs), lo, hi)
+        assert type(x) is float and x == root
+
     def test_refine_root_rejects_bad_bracket(self):
         with pytest.raises(ValueError):
             refine_root(Poly([-2, 0, 1]), F(2), F(3))

@@ -383,6 +383,11 @@ class TestWpInverse:
         with pytest.raises(BranchError):
             ev_a.wp_inverse(ev_a.e_max - 0.1)
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+    def test_non_finite_w_is_a_domain_error(self, ev_a, w):
+        with pytest.raises(DomainError, match="w must be finite"):
+            ev_a.wp_inverse(w)
+
     def test_inverse_of_wp_identity(self, ev_a):
         for z in (0.3, 0.9, 1.6):
             w = ev_a.wp(z)[0]
@@ -408,6 +413,14 @@ class TestWpIntegral:
         t, h = 0.8, 1e-5
         fd = (ev_a.wp_integral(0.3, t + h) - ev_a.wp_integral(0.3, t - h)) / (2 * h)
         assert fd == pytest.approx(ev_a.wp(t)[0], abs=1e-7)
+
+    # (inf, inf) too: the bounds are checked before the empty stretch.
+    @pytest.mark.parametrize("t0, t1", [
+        (math.nan, 0.5), (0.3, math.nan), (0.3, math.inf), (-math.inf, 0.5),
+        (math.inf, math.inf), (math.nan, math.nan)])
+    def test_non_finite_bound_is_a_domain_error(self, ev_a, t0, t1):
+        with pytest.raises(DomainError, match="bounds must be finite"):
+            ev_a.wp_integral(t0, t1)
 
     def test_pole_in_interval_rejected(self, ev_a):
         with pytest.raises(PoleError):
