@@ -4,6 +4,19 @@ B. C. Carlson, Numer. Algorithms 10 (1995); DLMF 19.36.i. Each step divides
 the spread of the arguments by 4; each series stops once its last step is
 accurate to the unit roundoff, five or six steps for comparable arguments.
 The sequence depends on the arguments alone: rf_rd gives both of a triple.
+
+At the ends of the float range a form runs once on its arguments times a
+power of four 4^j, and its value is scaled back by 2^j (R_F) or 2^3j (R_D),
+their homogeneity (DLMF 19.20). Both scalings are exact, and so is every
+duplication step, so the bits do not depend on j while no intermediate
+leaves the normal range. j brings the largest argument to at most 2^1008,
+and for R_D as near 1 as keeps the smallest argument that matters normal.
+An argument matters unless it is below 2^-106 times the middle one (|y|
+for a pair): dropping it moves the value by less than 2^-52 of itself.
+R_D's z always matters. The contract: a form gives its value where the
+arguments that matter lie within a factor 2^2028 of the largest (2^1700
+for R_D, see _duplicate); past that it raises RangeError where such an
+argument loses bits at that j.
 """
 
 from __future__ import annotations
@@ -14,41 +27,29 @@ from .errors import DomainError, RangeError
 
 _RF_SPREAD = (3 * 2.0 ** -53) ** (-1 / 6)  # (3r)^(-1/6), r the unit roundoff
 _RD_SPREAD = (2.0 ** -53 / 4) ** (-1 / 6)  # (r/4)^(-1/6)
-# Arguments whose error scale overflows are scaled by 4^-8: every finite
-# float is below 2^1024, so the scaled ones are below 2^1008, where the
-# scale is finite. R_F and R_D are homogeneous of degree -1/2 and -3/2
-# (DLMF 19.20), so their values scale back by 2^-8 and 2^-24.
-_SHRINK = 2.0 ** -16
-# Below this mean (the largest argument of a conjugate pair, whose mean can
-# cancel at any scale) R_F's duplication mean can underflow to 0 and never
-# stop: the arguments are scaled up by 4^j, the largest to about 1/2, and
-# the value by 2^j, by the same homogeneity.
-_TINY = 2.0 ** -969
-# Smallest normal float. Below it the conjugate pair's first 2 Re(sqrt y)^2
-# has lost its digits, or is 0 and the loop need not end: the arguments
-# are scaled up by 4^j, the largest to below 2^1008, where _shrunk starts,
-# and a second call still below it is a RangeError.
-_NORMAL = 2.0 ** -1022
+_RF, _RD, _PAIR = "R_F(%r, %r, %r)", "R_D(%r, %r, %r)", "R_F(%r, %r +/- %ri)"
 
 
-def rf(x, y, z):
+def rf(x, y, z, named=None):
     """R_F(x, y, z) = (1/2) int_0^inf dt / sqrt((t+x)(t+y)(t+z)).
 
     x, y, z >= 0 with at most one of them 0, or x >= 0 with y, z a
-    complex-conjugate pair (the value is then real).
+    complex-conjugate pair off the closed negative real axis (the value is
+    then real). RangeError as the module docstring says, and for a pair
+    where 2 Re(sqrt y)^2 = |y| + p is below 2^-1022 at that j. named is
+    the caller's label, on arguments that _rescaled has scaled.
     """
     if isinstance(y, complex):
-        return _rf_pair(x, y.real, abs(y.imag))
+        return _rf_pair(x, y.real, abs(y.imag), named)
     a0 = a = (x + y + z) / 3
     spread = _RF_SPREAD * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
-    if not (min(x + y, y + z, z + x) > 0 and spread < math.inf):
-        xs, ys, zs = _shrunk(x, y, z)
-        if min(xs + ys, ys + zs, zs + xs) > 0:
-            return rf(xs, ys, zs) * 2.0 ** -8
-        raise DomainError(f"R_F({x!r}, {y!r}, {z!r}) is outside its domain")
-    if a0 < _TINY and min(x, y, z) >= 0:
-        j = -math.frexp(max(x, y, z))[1] // 2
-        return math.ldexp(rf(*(math.ldexp(v, 2 * j) for v in (x, y, z))), j)
+    # Besides the error scale, past a mean of 2^1020 the loop's sums can
+    # overflow; below 2^-969 its own mean can underflow to 0 and never stop.
+    if not (min(x + y, y + z, z + x) > 0 and spread < math.inf
+            and 2.0 ** -969 <= a0 < 2.0 ** 1020):
+        return _rescaled(rf, (x, y, z), 1, named, _RF,
+                         all(0 <= v < math.inf for v in (x, y, z))
+                         and min(x + y, y + z, z + x) > 0)
     fac, xm, ym, zm = 1.0, x, y, z
     try:
         while fac * spread >= a:
@@ -57,19 +58,34 @@ def rf(x, y, z):
             xm, ym, zm, a = (xm + lam) / 4, (ym + lam) / 4, (zm + lam) / 4, (a + lam) / 4
             fac /= 4
     except ValueError:  # the square root of a negative argument
-        raise DomainError(
-            f"R_F({x!r}, {y!r}, {z!r}) is outside its domain") from None
+        raise DomainError(f"{_RF % (x, y, z)} is outside its domain") from None
     X, Y = fac * (a0 - x) / a, fac * (a0 - y) / a
     return _rf_series(X * Y - (X + Y) ** 2, -X * Y * (X + Y), a)
 
 
-def _shrunk(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """(x, y, z) times _SHRINK where only the error scale overflowed: all
-    three finite and >= 0, the largest above 2^1008; else (0, 0, 0), which
-    no domain admits."""
-    if all(0 <= v < math.inf for v in (x, y, z)) and max(x, y, z) > 2.0 ** 1008:
-        return x * _SHRINK, y * _SHRINK, z * _SHRINK
-    return 0.0, 0.0, 0.0
+def _rescaled(form, args, degree, named, label, inside, middle=None):
+    """form(*args) as form(*(4^j args), label) 2^(degree j), j as in the
+    module docstring, where args are inside the form's domain. named is set
+    on scaled args, where a trigger raises. middle is the middle argument's
+    size where args are not the form's arguments (a pair's |y|)."""
+    if named is not None:
+        raise RangeError(f"{named} is past the float range")
+    named = label % args
+    if not inside:
+        raise DomainError(f"{named} is outside its domain")
+    sizes = sorted(map(abs, args))
+    keep = [v for v in args if abs(v) >= (middle or sizes[1]) * 2.0 ** -106]
+    top = math.frexp(sizes[2])[1]
+    j = (1008 - top) // 2
+    if degree == 3:
+        keep.append(args[2])
+        low = math.frexp(min(v for v in keep if v > 0))[1]
+        j = min(j, max(-(top // 2), -((low + 1021) // 2)))
+    if any(math.ldexp(math.ldexp(v, 2 * j), -2 * j) != v for v in keep):
+        raise RangeError(f"{named} is past the float range: an argument "
+                         "loses bits at the scale that holds the largest")
+    return math.ldexp(form(*(math.ldexp(v, 2 * j) for v in args), named),
+                      degree * j)
 
 
 def _rf_pair(x: float, p: float, q: float, named=None) -> float:
@@ -78,32 +94,19 @@ def _rf_pair(x: float, p: float, q: float, named=None) -> float:
     sqrt(y) sqrt(conj y) = |y| and 2 Re(sqrt y)^2 = |y| + p; for p < 0 the
     sum is formed as q * (q / (|y| - p)), so that arguments near the
     negative real axis keep their digits and q^2 does not overflow.
-    Arguments whose error scale overflows are scaled by 4^-8 as in rf, and
-    a RangeError then names the caller's (x, p, q), passed as named.
     """
     a0 = a = (x + 2 * p) / 3
     spread = _RF_SPREAD * max(abs(a0 - x), math.hypot(a0 - p, q))
-    if not (x >= 0 and q > 0 and spread < math.inf):
-        xs, ps, qs = _shrunk(x, abs(p), q)
-        if qs > 0:
-            return _rf_pair(xs, math.copysign(ps, p), qs,
-                            (x, p, q)) * 2.0 ** -8
-        raise DomainError(f"R_F({x!r}, {p!r} +/- {q!r}i) is outside its domain")
-    if x < _TINY and abs(p) < _TINY and q < _TINY:
-        j = -math.frexp(max(x, abs(p), q))[1] // 2
-        return math.ldexp(_rf_pair(*(math.ldexp(v, 2 * j) for v in (x, p, q))),
-                          j)
     r = math.hypot(p, q)
     re2 = p + r if p >= 0 else q * (q / (r - p))
-    if re2 < _NORMAL:  # the first step's, before the loop forms it
-        named = named or (x, p, q)
-        j = (1008 - math.frexp(max(x, abs(p), q))[1]) // 2
-        if j <= 0:
-            raise RangeError(
-                "R_F(%r, %r +/- %ri) is past the float range: the imaginary "
-                "part is too small beside the others" % named)
-        return math.ldexp(
-            _rf_pair(*(math.ldexp(v, 2 * j) for v in (x, p, q)), named), j)
+    # As in rf, x + |y| for the mean, which can cancel at any scale; a first
+    # 2 Re(sqrt y)^2 below the smallest normal has lost its digits, or is
+    # 0 and the loop need not end.
+    if not (x >= 0 and spread < math.inf and re2 >= 2.0 ** -1022
+            and 2.0 ** -969 <= x + r < 2.0 ** 1021):
+        return _rescaled(_rf_pair, (x, p, q), 1, named, _PAIR,
+                         0 <= x < math.inf and abs(p) < math.inf
+                         and q < math.inf and (q > 0 or p > 0), r)
     fac, xm, pm, qm = 1.0, x, p, q
     while fac * spread >= abs(a):
         cross = 2 * math.sqrt(xm) * math.sqrt(re2 / 2)
@@ -120,13 +123,13 @@ def _rf_series(e2: float, e3: float, a: float) -> float:
     return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / math.sqrt(a)
 
 
-def rd(x: float, y: float, z: float) -> float:
+def rd(x: float, y: float, z: float, named=None) -> float:
     """R_D(x, y, z) = (3/2) int_0^inf dt / ((t+z) sqrt((t+x)(t+y)(t+z))).
 
-    x, y >= 0, not both 0, and z > 0; RangeError where the value is past
-    the largest float, which only arguments near the smallest ones give.
+    x, y >= 0, not both 0, and z > 0. RangeError as the module docstring
+    says, and where the value is past the largest float. named is as in rf.
     """
-    return _duplicate(x, y, z, False)[1]
+    return _duplicate(x, y, z, False, named)[1]
 
 
 def rf_rd(x: float, y: float, z: float) -> tuple[float, float]:
@@ -134,13 +137,14 @@ def rf_rd(x: float, y: float, z: float) -> tuple[float, float]:
     return _duplicate(x, y, z, True)
 
 
-def _duplicate(x: float, y: float, z: float, with_rf: bool):
+def _duplicate(x: float, y: float, z: float, with_rf: bool, named=None):
     """(R_F if with_rf else None, R_D) from one sequence, a series per value.
 
-    rf and rd give both where either needs the 4^-8 rescale or leaves its
-    domain; rf gives R_F where it needs more steps. An R_D below 2^-969 may
-    have lost terms to underflow: it is redone with the arguments times 4^-j
-    (largest near 1, smallest nonzero normal) and scaled back by 2^-3j.
+    rf and rd give both where either needs a rescale or leaves its domain;
+    rf gives R_F where it needs more steps. An R_D below 2^-969 may have
+    lost a term to underflow, or to a divisor past 2^1024 (a term below
+    2^-1023): it is rescaled, and a rescaled one is a RangeError where its
+    largest argument is past 2^680, which such a divisor needs.
     """
     a0 = a = (x + y + 3 * z) / 5
     spread = _RD_SPREAD * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
@@ -149,13 +153,13 @@ def _duplicate(x: float, y: float, z: float, with_rf: bool):
     ok = x + y > 0 and z > 0 and spread < math.inf
     if with_rf:
         f_spread = _RF_SPREAD * max(abs(f0 - x), abs(f0 - y), abs(f0 - z))
-        if not (ok and min(x + y, y + z, z + x) > 0 and f_spread < math.inf):
+        if not (ok and min(x + y, y + z, z + x) > 0 and f_spread < math.inf
+                and 2.0 ** -969 <= f0 < 2.0 ** 1020):
             return rf(x, y, z), rd(x, y, z)
     if not ok:
-        xs, ys, zs = _shrunk(x, y, z)
-        if xs + ys > 0 and zs > 0:
-            return None, rd(xs, ys, zs) * 2.0 ** -24
-        raise DomainError(f"R_D({x!r}, {y!r}, {z!r}) is outside its domain")
+        return None, _rescaled(rd, (x, y, z), 3, named, _RD,
+                               all(0 <= v < math.inf for v in (x, y, z))
+                               and x + y > 0 and z > 0)
     try:
         fac, tail, xm, ym, zm = 1.0, 0.0, x, y, z
         while True:
@@ -183,16 +187,11 @@ def _duplicate(x: float, y: float, z: float, with_rf: bool):
     except ValueError:  # the square root of a negative argument
         if with_rf:
             return rf(x, y, z), rd(x, y, z)
-        raise DomainError(
-            f"R_D({x!r}, {y!r}, {z!r}) is outside its domain") from None
+        raise DomainError(f"{_RD % (x, y, z)} is outside its domain") from None
     if value == math.inf:
-        raise RangeError(f"R_D({x!r}, {y!r}, {z!r}) is past the float range")
-    if value < 2.0 ** -969:
-        low = min(v for v in (x, y, z) if v > 0)
-        j = min(math.frexp(max(x, y, z))[1], math.frexp(low)[1] + 1021) // 2
-        if j > 0:  # rd is homogeneous of degree -3/2
-            value = math.ldexp(rd(*(math.ldexp(v, -2 * j) for v in (x, y, z))),
-                               -3 * j)
+        raise RangeError(f"{named or _RD % (x, y, z)} is past the float range")
+    if value < 2.0 ** -969 and (named is None or max(x, y, z) > 2.0 ** 680):
+        value = _rescaled(rd, (x, y, z), 3, named, _RD, True)
     if not f_end:  # () without R_F; None if its series needs more steps
         return (rf(x, y, z) if with_rf else None), value
     fac, f = f_end

@@ -129,30 +129,14 @@ def _require_in_domain(params: CmcParams, s_grid: Sequence[float]) -> None:
 # Closed-form coordinate pieces
 
 
-def _radicand(params: CmcParams, s: float) -> float:
-    """The radicand R at one s, as _closed_pieces forms it in its loop."""
-    H, B = params.H, params.B
-    if params.family is Family.EUCLIDEAN:
-        if B == 1.0:
-            # 2(1 + sin 2Hs) = 4 sin^2(H d), d the distance to the nearer
-            # edge of the window: an exact difference near either edge.
-            dom = domain(params)
-            return 4 * math.sin(H * min(s - dom.lo, dom.hi - s)) ** 2
-        return 1 + B * B + 2 * B * math.sin(2 * H * s)
-    if params.family is Family.LORENTZ_SPACELIKE_AXIS:
-        # 1 + B^2 - 2B cosh(2Hs), free of the cancellation as B -> 1.
-        return (1 - B) ** 2 - 4 * B * math.sinh(H * s) ** 2
-    return (B * B - 1) + 2 * B * math.sinh(2 * H * s)  # exact at B = 1
-
-
 def _closed_pieces(params: CmcParams, grid: Sequence[float]):
     """(radius, d(radius), dd(radius), d(axis), dd(axis)) at each sample.
 
     Generated over grid in order, the family and its constants resolved
-    once; the radicand R (``_radicand``) shares its sin or sinh of 2Hs with
-    the pieces. DomainError where R <= 0; RangeError where sinh/cosh or sin
-    overflows or R**1.5 underflows to 0 in a divisor. Past that a piece may
-    be inf or nan, which callers check.
+    once; the radicand R shares its sin or sinh of 2Hs with the pieces
+    (``tests/radicand.py`` forms it at one s). DomainError where R <= 0;
+    RangeError where sinh/cosh or sin overflows or R**1.5 underflows to 0
+    in a divisor. Past that a piece may be inf or nan, which callers check.
     """
     H, B = params.H, params.B
     h2, b2 = 2 * H, 2 * B

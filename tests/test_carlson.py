@@ -13,12 +13,13 @@ import mpmath as mp
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from radicand import _radicand
 
 from cmc_elliptic import _carlson
 from cmc_elliptic._carlson import rd, rf, rf_rd
 from cmc_elliptic.errors import CmcError, DomainError, PoleError, RangeError
-from cmc_elliptic.profiles import (CmcParams, Family, _radicand, anchor,
-                                   domain, profile_points)
+from cmc_elliptic.profiles import (CmcParams, Family, anchor, domain,
+                                   profile_points)
 from cmc_elliptic.weierstrass import WpEvaluator
 
 REL = 4e-15  # the duplication core, relative
@@ -320,6 +321,149 @@ class TestSharedLoop:
             assume(min(args) > 2.2250738585072014e-308)
             ref = mp.elliprd(*args)
         _close(rd(*args), ref, REL)
+
+
+# ---------------------------------------------------------------------------
+# The contract of the rescale (the _carlson module docstring)
+
+MAX = sys.float_info.max
+
+
+def _reference(fn, args, dps):
+    """mpmath's value of fn at args; a complex y is the pair y, conj y."""
+    x, y, z = args
+    with mp.workdps(dps):
+        if fn is rd:
+            return mp.elliprd(x, y, z)
+        if isinstance(y, complex):
+            return mp.elliprf(x, mp.mpc(y.real, y.imag),
+                              mp.mpc(y.real, -y.imag)).real
+        return mp.elliprf(x, y, z)
+
+
+def _assert_near(got, fn, args):
+    """got within REL of mpmath where the value is a normal float, within
+    2^-1074 of it where it is subnormal. mpmath at 30 digits, then at 400,
+    since near the negative real axis it can disagree with itself."""
+    for dps in (30, 400):
+        ref = _reference(fn, args, dps)
+        bound = REL * ref if ref >= 2.0 ** -1022 else 2.0 ** -1074
+        if abs(got - ref) <= bound:
+            return
+    raise AssertionError((fn.__name__, args, got, ref))
+
+
+def _pair(x, p, q):
+    return x, complex(p, q), complex(p, -q)
+
+
+# A quarter of the arguments above 1e303.5, a quarter from the smallest
+# subnormal to 1e-292, a tenth zeros, the rest log-uniform over the range.
+STRESS = st.integers(0, 19).flatmap(lambda u: (
+    st.floats(303.5, 308.25) if u < 5 else st.floats(-323.3, -292) if u < 10
+    else st.just(None) if u < 12 else st.floats(-323.3, 308.25)
+).map(lambda e: 0.0 if e is None else min(10.0 ** e, MAX)))
+
+
+@st.composite
+def span_triples(draw, span):
+    """(x, y, z) with the largest anywhere in the range, near its ends a
+    third of the time each, and every nonzero one within 2^span of it."""
+    top = draw(st.sampled_from([(-1074, -940), (990, 1023.9),
+                                (-1074, 1023.9)]))
+    logs = [draw(st.floats(*top))]
+    logs += [logs[0] - draw(st.floats(0, span)) for _ in range(2)]
+    args = [math.ldexp(2.0 ** (e % 1), math.floor(e)) for e in logs]
+    zero = draw(st.integers(0, 5))
+    if zero < 3:
+        args[zero] = 0.0
+    big = max(args)
+    assume(big < math.inf and all(v == 0 or v >= math.ldexp(big, -span)
+                                  for v in args))
+    return draw(st.permutations(args))
+
+
+class TestContract:
+    @pytest.mark.parametrize("fn,args", [
+        (rd, (1.496377478177457, MAX, 5e-324)),
+        (rf, _pair(1e308, 0.0, 5e-324)),
+        (rf, (MAX, 1e-323, 0.0)),
+        (rd, (2.1628924926455157e306, 1.0501827955506985e80, 5e-324)),
+        # The worst of a stress fuzz of the single 4^-8 rescale, which read
+        # them 3.4e-4 and 0.28 off.
+        (rf, (1.371981027382976e307, 1.9881e-319, 0.0)),
+        (rd, (1.064444277488982e306, 2.86223614861e-312, 1.66115e-319)),
+    ])
+    def test_an_argument_that_loses_bits_is_a_range_error(self, fn, args):
+        # An argument that matters loses bits at every power of four that
+        # brings the largest to 2^1008: inside the domain, past the span.
+        x, y, z = args
+        label = (f"R_F({x!r}, {y.real!r} +/- {y.imag!r}i)"
+                 if isinstance(y, complex) else
+                 f"{'R_D' if fn is rd else 'R_F'}({x!r}, {y!r}, {z!r})")
+        with pytest.raises(RangeError) as info:
+            fn(*args)
+        assert str(info.value).startswith(label + " ")
+
+    @pytest.mark.parametrize("fn,args", [
+        (rf, (5.798929036090812e307, 5.775427969041561e307,
+              5.775427969041561e307)),
+        (rf, _pair(5.798929036090812e307, 5.775427969041561e307, 1.0)),
+        (rf_rd, (5.798929036090812e307, 5.775427969041561e307,
+                 5.775427969041561e307)),
+    ])
+    def test_close_arguments_past_2_to_the_1020(self, fn, args):
+        # Their error scale is finite, but the loop's sums overflowed: 0.0.
+        got = fn(*args)
+        if fn is rf_rd:
+            _assert_near(got[1], rd, args)
+            got = got[0]
+        _assert_near(got, rf, args)
+
+    def test_a_real_pair_is_the_real_triple(self):
+        # q = 0 with p > 0 is R_F(x, p, p), inside the domain; p <= 0 is not.
+        _assert_near(rf(*_pair(1.0, 2.0, 0.0)), rf, (1.0, 2.0, 2.0))
+        _assert_near(rf(*_pair(1e308, 1e308, 1e-320)), rf,
+                     (1e308, 1e308, 1e308))
+
+    # Inside the domain, no DomainError: a value where mpmath's is normal, or
+    # a RangeError past the contract.
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(["rf", "pair", "rd"]), STRESS, STRESS, STRESS,
+           st.booleans())
+    def test_stress_arguments(self, watchdog, form, x, y, z, negative):
+        if form == "pair":
+            args, fn = _pair(x, -y if negative else y, z), rf
+            assume(z > 0 or y > 0 and not negative)
+        else:
+            args, fn = (x, y, z), rf if form == "rf" else rd
+            assume(x + y > 0 and (z > 0 if fn is rd else x + z > 0 < y + z))
+        try:
+            got = watchdog(fn, *args)
+        except RangeError:
+            return
+        _assert_near(got, fn, args)
+
+    # Nonzero arguments within 2^2028 of the largest (2^1700 for R_D, the
+    # pair with p >= 0): one power of four holds them between 2^-1022 and
+    # 2^1008, and the value is there.
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(["rf", "pair", "rd"]), st.data())
+    def test_the_contract_span(self, watchdog, form, data):
+        x, y, z = data.draw(span_triples(1700 if form == "rd" else 2028))
+        if form == "pair":
+            args, fn = _pair(x, y, z), rf
+            assume(z > 0 or y > 0)
+        else:
+            args, fn = (x, y, z), rf if form == "rf" else rd
+            assume(x + y > 0 and (z > 0 if fn is rd else x + z > 0 < y + z))
+        if fn is rd and _reference(rd, args, 30) > MAX:
+            with pytest.raises(RangeError):
+                watchdog(fn, *args)
+            return
+        _assert_near(watchdog(fn, *args), fn, args)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from radicand import _radicand
 from surface_point import surface_point
 
 from cmc_elliptic.errors import (CmcError, DomainError, EmptyDomainError,
@@ -25,8 +26,7 @@ from cmc_elliptic.profiles import (
     mesh,
     profile_point,
 )
-from cmc_elliptic.profiles import (_closed_pieces, _linspace, _mesh_vertices,
-                                   _radicand)
+from cmc_elliptic.profiles import _closed_pieces, _linspace, _mesh_vertices
 
 
 def in_domain_samples(params, n, seed=0, margin=0.05):
