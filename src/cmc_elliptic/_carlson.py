@@ -9,14 +9,15 @@ At the ends of the float range a form runs once on its arguments times a
 power of four 4^j, and its value is scaled back by 2^j (R_F) or 2^3j (R_D),
 their homogeneity (DLMF 19.20). Both scalings are exact, and so is every
 duplication step, so the bits do not depend on j while no intermediate
-leaves the normal range. j brings the largest argument to at most 2^1008,
-and for R_D as near 1 as keeps the smallest argument that matters normal.
-An argument matters unless it is below 2^-106 times the middle one (|y|
-for a pair): dropping it moves the value by less than 2^-52 of itself.
-R_D's z always matters. The contract: a form gives its value where the
-arguments that matter lie within a factor 2^2028 of the largest (2^1700
-for R_D, see _duplicate); past that it raises RangeError where such an
-argument loses bits at that j.
+leaves the normal range. j brings the largest argument to at most 2^1008;
+for R_D, as near 1 as keeps the smallest nonzero one normal, but no higher
+than keeps the value above 2^-969, unless that is below 2^680 (see
+_duplicate). The contract: an argument that j makes subnormal loses bits,
+and the form raises RangeError, naming the arguments as passed, unless a
+bound on how far that moves the value is below 2^-53 of it. So a form gives
+its value where its nonzero arguments lie within a factor 2^2028 of the
+largest (2^1700 for R_D), and beyond that wherever the lost bits cannot
+show.
 """
 
 from __future__ import annotations
@@ -30,24 +31,24 @@ _RD_SPREAD = (2.0 ** -53 / 4) ** (-1 / 6)  # (r/4)^(-1/6)
 _RF, _RD, _PAIR = "R_F(%r, %r, %r)", "R_D(%r, %r, %r)", "R_F(%r, %r +/- %ri)"
 
 
-def rf(x, y, z, named=None):
+def rf(x, y, z, _named=None):
     """R_F(x, y, z) = (1/2) int_0^inf dt / sqrt((t+x)(t+y)(t+z)).
 
     x, y, z >= 0 with at most one of them 0, or x >= 0 with y, z a
     complex-conjugate pair off the closed negative real axis (the value is
     then real). RangeError as the module docstring says, and for a pair
-    where 2 Re(sqrt y)^2 = |y| + p is below 2^-1022 at that j. named is
-    the caller's label, on arguments that _rescaled has scaled.
+    whose 2 Re(sqrt y)^2 = |y| + p is below 2^-1022 at that j. _named is
+    private: _rescaled passes its label with the arguments it has scaled.
     """
     if isinstance(y, complex):
-        return _rf_pair(x, y.real, abs(y.imag), named)
+        return _rf_pair(x, y.real, abs(y.imag), _named)
     a0 = a = (x + y + z) / 3
     spread = _RF_SPREAD * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
     # Besides the error scale, past a mean of 2^1020 the loop's sums can
     # overflow; below 2^-969 its own mean can underflow to 0 and never stop.
     if not (min(x + y, y + z, z + x) > 0 and spread < math.inf
             and 2.0 ** -969 <= a0 < 2.0 ** 1020):
-        return _rescaled(rf, (x, y, z), 1, named, _RF,
+        return _rescaled(rf, (x, y, z), _named,
                          all(0 <= v < math.inf for v in (x, y, z))
                          and min(x + y, y + z, z + x) > 0)
     fac, xm, ym, zm = 1.0, x, y, z
@@ -63,32 +64,102 @@ def rf(x, y, z, named=None):
     return _rf_series(X * Y - (X + Y) ** 2, -X * Y * (X + Y), a)
 
 
-def _rescaled(form, args, degree, named, label, inside, middle=None):
-    """form(*args) as form(*(4^j args), label) 2^(degree j), j as in the
-    module docstring, where args are inside the form's domain. named is set
-    on scaled args, where a trigger raises. middle is the middle argument's
-    size where args are not the form's arguments (a pair's |y|)."""
+def _rescaled(form, args, named, inside):
+    """form(*args) as 2^(degree j) form(*(4^j args)), j as in the module
+    docstring, where args are inside the form's domain. named is set on
+    scaled arguments, where a second trigger raises."""
+    degree, label, log2_move = _FORMS[form]
     if named is not None:
         raise RangeError(f"{named} is past the float range")
     named = label % args
     if not inside:
         raise DomainError(f"{named} is outside its domain")
-    sizes = sorted(map(abs, args))
-    keep = [v for v in args if abs(v) >= (middle or sizes[1]) * 2.0 ** -106]
-    top = math.frexp(sizes[2])[1]
+    top = math.frexp(max(map(abs, args)))[1]
     j = (1008 - top) // 2
-    if degree == 3:
-        keep.append(args[2])
-        low = math.frexp(min(v for v in keep if v > 0))[1]
-        j = min(j, max(-(top // 2), -((low + 1021) // 2)))
-    if any(math.ldexp(math.ldexp(v, 2 * j), -2 * j) != v for v in keep):
-        raise RangeError(f"{named} is past the float range: an argument "
-                         "loses bits at the scale that holds the largest")
-    return math.ldexp(form(*(math.ldexp(v, 2 * j) for v in args), named),
-                      degree * j)
+    if degree == 3:  # no higher than keeps 0.43 / (largest sqrt z) >= 2^-969,
+        # a lower bound on R_D, unless 2^680 is higher (see _duplicate)
+        e_low, e_z = (math.frexp(v)[1] for v in (min(v for v in args if v > 0), args[2]))
+        cap = max((680 - top) // 2, (1934 - 2 * top - e_z) // 6)
+        j = min(j, cap, max(-(top // 2), -((e_low + 1021) // 2)))
+    scaled = [math.ldexp(v, 2 * j) for v in args]
+    value = form(*scaled, named)
+    moved = [math.ldexp(v, -2 * j) for v in scaled]  # the arguments of value
+    try:
+        kept = moved == list(args) or (
+            _lg_sum(log2_move(args, moved)) <= _lg(value) + degree * j - 53)
+    except (ValueError, ZeroDivisionError):  # log2(0) or 0/0: no finite bound
+        kept = False
+    if not kept:
+        raise RangeError(f"{named} is past the float range: arguments that "
+                         "lose bits at the scale of the largest move its value")
+    return math.ldexp(value, degree * j)
 
 
-def _rf_pair(x: float, p: float, q: float, named=None) -> float:
+# Bounds on |F(b) - F(a)| where arguments a moved to b, as the log2 of one
+# term per moved argument: the integral between a and b of a bound on the
+# derivative. dR_F/dz = -R_D(x, y, z)/6, and in the integrals sqrt(t + s) is
+# at least sqrt(t) or sqrt(s). lo is the smaller of a and b. Logs, since a
+# term can lie past the float range where the arguments span it.
+_lg = math.log2
+
+
+def _lg_sum(terms: list[float]) -> float:
+    top = max(terms)
+    return top + _lg(sum(2.0 ** (t - top) for t in terms))
+
+
+def _root_step(u: float, v: float) -> float:
+    return abs(u - v) / (math.sqrt(u) + math.sqrt(v))  # |sqrt u - sqrt v|
+
+
+def _rf_move(a, b):  # R_D(y, z, t) <= 3 / (sqrt(t y) sqrt(max(t, z))), z <= y
+    lo, terms = [min(u, v) for u, v in zip(a, b)], []
+    for i, (u, v) in enumerate(zip(a, b)):
+        if u != v:
+            z, y = sorted(lo[:i] + lo[i + 1:])
+            terms.append(_lg(_root_step(u, v)) - (_lg(y) + _lg(max(lo[i], z))) / 2)
+    return terms
+
+
+def _rd_move(a, b):
+    (x, y, z), terms = [min(u, v) for u, v in zip(a, b)], []
+    for u, v, w in zip(a[:2], b[:2], (y, x)):  # dR_D/du, u = x or y, is at
+        if u != v:  # most 3 / (2 z^(3/2) sqrt(u) sqrt(max(u, w)))
+            terms.append(_lg(3 * _root_step(u, v))
+                         - (3 * _lg(z) + _lg(max(min(u, v), w))) / 2)
+    if a[2] != b[2]:  # dR_D/dz: 3 / (2 z^(3/2) sqrt(max(x, y) max(m, z/4)))
+        terms.append(_lg(1.5 * abs(a[2] - b[2])) - (3 * _lg(z) + _lg(max(x, y))
+                     + _lg(max(min(x, y), z / 4))) / 2)  # m = min(x, y)
+    return terms
+
+
+def _pair_move(a, b):
+    # |s + y| >= (s + |y|) cos(arg(y)/2), where the cosine c is at least
+    # sqrt(1/2) for p >= 0 and q / (2|y|) for p < 0; for p < 0, |s + y| is
+    # also at least |y|/2 up to s = -p/2 and q beyond. d/dx is -R_D(y, conj y,
+    # x)/6; |d/dp| and |d/dq| are at most |R_D(x, conj y, y)|/3.
+    (x, p, q), (x1, p1, q1), terms = a, b, []
+    q0, lr = min(q, q1), _lg_hypot(min(abs(p), abs(p1)), min(q, q1))  # |y|
+    lg_c = -0.5 if min(p, p1) >= 0 else (
+        _lg(q0) - 1 - _lg_hypot(max(abs(p), abs(p1)), max(q, q1)))
+    if x != x1:
+        step = _lg(_root_step(x, x1))
+        terms.append(step - lg_c - lr)
+        if max(p, p1) < 0:
+            terms[0] = min(terms[0], 1 + max(1 + step - lr, _lg(
+                abs(x - x1)) - 0.5 - _lg(q0) - _lg(-max(p, p1)) / 2))
+    if (p, q) != (p1, q1):
+        terms.append(_lg(abs(p - p1) + abs(q - q1)) - 1 - 2 * lg_c - lr - _lg(
+            max(math.sqrt(min(x, x1)), 2 * 2.0 ** (lr / 2) / math.pi)))
+    return terms
+
+
+def _lg_hypot(u: float, v: float) -> float:  # hypot(u, v) can pass the
+    top = max(u, v)  # largest float; u, v >= 0
+    return _lg(top) + _lg(1 + (min(u, v) / top) ** 2) / 2
+
+
+def _rf_pair(x: float, p: float, q: float, _named=None) -> float:
     """R_F(x, p + iq, p - iq) in real arithmetic.
 
     sqrt(y) sqrt(conj y) = |y| and 2 Re(sqrt y)^2 = |y| + p; for p < 0 the
@@ -104,9 +175,9 @@ def _rf_pair(x: float, p: float, q: float, named=None) -> float:
     # 0 and the loop need not end.
     if not (x >= 0 and spread < math.inf and re2 >= 2.0 ** -1022
             and 2.0 ** -969 <= x + r < 2.0 ** 1021):
-        return _rescaled(_rf_pair, (x, p, q), 1, named, _PAIR,
+        return _rescaled(_rf_pair, (x, p, q), _named,
                          0 <= x < math.inf and abs(p) < math.inf
-                         and q < math.inf and (q > 0 or p > 0), r)
+                         and q < math.inf and (q > 0 or p > 0))
     fac, xm, pm, qm = 1.0, x, p, q
     while fac * spread >= abs(a):
         cross = 2 * math.sqrt(xm) * math.sqrt(re2 / 2)
@@ -123,13 +194,13 @@ def _rf_series(e2: float, e3: float, a: float) -> float:
     return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / math.sqrt(a)
 
 
-def rd(x: float, y: float, z: float, named=None) -> float:
+def rd(x: float, y: float, z: float, _named=None) -> float:
     """R_D(x, y, z) = (3/2) int_0^inf dt / ((t+z) sqrt((t+x)(t+y)(t+z))).
 
     x, y >= 0, not both 0, and z > 0. RangeError as the module docstring
-    says, and where the value is past the largest float. named is as in rf.
+    says, and where the value is past the largest float. _named is as in rf.
     """
-    return _duplicate(x, y, z, False, named)[1]
+    return _duplicate(x, y, z, False, _named)[1]
 
 
 def rf_rd(x: float, y: float, z: float) -> tuple[float, float]:
@@ -143,8 +214,9 @@ def _duplicate(x: float, y: float, z: float, with_rf: bool, named=None):
     rf and rd give both where either needs a rescale or leaves its domain;
     rf gives R_F where it needs more steps. An R_D below 2^-969 may have
     lost a term to underflow, or to a divisor past 2^1024 (a term below
-    2^-1023): it is rescaled, and a rescaled one is a RangeError where its
-    largest argument is past 2^680, which such a divisor needs.
+    2^-1023), where its largest argument is past 2^680: below that every
+    divisor is below 2^1022, and a term that underflows is below 2^-53 of
+    the value, at least 2^-1020. Such a value is rescaled.
     """
     a0 = a = (x + y + 3 * z) / 5
     spread = _RD_SPREAD * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
@@ -157,7 +229,7 @@ def _duplicate(x: float, y: float, z: float, with_rf: bool, named=None):
                 and 2.0 ** -969 <= f0 < 2.0 ** 1020):
             return rf(x, y, z), rd(x, y, z)
     if not ok:
-        return None, _rescaled(rd, (x, y, z), 3, named, _RD,
+        return None, _rescaled(rd, (x, y, z), named,
                                all(0 <= v < math.inf for v in (x, y, z))
                                and x + y > 0 and z > 0)
     try:
@@ -190,10 +262,14 @@ def _duplicate(x: float, y: float, z: float, with_rf: bool, named=None):
         raise DomainError(f"{_RD % (x, y, z)} is outside its domain") from None
     if value == math.inf:
         raise RangeError(f"{named or _RD % (x, y, z)} is past the float range")
-    if value < 2.0 ** -969 and (named is None or max(x, y, z) > 2.0 ** 680):
-        value = _rescaled(rd, (x, y, z), 3, named, _RD, True)
+    if value < 2.0 ** -969 and max(x, y, z) > 2.0 ** 680:
+        value = _rescaled(rd, (x, y, z), named, True)
     if not f_end:  # () without R_F; None if its series needs more steps
         return (rf(x, y, z) if with_rf else None), value
     fac, f = f_end
     X, Y = fac * (f0 - x) / f, fac * (f0 - y) / f
     return _rf_series(X * Y - (X + Y) ** 2, -X * Y * (X + Y), f), value
+
+
+_FORMS = {rf: (1, _RF, _rf_move), _rf_pair: (1, _PAIR, _pair_move),
+          rd: (3, _RD, _rd_move)}  # degree, label, log2 of a bound on a move

@@ -393,10 +393,15 @@ class TestContract:
         # them 3.4e-4 and 0.28 off.
         (rf, (1.371981027382976e307, 1.9881e-319, 0.0)),
         (rd, (1.064444277488982e306, 2.86223614861e-312, 1.66115e-319)),
+        # Its smallest argument loses 16 bits, which move R_F by about 8e-16
+        # of itself (the parent read it 1.7e-15 off).
+        (rf, (1.6038521359434e-310, 1.1116538694220973e308,
+              1.411386256325285e-307)),
     ])
-    def test_an_argument_that_loses_bits_is_a_range_error(self, fn, args):
-        # An argument that matters loses bits at every power of four that
-        # brings the largest to 2^1008: inside the domain, past the span.
+    def test_bits_lost_that_move_the_value_are_a_range_error(self, fn, args):
+        # Arguments lose bits at every power of four that brings the largest
+        # to 2^1008, and those bits move the value: inside the domain, past
+        # the span.
         x, y, z = args
         label = (f"R_F({x!r}, {y.real!r} +/- {y.imag!r}i)"
                  if isinstance(y, complex) else
@@ -404,6 +409,25 @@ class TestContract:
         with pytest.raises(RangeError) as info:
             fn(*args)
         assert str(info.value).startswith(label + " ")
+
+    @pytest.mark.parametrize("fn,args", [
+        # The smallest loses 12 bits; dR_F/dx = -R_D(y, z, x)/6 bounds the
+        # move by sqrt(x) sqrt(y z)^-1 2^-12, about 1e-17 of the value.
+        (rf, (8.936087880749001e-307, 8.205395942718691e306,
+              3.941678400598359e-301)),
+        # With z = 0 the bound is the log factor: about 3e-19.
+        (rf, (2.3249850726605646e-305, 9.300493372527252e306, 0.0)),
+        (rf, (5e-324, 1.0, 1.7e308)),  # x flushed to 0: sqrt(x/(y z))
+        # A subnormal real part beside a far larger imaginary part and x.
+        (rf, _pair(8.086388092238666e305, -1.903185e-318,
+                   2.3159497540563752e-300)),
+        (rd, (8.55e-322, 2.665528437099023e304, 4.4160380176267866e150)),
+        # An R_D below 2^-969 whose largest argument is below 2^680: no
+        # term is lost, and it is not rescaled.
+        (rd, (4.623e-320, 0.0, 8.67893556590257e202)),
+    ])
+    def test_bits_lost_that_cannot_show_keep_the_value(self, fn, args):
+        _assert_near(fn(*args), fn, args)
 
     @pytest.mark.parametrize("fn,args", [
         (rf, (5.798929036090812e307, 5.775427969041561e307,
