@@ -215,8 +215,9 @@ def _duplicate(x: float, y: float, z: float, with_rf: bool, named=None):
     rf gives R_F where it needs more steps. An R_D below 2^-969 may have
     lost a term to underflow, or to a divisor past 2^1024 (a term below
     2^-1023), where its largest argument is past 2^680: below that every
-    divisor is below 2^1022, and a term that underflows is below 2^-53 of
-    the value, at least 2^-1020. Such a value is rescaled.
+    divisor is below 2^1022, and a term that underflows loses less than
+    2^-1074, 2^-54 of the value, which is at least 2^-1020. Such a value is
+    rescaled.
     """
     a0 = a = (x + y + 3 * z) / 5
     spread = _RD_SPREAD * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
