@@ -393,8 +393,8 @@ class TestContract:
         # them 3.4e-4 and 0.28 off.
         (rf, (1.371981027382976e307, 1.9881e-319, 0.0)),
         (rd, (1.064444277488982e306, 2.86223614861e-312, 1.66115e-319)),
-        # Its smallest argument loses 16 bits, which move R_F by about 8e-16
-        # of itself (the parent read it 1.7e-15 off).
+        # Its two small arguments lose about 24 and 14 bits, which move R_F
+        # by 1.7e-15 of itself: the parent's whole error there.
         (rf, (1.6038521359434e-310, 1.1116538694220973e308,
               1.411386256325285e-307)),
     ])
@@ -412,10 +412,10 @@ class TestContract:
 
     @pytest.mark.parametrize("fn,args", [
         # The smallest loses 12 bits; dR_F/dx = -R_D(y, z, x)/6 bounds the
-        # move by sqrt(x) sqrt(y z)^-1 2^-12, about 1e-17 of the value.
+        # move they make by about 4e-21 of the value.
         (rf, (8.936087880749001e-307, 8.205395942718691e306,
               3.941678400598359e-301)),
-        # With z = 0 the bound is the log factor: about 3e-19.
+        # With z = 0 the bound is the log factor: about 2e-19.
         (rf, (2.3249850726605646e-305, 9.300493372527252e306, 0.0)),
         (rf, (5e-324, 1.0, 1.7e308)),  # x flushed to 0: sqrt(x/(y z))
         # A subnormal real part beside a far larger imaginary part and x.
