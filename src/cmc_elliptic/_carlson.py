@@ -1,4 +1,5 @@
-"""Carlson's symmetric elliptic integrals R_F and R_D by duplication.
+"""Carlson's symmetric elliptic integrals R_F and R_D of real arguments,
+by duplication.
 
 B. C. Carlson, Numer. Algorithms 10 (1995); DLMF 19.36.i. Each step divides
 the spread of the arguments by 4; each series stops once its last step is
@@ -28,20 +29,16 @@ from .errors import DomainError, RangeError
 
 _RF_SPREAD = (3 * 2.0 ** -53) ** (-1 / 6)  # (3r)^(-1/6), r the unit roundoff
 _RD_SPREAD = (2.0 ** -53 / 4) ** (-1 / 6)  # (r/4)^(-1/6)
-_RF, _RD, _PAIR = "R_F(%r, %r, %r)", "R_D(%r, %r, %r)", "R_F(%r, %r +/- %ri)"
+_RF, _RD = "R_F(%r, %r, %r)", "R_D(%r, %r, %r)"
 
 
-def rf(x, y, z, _named=None):
+def rf(x: float, y: float, z: float, _named=None) -> float:
     """R_F(x, y, z) = (1/2) int_0^inf dt / sqrt((t+x)(t+y)(t+z)).
 
-    x, y, z >= 0 with at most one of them 0, or x >= 0 with y, z a
-    complex-conjugate pair off the closed negative real axis (the value is
-    then real). RangeError as the module docstring says, and for a pair
-    whose 2 Re(sqrt y)^2 = |y| + p is below 2^-1022 at that j. _named is
-    private: _rescaled passes its label with the arguments it has scaled.
+    Real x, y, z >= 0 with at most one of them 0. RangeError as the module
+    docstring says. _named is private: _rescaled passes its label with the
+    arguments it has scaled.
     """
-    if isinstance(y, complex):
-        return _rf_pair(x, y.real, abs(y.imag), _named)
     a0 = a = (x + y + z) / 3
     spread = _RF_SPREAD * max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
     # Besides the error scale, past a mean of 2^1020 the loop's sums can
@@ -74,7 +71,7 @@ def _rescaled(form, args, named, inside):
     named = label % args
     if not inside:
         raise DomainError(f"{named} is outside its domain")
-    top = math.frexp(max(map(abs, args)))[1]
+    top = math.frexp(max(args))[1]
     j = (1008 - top) // 2
     if degree == 3:  # no higher than keeps 0.43 / (largest sqrt z) >= 2^-969,
         # a lower bound on R_D, unless 2^680 is higher (see _duplicate)
@@ -131,63 +128,6 @@ def _rd_move(a, b):
         terms.append(_lg(1.5 * abs(a[2] - b[2])) - (3 * _lg(z) + _lg(max(x, y))
                      + _lg(max(min(x, y), z / 4))) / 2)  # m = min(x, y)
     return terms
-
-
-def _pair_move(a, b):
-    # |s + y| >= (s + |y|) cos(arg(y)/2), where the cosine c is at least
-    # sqrt(1/2) for p >= 0 and q / (2|y|) for p < 0; for p < 0, |s + y| is
-    # also at least |y|/2 up to s = -p/2 and q beyond. d/dx is -R_D(y, conj y,
-    # x)/6; |d/dp| and |d/dq| are at most |R_D(x, conj y, y)|/3.
-    (x, p, q), (x1, p1, q1), terms = a, b, []
-    q0, lr = min(q, q1), _lg_hypot(min(abs(p), abs(p1)), min(q, q1))  # |y|
-    lg_c = -0.5 if min(p, p1) >= 0 else (
-        _lg(q0) - 1 - _lg_hypot(max(abs(p), abs(p1)), max(q, q1)))
-    if x != x1:
-        step = _lg(_root_step(x, x1))
-        terms.append(step - lg_c - lr)
-        if max(p, p1) < 0:
-            terms[0] = min(terms[0], 1 + max(1 + step - lr, _lg(
-                abs(x - x1)) - 0.5 - _lg(q0) - _lg(-max(p, p1)) / 2))
-    if (p, q) != (p1, q1):
-        terms.append(_lg(abs(p - p1) + abs(q - q1)) - 1 - 2 * lg_c - lr - _lg(
-            max(math.sqrt(min(x, x1)), 2 * 2.0 ** (lr / 2) / math.pi)))
-    return terms
-
-
-def _lg_hypot(u: float, v: float) -> float:  # hypot(u, v) can pass the
-    top = max(u, v)  # largest float; u, v >= 0
-    return _lg(top) + _lg(1 + (min(u, v) / top) ** 2) / 2
-
-
-def _rf_pair(x: float, p: float, q: float, _named=None) -> float:
-    """R_F(x, p + iq, p - iq) in real arithmetic.
-
-    sqrt(y) sqrt(conj y) = |y| and 2 Re(sqrt y)^2 = |y| + p; for p < 0 the
-    sum is formed as q * (q / (|y| - p)), so that arguments near the
-    negative real axis keep their digits and q^2 does not overflow.
-    """
-    a0 = a = (x + 2 * p) / 3
-    spread = _RF_SPREAD * max(abs(a0 - x), math.hypot(a0 - p, q))
-    r = math.hypot(p, q)
-    re2 = p + r if p >= 0 else q * (q / (r - p))
-    # As in rf, x + |y| for the mean, which can cancel at any scale; a first
-    # 2 Re(sqrt y)^2 below the smallest normal has lost its digits, or is
-    # 0 and the loop need not end.
-    if not (x >= 0 and spread < math.inf and re2 >= 2.0 ** -1022
-            and 2.0 ** -969 <= x + r < 2.0 ** 1021):
-        return _rescaled(_rf_pair, (x, p, q), _named,
-                         0 <= x < math.inf and abs(p) < math.inf
-                         and q < math.inf and (q > 0 or p > 0))
-    fac, xm, pm, qm = 1.0, x, p, q
-    while fac * spread >= abs(a):
-        cross = 2 * math.sqrt(xm) * math.sqrt(re2 / 2)
-        lam = cross + r
-        xm, pm, qm, a = (xm + lam) / 4, (re2 + cross) / 4, qm / 4, (a + lam) / 4
-        fac /= 4
-        r = math.hypot(pm, qm)
-        re2 = pm + r if pm >= 0 else qm * (qm / (r - pm))
-    X, u, v = fac * (a0 - x) / a, fac * (a0 - p) / a, fac * q / a  # Y = u - iv
-    return _rf_series(2 * X * u + u * u + v * v, X * (u * u + v * v), a)
 
 
 def _rf_series(e2: float, e3: float, a: float) -> float:
@@ -272,5 +212,5 @@ def _duplicate(x: float, y: float, z: float, with_rf: bool, named=None):
     return _rf_series(X * Y - (X + Y) ** 2, -X * Y * (X + Y), f), value
 
 
-_FORMS = {rf: (1, _RF, _rf_move), _rf_pair: (1, _PAIR, _pair_move),
-          rd: (3, _RD, _rd_move)}  # degree, label, log2 of a bound on a move
+# Per form: its degree, label and the log2 of a bound on a move.
+_FORMS = {rf: (1, _RF, _rf_move), rd: (3, _RD, _rd_move)}

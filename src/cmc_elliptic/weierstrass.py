@@ -5,17 +5,17 @@ discriminant. P, P' and the Weierstrass zeta function are computed from
 their truncated Laurent series, whose coefficients are polynomials in
 (g2, g3) with positive rational coefficients (DLMF 23.9) tabled at import,
 inside a safe radius and extended by repeated argument duplication. The
-inverse is R_F(w - e1, w - e2, w - e3) in Carlson's form (DLMF 19.29.i; e2,
-e3 a complex pair when the discriminant is negative), complete at w = e1,
-where the AGM gives the real half-period (DLMF 19.8.5); the antiderivative
-of P is -zeta. Only real arguments on the branch P(z) >= e_max (e_max the
-largest real root of 4x^3 - g2*x - g3) are supported; that is the branch
-on which P takes real values on the real axis.
+inverse is R_F(w - e1, w - e2, w - e3) in Carlson's form (DLMF 19.29.i),
+or a real Legendre integral where e2, e3 are a complex pair (DLMF 23.6.iv),
+complete at w = e1, where the AGM gives the real half-period (DLMF 19.8.5);
+the antiderivative of P is -zeta. Only real arguments on the branch
+P(z) >= e_max (e_max the largest real root of 4x^3 - g2*x - g3) are
+supported; that is the branch on which P takes real values on the real
+axis.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from itertools import accumulate
 from operator import mul
@@ -23,7 +23,7 @@ from operator import mul
 from ._carlson import rf
 from ._ratpoly import real_cbrt
 from .errors import (AccuracyError, BranchError, DomainError, PoleError,
-                     SingularError)
+                     RangeError, SingularError)
 
 _N_LAURENT = 24  # series coefficients c_2..c_25
 _MAX_DUPLICATIONS = 12
@@ -66,7 +66,13 @@ class WpEvaluator:
             raise DomainError("g2 and g3 must be finite")
         self.g2 = float(g2)
         self.g3 = float(g3)
-        self.disc = self.g2 ** 3 - 27.0 * self.g3 ** 2
+        try:
+            self.disc = self.g2 ** 3 - 27.0 * self.g3 ** 2
+        except OverflowError:
+            self.disc = math.inf
+        if not math.isfinite(self.disc):
+            raise RangeError(f"the discriminant of g2={g2!r}, g3={g3!r} "
+                             "overflows the float range")
         scale = max(abs(self.g2) ** 3, 27.0 * self.g3 ** 2, 1.0)
         if abs(self.disc) <= 1e-14 * scale:
             raise SingularError(
@@ -74,16 +80,24 @@ class WpEvaluator:
         self.laurent, self._horner = self._laurent_coeffs()
         self.r0 = self._series_radius()
         self.e_max = self._largest_cubic_root()
-        # The other two roots, from the cubic deflated by e_max: their
-        # squared difference is g2 - 3 e_max^2; real ones are kept as floats.
-        e1, d = self.e_max, cmath.sqrt(self.g2 - 3.0 * self.e_max ** 2)
-        roots = ((-e1 + d) / 2, (-e1 - d) / 2)
-        self._others = roots if d.imag else (roots[0].real, roots[1].real)
-        # Real half-period R_F(0, e1 - e2, e1 - e3) = pi/(2M), M the AGM of
-        # the square roots of e1 - e2, e1 - e3 (a first complex step makes a
-        # pair real); from |a - b| <= 2^-26 a the next mean is M to 2^-55 a.
-        r2, r3 = (cmath.sqrt(e1 - e) for e in roots)
-        a, b = ((r2 + r3) / 2).real, math.sqrt(abs(r2 * r3))
+        # The other two roots have squared difference s (the cubic deflated
+        # by e_max). The real half-period R_F(0, e1 - e2, e1 - e3) is pi/2M,
+        # M the AGM of sqrt(e1 - e2), sqrt(e1 - e3); from |a - b| <= 2^-26 a
+        # the next mean is M to 2^-55 a.
+        e1, s = self.e_max, self.g2 - 3.0 * self.e_max ** 2
+        if s >= 0:
+            d = math.sqrt(s)
+            self._others, self._pair = ((-e1 + d) / 2, (-e1 - d) / 2), None
+            r2, r3 = (math.sqrt(e1 - e) for e in self._others)
+            a, b = (r2 + r3) / 2, math.sqrt(r2 * r3)
+        else:  # e2, e3 = -e1/2 +/- iq, h2 = |e1 - e2|; the AGM's complex
+            # first step gives sqrt(h2) and Re sqrt(e1 - e2) = sqrt(gap/2),
+            # gap = h2 + 3 e1/2, as q^2 / (h2 - 3 e1/2) where that cancels.
+            q = math.sqrt(-s) / 2
+            h2 = math.hypot(1.5 * e1, q)
+            gap = h2 + 1.5 * e1 if e1 >= 0 else q * q / (h2 - 1.5 * e1)
+            self._others, self._pair = None, (q, h2, gap)
+            a, b = math.sqrt(gap / 2), math.sqrt(h2)
         for _ in range(40):  # a ratio of 1e300 between a and b takes ~14
             if abs(a - b) <= 2.0 ** -26 * a:
                 break
@@ -205,8 +219,18 @@ class WpEvaluator:
 
     def ode_residual(self, p: float, pp: float) -> float:
         """|P'^2 - (4P^3 - g2 P - g3)| at (P, P') = (p, pp), relative to
-        max(1, |4P^3|, |g2 P|, |g3|): how far the pair is off the curve."""
-        p3, g2p, g3 = 4.0 * p ** 3, self.g2 * p, self.g3
+        max(1, |4P^3|, |g2 P|, |g3|): how far the pair is off the curve.
+        Where 4P^3 overflows, the weights 2, 3, 4, 6 of P, P', g2, g3 scale
+        out, and the pair is read at P near 2^40."""
+        g2, g3 = self.g2, self.g3
+        try:
+            p3 = 4.0 * p ** 3
+        except OverflowError:
+            j = (math.frexp(p)[1] - 40) // 2
+            p, pp, g2, g3 = (math.ldexp(v, -k * j) for v, k in
+                             ((p, 2), (pp, 3), (g2, 4), (g3, 6)))
+            p3 = 4.0 * p ** 3
+        g2p = g2 * p
         scale = max(1.0, abs(p3), abs(g2p), abs(g3))
         return abs(pp * pp - (p3 - g2p - g3)) / scale
 
@@ -216,15 +240,27 @@ class WpEvaluator:
         return 6.0 * p * p - self.g2 / 2.0
 
     def wp_inverse(self, w: float) -> float:
-        """The positive z with P(z) = w: R_F(w - e1, w - e2, w - e3)."""
+        """The z in (0, omega] with P(z) = w: R_F(w - e1, w - e2, w - e3)
+        for real roots. For a complex pair, P = e1 + h2 (1 + cn v)/(1 - cn v)
+        at v = 2 sqrt(h2) z, m = 1/2 - 3 e1/(4 h2) (DLMF 23.6.iv): with
+        x = w - e1 and cos(phi) = c = (h2 - x)/(h2 + x), z is g for c <= 0
+        and omega - g otherwise, g = F(phi|m)/(2 sqrt(h2)) (DLMF 19.25.i).
+        h2 - x is formed as gap - (w + e1/2), which does not cancel."""
         if not math.isfinite(w):
             raise DomainError(f"w must be finite, got {w!r}")
         if w < self.e_max - 1e-12 * max(1.0, abs(self.e_max)):
             raise BranchError(
                 f"w={w!r} below the real branch (e_max={self.e_max!r})")
         w = max(w, self.e_max)
-        e2, e3 = self._others
-        return rf(w - self.e_max, w - e2, w - e3)
+        if self._pair is None:
+            e2, e3 = self._others
+            return rf(w - self.e_max, w - e2, w - e3)
+        q, h2, gap = self._pair
+        x, u = w - self.e_max, w + self.e_max / 2
+        t = h2 + x
+        c, y = (gap - u) / t, math.hypot(u, q) / t
+        g = math.sqrt(x) / t * rf(c * c, y * y, 1.0)
+        return g if c <= 0 else self.omega - g
 
     def wp_integral(self, t0: float, t1: float) -> float:
         """Integral of P over [t0, t1] on a pole-free stretch of the real axis.

@@ -6,18 +6,19 @@ and root-finding (no Laurent series, no duplication), then rounded here.
 """
 
 import math
+import sys
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
 import mpmath as mp
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from cmc_elliptic.elliptic_reduction import reduce
 from cmc_elliptic.errors import (AccuracyError, BranchError, DomainError,
-                                 PoleError, SingularError)
+                                 PoleError, RangeError, SingularError)
 from cmc_elliptic import weierstrass
 from cmc_elliptic.profiles import Family
 from cmc_elliptic.weierstrass import WpEvaluator
@@ -85,6 +86,15 @@ class TestConstruction:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             WpEvaluator(math.inf, 0.0)
+
+    @pytest.mark.parametrize("g2, g3", [(1e103, 0.0), (0.0, 1e155),
+                                        (-1e103, 1.0), (1.0, -4e153)])
+    def test_discriminant_past_the_float_range_is_a_range_error(self, g2,
+                                                                  g3):
+        # g2^3 raised OverflowError. At g3 = -4e153, g3^2 is finite and
+        # 27 g3^2 is not: the -inf discriminant read as vanishing.
+        with pytest.raises(RangeError, match="discriminant"):
+            WpEvaluator(g2, g3)
 
     def test_laurent_recurrence_seeds(self, ev_b):
         assert ev_b.laurent[0] == ev_b.g2 / 20.0
@@ -359,6 +369,19 @@ class TestOdeResidual:
                 1, abs(4 * P ** 3), abs(g2 * P), abs(g3))
         assert ev.ode_residual(w, pp) == pytest.approx(float(want), rel=1e-6)
 
+    @pytest.mark.parametrize("off", [0.0, 1e-9, 1e-6, 1e-3])
+    def test_4p_cubed_past_the_float_range(self, off):
+        # At z = 1e-60, P = 1e120 and 4P^3 overflows: the pair is read at
+        # P scaled by a power of four, by the weights of P, P', g2, g3.
+        d = reduce(Family.LORENTZ_TIMELIKE_AXIS, 2.0)
+        ev = WpEvaluator(d.g2, d.g3)
+        p, pp = ev.wp(1e-60)
+        pp *= 1 + off
+        with mp.workdps(40):
+            P, Q = mp.mpf(p), mp.mpf(pp)
+            want = abs(Q * Q - (4 * P ** 3 - d.g2 * P - d.g3)) / (4 * P ** 3)
+        assert abs(ev.ode_residual(p, pp) - want) <= 1e-6 * want + 1e-15
+
 
 class TestWpInverse:
     def test_roundtrip(self, ev_a):
@@ -392,6 +415,69 @@ class TestWpInverse:
         for z in (0.3, 0.9, 1.6):
             w = ev_a.wp(z)[0]
             assert ev_a.wp_inverse(w) == pytest.approx(z, rel=1e-8)
+
+
+def _pair_rf(ev, w):
+    """mpmath's R_F(w - e1, w - e2, w - e3) at the evaluator's own float
+    roots: e1 = e_max and e2, e3 = -e1/2 +/- iq."""
+    q = ev._pair[0]
+    with mp.workdps(40):
+        W, b = mp.mpf(w), -mp.mpf(ev.e_max) / 2
+        return mp.re(mp.elliprf(W - ev.e_max, W - mp.mpc(b, q),
+                                W - mp.mpc(b, -q)))
+
+
+def _timelike(B):
+    d = reduce(Family.LORENTZ_TIMELIKE_AXIS, B)
+    return WpEvaluator(d.g2, d.g3)
+
+
+class TestComplexPairInverse:
+    """wp_inverse where the discriminant is negative: a real Legendre
+    integral, omega - g or g, against R_F at the complex roots."""
+
+    # Timelike lattices (disc = -(B^2+1)^4/B^2), and signed (g2, g3) with
+    # disc < 0; w from e_max to 1e8 max(1, |e_max|) above it.
+    @settings(max_examples=250, deadline=None)
+    @given(st.one_of(
+        st.floats(-4.0, 4.0).map(lambda e: ("B", 10.0 ** e)),
+        st.tuples(st.floats(-3.0, 6.0), st.floats(-3.0, 9.0),
+                  st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]))
+        .map(lambda t: (t[2] * 10.0 ** t[0], t[3] * 10.0 ** t[1]))),
+        st.one_of(st.just(None), st.floats(-16.0, 8.0)))
+    def test_matches_rf_at_the_roots(self, lattice, log_offset):
+        if lattice[0] == "B":
+            ev = _timelike(lattice[1])
+        else:
+            assume(lattice[0] ** 3 < 27.0 * lattice[1] ** 2)
+            try:
+                ev = WpEvaluator(*lattice)
+            except SingularError:
+                reject()
+        assert ev._others is None
+        w = ev.e_max
+        if log_offset is not None:
+            w += 10.0 ** log_offset * max(1.0, abs(ev.e_max))
+        ref = _pair_rf(ev, w)
+        assert abs(ev.wp_inverse(w) - ref) <= 2e-15 * ref
+
+    def test_h2_minus_x_keeps_its_digits(self):
+        # At w = e_max + h2, c = (h2 - x)/(h2 + x) is about 0; formed from
+        # x = w - e1 it read 2.6e-14 off at timelike B = 10^3.5.
+        ev = _timelike(3162.2776601683795)
+        w = ev.e_max + ev._pair[1]
+        ref = _pair_rf(ev, w)
+        assert abs(ev.wp_inverse(w) - ref) <= 2e-15 * ref
+
+    @pytest.mark.parametrize("ev", [
+        _timelike(1e-4), _timelike(0.5), _timelike(2.0), _timelike(1e4),
+        WpEvaluator(1.0, 1.0), WpEvaluator(G2_A, G3_A)])
+    def test_complete_at_e_max_and_finite_at_the_largest_float(self, ev):
+        assert ev.wp_inverse(ev.e_max) == ev.omega
+        w = sys.float_info.max
+        z = ev.wp_inverse(w)
+        assert 0.0 < z < math.inf
+        assert abs(z - _pair_rf(ev, w)) <= 2e-15 * z
 
 
 class TestWpIntegral:
