@@ -469,6 +469,27 @@ class TestComplexPairInverse:
         ref = _pair_rf(ev, w)
         assert abs(ev.wp_inverse(w) - ref) <= 2e-15 * ref
 
+    # P = e1 + h2 (1 + cn v)/(1 - cn v) reads e1 + h2 where cn v = 0, at
+    # v = K, z = omega/2: the Legendre integral against the AGM's period.
+    @pytest.mark.parametrize("ev", [
+        _timelike(1e-4), _timelike(0.5), _timelike(2.0),
+        WpEvaluator(1.0, 1.0), WpEvaluator(G2_A, G3_A), WpEvaluator(3.0, -40.0)])
+    def test_e_max_plus_h2_is_half_the_period(self, ev):
+        z = ev.wp_inverse(ev.e_max + ev._pair[1])
+        assert abs(z - ev.omega / 2) <= 1e-15 * ev.omega
+
+    # Either side of w = e_max + h2, where the inverse turns from omega - g
+    # to g; at B = 1e4 the modulus is near 1 and z moves fast there.
+    @pytest.mark.parametrize("frac", [0.5, 0.999, 1.001, 2.0])
+    @pytest.mark.parametrize("ev", [
+        _timelike(1e-3), _timelike(1e4),
+        WpEvaluator(-5.0, 30.0), WpEvaluator(3.0, -40.0)])
+    def test_both_sides_of_the_branch_switch(self, ev, frac):
+        w = ev.e_max + frac * ev._pair[1]
+        z, ref = ev.wp_inverse(w), _pair_rf(ev, w)
+        assert abs(z - ref) <= 2e-15 * ref
+        assert (z > ev.omega / 2) == (frac < 1.0)
+
     @pytest.mark.parametrize("ev", [
         _timelike(1e-4), _timelike(0.5), _timelike(2.0), _timelike(1e4),
         WpEvaluator(1.0, 1.0), WpEvaluator(G2_A, G3_A)])
