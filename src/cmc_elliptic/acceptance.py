@@ -242,14 +242,14 @@ def criterion_8() -> CriterionResult:
         for B in (0.5, 2.0):
             data = reduce(fam, B)
             ev = WpEvaluator(data.g2, data.g3)
-            # Defining ODE along the real branch (exercises duplication).
+            # Defining ODE along the real branch.
             for i in range(50):
                 w = ev.e_max + 10.0 ** (-1.0 + 2.3 * i / 49)
                 z = ev.wp_inverse(w)
                 worst_ode = max(worst_ode, ev.ode_residual(*ev.wp(z)))
-            # Second-derivative identity against the raw series from
-            # ev.laurent, not the evaluator's terms: P'' = 6/z^4 plus the
-            # sum of (2k-2)(2k-3) c_k z^(2k-4), a polynomial in z^2.
+            # Second-derivative identity between two algorithms: the series
+            # P'' = 6/z^4 + sum (2k-2)(2k-3) c_k z^(2k-4) of ev.laurent, and
+            # 6P^2 - g2/2 with P from the evaluator's AGM descent.
             tail = Poly([(2 * k - 2) * (2 * k - 3) * c
                          for k, c in enumerate(ev.laurent, 2)])
             for i in range(50):

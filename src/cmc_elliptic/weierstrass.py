@@ -1,17 +1,15 @@
 """Real-axis evaluation of the Weierstrass P-function and its companions.
 
 A :class:`WpEvaluator` is bound to one invariant pair (g2, g3) with nonzero
-discriminant. P, P' and the Weierstrass zeta function are computed from
-their truncated Laurent series, whose coefficients are polynomials in
-(g2, g3) with positive rational coefficients (DLMF 23.9) tabled at import,
-inside a safe radius and extended by repeated argument duplication. The
-inverse is R_F(w - e1, w - e2, w - e3) in Carlson's form (DLMF 19.29.i),
-or a real Legendre integral where e2, e3 are a complex pair (DLMF 23.6.iv),
-complete at w = e1, where the AGM gives the real half-period (DLMF 19.8.5);
-the antiderivative of P is -zeta. Only real arguments on the branch
-P(z) >= e_max (e_max the largest real root of 4x^3 - g2*x - g3) are
-supported; that is the branch on which P takes real values on the real
-axis.
+discriminant. One real AGM sequence gives the real half-period (DLMF
+19.8.5) and, by its descending Landen transformation (DLMF 22.20.ii), the
+Jacobi amplitude and zeta function, hence P, P' and the Weierstrass zeta
+function. The inverse is R_F(w - e1, w - e2, w - e3) in Carlson's form
+(DLMF 19.29.i), or a real Legendre integral where e2, e3 are a complex pair
+(DLMF 23.6.iv); the antiderivative of P is -zeta. Only real arguments on
+the branch P(z) >= e_max (e_max the largest real root of 4x^3 - g2*x - g3)
+are supported; there P takes real values on the real axis. The Laurent
+coefficients at the pole (DLMF 23.9) are reference data for a check.
 """
 
 from __future__ import annotations
@@ -26,16 +24,13 @@ from .errors import (AccuracyError, BranchError, DomainError, PoleError,
                      RangeError, SingularError)
 
 _N_LAURENT = 24  # series coefficients c_2..c_25
-_MAX_DUPLICATIONS = 12
 
 
-def _laurent_table() -> tuple[tuple[tuple, float, float], ...]:
-    """Rows (monomials, 2k - 2, 2k - 1) of c_4..c_25, the monomials
-    (a, 13 + b, q) of c_k = sum q * g2^a * g3^b, 2a + 3b = k:
-    c_k = 3/((2k+1)(k-3)) sum_{m=2}^{k-2} c_m c_(k-m) over integer numerators
-    keyed by b, one denominator per order, so each q > 0 is rounded once; b
-    is offset past the powers g2^0..g2^12 to index one power list. The two
-    factors form the P' and zeta series terms of c_k."""
+def _laurent_table() -> tuple[tuple[tuple, ...], ...]:
+    """Monomials (a, 13 + b, q) of c_4..c_25, c_k = sum q g2^a g3^b: the
+    recurrence c_k = 3/((2k+1)(k-3)) sum_{m=2}^{k-2} c_m c_(k-m) over integer
+    numerators keyed by b, so each q > 0 is rounded once; 13 + b indexes
+    g3^b past g2^0..g2^12 in one power list."""
     c = {2: ({0: 1}, 20), 3: ({1: 1}, 28)}  # c_2 = g2/20, c_3 = g3/28
     for k in range(4, _N_LAURENT + 2):
         pairs = [(c[m], c[k - m]) for m in range(2, k - 1)]
@@ -47,9 +42,8 @@ def _laurent_table() -> tuple[tuple[tuple, float, float], ...]:
                 for b2, x2 in n2.items():
                     num[b1 + b2] = num.get(b1 + b2, 0) + f * x1 * x2
         c[k] = (num, den * (2 * k + 1) * (k - 3))
-    return tuple((tuple(((k - 3 * b) // 2, 13 + b, x / d)
-                        for b, x in sorted(n.items(), reverse=True)),
-                  2.0 * k - 2, 2.0 * k - 1)
+    return tuple(tuple(((k - 3 * b) // 2, 13 + b, x / d)
+                       for b, x in sorted(n.items(), reverse=True))
                  for k, (n, d) in c.items() if k > 3)
 
 
@@ -77,60 +71,69 @@ class WpEvaluator:
         if abs(self.disc) <= 1e-14 * scale:
             raise SingularError(
                 f"discriminant {self.disc!r} vanishes; the P-function does not exist")
-        self.laurent, self._horner = self._laurent_coeffs()
+        self.laurent = self._laurent_coeffs()
         self.r0 = self._series_radius()
-        self.e_max = self._largest_cubic_root()
+        self.e_max = e1 = self._largest_cubic_root()
         # The other two roots have squared difference s (the cubic deflated
-        # by e_max). The real half-period R_F(0, e1 - e2, e1 - e3) is pi/2M,
-        # M the AGM of sqrt(e1 - e2), sqrt(e1 - e3); from |a - b| <= 2^-26 a
-        # the next mean is M to 2^-55 a.
-        e1, s = self.e_max, self.g2 - 3.0 * self.e_max ** 2
-        if s >= 0:
+        # by e1). P = e1 + r^2 cot^2 psi, psi = am(kappa r z)/kappa, descends
+        # from the AGM of a0 = r, b0 = r k', c0 = r k; its limit M gives
+        # omega = pi/2M, taken where |a - b| <= 2^-26 a (the next mean is M
+        # to 2^-55 a) while the sequence runs on to c/a < 2^-52.
+        s = self.g2 - 3.0 * e1 ** 2
+        if s >= 0:  # r = sqrt(e1 - e3), b0 = sqrt(e1 - e2), c0^2 = e2 - e3
             d = math.sqrt(s)
             self._others, self._pair = ((-e1 + d) / 2, (-e1 - d) / 2), None
             r2, r3 = (math.sqrt(e1 - e) for e in self._others)
-            a, b = (r2 + r3) / 2, math.sqrt(r2 * r3)
+            a, b, c = (r2 + r3) / 2, math.sqrt(r2 * r3), d / (2 * (r2 + r3))
+            r, k1, kappa, c0sq, base = r3, r2 / r3, 1.0, d, -self._others[1]
+            steps = [(c / a, c)]  # from n = 1: c1 = (r3 - r2)/2
         else:  # e2, e3 = -e1/2 +/- iq, h2 = |e1 - e2|; the AGM's complex
             # first step gives sqrt(h2) and Re sqrt(e1 - e2) = sqrt(gap/2),
-            # gap = h2 + 3 e1/2, as q^2 / (h2 - 3 e1/2) where that cancels.
+            # gap = h2 + 3 e1/2, as q^2 / (h2 - 3 e1/2) where that cancels;
+            # r = sqrt(h2), kappa = 2 and c0^2 = (h2 - 3 e1/2)/2.
             q = math.sqrt(-s) / 2
             h2 = math.hypot(1.5 * e1, q)
             gap = h2 + 1.5 * e1 if e1 >= 0 else q * q / (h2 - 1.5 * e1)
             self._others, self._pair = None, (q, h2, gap)
             a, b = math.sqrt(gap / 2), math.sqrt(h2)
-        for _ in range(40):  # a ratio of 1e300 between a and b takes ~14
-            if abs(a - b) <= 2.0 ** -26 * a:
+            c0sq = (h2 - 1.5 * e1) / 2 if e1 < 0 else q * q / (2 * gap)
+            r, k1, kappa, c, base = b, a / b, 2.0, math.sqrt(c0sq), h2 - e1
+            steps = []
+        omega = None
+        for _ in range(40):  # a ratio of 1e300 between a and b takes 14
+            if omega is None and abs(a - b) <= 2.0 ** -26 * a:
+                omega = math.pi / (a + b)
+            if c <= 2.0 ** -52 * a:
                 break
-            a, b = (a + b) / 2, math.sqrt(a * b)
-        self.omega = math.pi / (a + b)
+            a, b, c = (a + b) / 2, math.sqrt(a * b), c * c / (2 * (a + b))
+            steps.append((c / a, c))
+        self.omega = omega
+        # eta/omega = r^2 - e1 - kappa r^2 (1 - E/K), with r^2 (1 - E/K) the
+        # sum of 2^(n-1) c_n^2 over n >= 0 (DLMF 19.8.6).
+        self._eta_omega = base - kappa * (c0sq / 2 + sum(
+            math.ldexp(c * c, n) for n, (_, c) in enumerate(steps)))
+        self._phase = math.ldexp(kappa * a, len(steps))  # 2^N M kappa
+        self._descent = tuple(reversed(steps))  # (c_n/a_n, c_n), n = N..1
+        self._r, self._k1, self._kappa = r, k1, kappa
 
     # -- construction helpers ------------------------------------------------
 
-    def _laurent_coeffs(self) -> tuple[tuple[float, ...], tuple]:
-        """Coefficients c_2..c_25 of P(z) = 1/z^2 + sum c_k z^(2k-2), and
-        the Horner terms (c_k, (2k-2) c_k, c_k/(2k-1)) of P, P' and zeta,
-        k = 25..2, formed as each c_k is."""
+    def _laurent_coeffs(self) -> tuple[float, ...]:
+        """Coefficients c_2..c_25 of P(z) = 1/z^2 + sum c_k z^(2k-2)."""
         pw = [*accumulate([1.0] + [self.g2] * 12, mul),
               *accumulate([1.0] + [self.g3] * 8, mul)]
-        c2, c3 = self.g2 / 20.0, self.g3 / 28.0
-        out = [c2, c3]
-        terms = [(c2, 2.0 * c2, c2 / 3.0), (c3, 4.0 * c3, c3 / 5.0)]
-        for row, dk, zk in _LAURENT_TABLE:
+        out = [self.g2 / 20.0, self.g3 / 28.0]
+        for row in _LAURENT_TABLE:
             acc = 0.0
             for a, b, q in row:
                 acc += q * pw[a] * pw[b]
             out.append(acc)
-            terms.append((acc, dk * acc, acc / zk))
-        terms.reverse()
-        return tuple(out), tuple(terms)
+        return tuple(out)
 
     def _series_radius(self) -> float:
-        """Radius on which 24 Laurent terms are accurate to ~1e-15.
-
-        |c_k| grows like 1/rho^(2k) with rho the distance to the nearest
-        lattice point, so rho is estimated from the top coefficients and the
-        series is trusted on half that distance (tail then < 2^-48).
-        """
+        """Radius on which 24 Laurent terms are accurate to ~1e-15: half
+        the distance rho to the nearest lattice point (tail < 2^-48), from
+        |c_k| ~ 1/rho^(2k) at the top coefficients."""
         if not all(map(math.isfinite, self.laurent)):  # none past the range
             return 0.0
         gamma = max(abs(c) ** e
@@ -161,61 +164,49 @@ class WpEvaluator:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _series(self, u: float, with_zeta: bool = True) -> tuple:
-        """(P, P', zeta) of the Laurent series at u; zeta is None, and its
-        tail never summed, without with_zeta."""
-        v = u * u
-        p_tail = dp_tail = 0.0
-        if with_zeta:
-            zeta_tail = 0.0
-            for ck, dk, zk in self._horner:
-                p_tail = p_tail * v + ck
-                dp_tail = dp_tail * v + dk
-                zeta_tail = zeta_tail * v + zk
-        else:
-            for ck, dk, _ in self._horner:
-                p_tail = p_tail * v + ck
-                dp_tail = dp_tail * v + dk
-        # p = 1/v + v * p_tail_as_series: c_k v^(k-1) = v * (c_k v^(k-2))
-        p = 1.0 / v + v * p_tail
-        pp = -2.0 / (v * u) + u * dp_tail
-        if not with_zeta:
-            return p, pp, None
-        # zeta = 1/u - sum c_k u^(2k-1) / (2k-1), the antiderivative of -P
-        zeta = 1.0 / u - v * u * zeta_tail
-        return p, pp, zeta
-
     def wp(self, z: float) -> tuple[float, float]:
-        """(P(z), P'(z)) by Laurent series plus argument duplication; the
-        zeta series is not run."""
-        p, pp, _ = self._wp_zeta(z, False)
+        """(P(z), P'(z)); RangeError where either has no float value."""
+        p, pp, _ = self._wp_zeta(z)
+        if not (math.isfinite(p) and math.isfinite(pp)):
+            raise RangeError(f"P or P' at z={z!r} is outside the float range")
         return p, pp
 
-    def _wp_zeta(self, z: float, with_zeta: bool = True) -> tuple:
-        """(P(z), P'(z), zeta(z)), duplicated together from the series;
-        zeta is None without with_zeta, and P, P' the same floats."""
+    def _wp_zeta(self, z: float) -> tuple[float, float, float]:
+        """(P(z), P'(z), zeta(z)) from phi_N = 2^N M kappa z down to phi_0
+        by phi_(n-1) = (phi_n + asin((c_n/a_n) sin phi_n))/2, with Jacobi's
+        Z = sum c_n sin phi_n on the way: P = e1 + r^2 cot^2 psi, P' =
+        -2 r^3 dn cot(psi)/sin^2(psi) and zeta = (eta/omega) z + r (dn cot
+        psi + Z), psi = phi_0/kappa. A value past the float range is inf."""
         if z == 0.0:
             raise PoleError("P has a pole at z=0")
         if not math.isfinite(z):
             raise DomainError(f"z must be finite, got {z!r}")
-        n_dup = 0
-        zz = z
-        while abs(zz) > self.r0:
-            zz *= 0.5
-            n_dup += 1
-            if n_dup > _MAX_DUPLICATIONS:
-                raise AccuracyError(
-                    f"|z|={abs(z)!r} needs more than {_MAX_DUPLICATIONS} duplications")
-        p, pp, zeta = self._series(zz, with_zeta)
-        for _ in range(n_dup):
-            if abs(pp) < 1e-14:
-                raise BranchError(
-                    "argument duplication hit a half-period (P' vanished)")
-            q = (6.0 * p * p - self.g2 / 2.0) / (2.0 * pp)  # P''/(2P')
-            p, pp = -2.0 * p + q * q, -pp + 6.0 * p * q - 2.0 * q ** 3
-            if with_zeta:
-                zeta = 2.0 * zeta + q
-        return p, pp, zeta
+        if abs(z) > 2.0 ** 12 * self.omega:  # the phase's rounding > 2^-40
+            raise AccuracyError(f"|z|={abs(z)!r} is past 2^12 half-periods")
+        phi, zsum = self._phase * z, 0.0
+        for x, c in self._descent:
+            s = math.sin(phi)
+            zsum += c * s
+            phi = (phi + math.asin(x * s)) / 2
+        psi = phi / self._kappa
+        s = math.sin(psi)
+        if s == 0.0:
+            raise RangeError(f"P at z={z!r} is outside the float range")
+        dn = math.hypot(math.cos(phi), self._k1 * math.sin(phi))
+        rc, rs = self._r * math.cos(psi) / s, self._r / s  # r cot, r csc
+        return (self.e_max + rc * rc, -2.0 * dn * rc * rs * rs,
+                self._eta_omega * z + dn * rc + zsum)
+
+    def _slope(self, w: float) -> float:
+        """P' = -2 sqrt((w - e1)(w - e2)(w - e3)) where P = w, z in
+        (0, omega], a complex pair taken as (w + e1/2)^2 + q^2."""
+        if self._pair is None:
+            e2, e3 = self._others
+            rest = (w - e2) * (w - e3)
+        else:
+            u = w + self.e_max / 2
+            rest = u * u + self._pair[0] ** 2
+        return -2.0 * math.sqrt((w - self.e_max) * rest)
 
     def ode_residual(self, p: float, pp: float) -> float:
         """|P'^2 - (4P^3 - g2 P - g3)| at (P, P') = (p, pp), relative to
@@ -270,7 +261,11 @@ class WpEvaluator:
         """
         if self._empty_stretch(t0, t1):
             return 0.0
-        return self._wp_zeta(t0)[2] - self._wp_zeta(t1)[2]
+        value = self._wp_zeta(t0)[2] - self._wp_zeta(t1)[2]
+        if not math.isfinite(value):
+            raise RangeError(f"the integral of P over [{t0!r}, {t1!r}] is "
+                             "outside the float range")
+        return value
 
     def _empty_stretch(self, t0: float, t1: float) -> bool:
         """Whether t0 == t1; DomainError where a bound is not finite and

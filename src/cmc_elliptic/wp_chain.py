@@ -386,9 +386,9 @@ def _probe_rows(cfg: ChainConfig, K: int) -> tuple[tuple, ...]:
     ev = WpEvaluator(cfg.g2, cfg.g3)
     points = []
     for off in _PROBE_OFFSETS:
-        p, pp = ev.wp(ev.wp_inverse(ev.e_max + off))
+        p = ev.e_max + off
         try:
-            points.append((p, pp, _linear_factor(cfg, p)))
+            points.append((p, ev._slope(p), _linear_factor(cfg, p)))
         except NearPoleError:
             continue
     rows = []
@@ -404,9 +404,9 @@ def polynomiality_probe(cfg: ChainConfig, K: int) -> dict:
     """Certify that no derivative numerator collapses for k = 1..K.
 
     The exact chain decides identically_zero per term (a nonzero exact
-    coefficient never rounds to 0.0); float evaluation at five generic
-    parameters reports the observed minimum magnitude, leaving out a point
-    where alpha + beta*P cancels. A polynomial radius of degree d would
+    coefficient never rounds to 0.0); float evaluation at five branch points
+    P = e_max + offset reports the observed minimum magnitude, leaving out
+    a point where alpha + beta*P cancels. A polynomial radius of degree d would
     force the k = d+1 numerator to vanish identically, so an all-nonzero
     report up to K rules out polynomial radii of degree < K.
 

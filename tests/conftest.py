@@ -75,7 +75,7 @@ def call_counts(monkeypatch):
     """count(*targets) -> {n: {target: [calls]}} over criteria 1..10.
 
     Each target names a package callable by its path under cmc_elliptic,
-    'weierstrass.WpEvaluator._series' say; it is wrapped for the rest of
+    'weierstrass.WpEvaluator._wp_zeta' say; it is wrapped for the rest of
     the test, so a call from anywhere that looks it up there counts. Each
     call is kept as its BoundArguments, defaults applied, so a test can
     tell the calls apart by their arguments. One scorecard runs first and

@@ -44,12 +44,12 @@ def test_scorecard_structure(results, capsys):
 
 
 def test_scorecard_text_is_pinned(results):
-    # Every detail line, with the timings masked; re-pinned when the
-    # complex-pair P-inverse became a real Legendre integral, which moved
-    # criterion 8's ODE residual and criterion 9's max |dz| (both down).
+    # Every detail line, with the timings masked; re-pinned when P, P' and
+    # zeta came from the AGM descent, which moved criterion 8's ODE
+    # residual and second-derivative identity and criterion 9's max |dz|.
     text = re.sub(r"in \d+\.\d+s", "in #s", acceptance.format_results(results))
     assert hashlib.sha1(text.encode()).hexdigest() == \
-        "0d079ddb2f3d6fbd221c80a9311153fbeb689af4"
+        "b67a6e6697b8f333506bb4568d7b03a41cdea6ed"
 
 
 def test_evaluators_per_criterion(call_counts):
@@ -62,15 +62,14 @@ def test_evaluators_per_criterion(call_counts):
 
 
 def test_series_work_per_criterion(call_counts):
-    # The P Laurent series: criterion 8 reads P and P' alone, so none of
-    # its 720 series sums the zeta tail; criterion 9 needs zeta once per
-    # sample and once per grid for zeta(t0), 3 * (20 + 1); criterion 10 is
-    # one series per Newton step and per P read, 45 here.
-    series = "weierstrass.WpEvaluator._series"
-    calls = {n: c[series] for n, c in call_counts(series).items()}
-    zeta = {n: sum(c.arguments["with_zeta"] for c in calls[n]) for n in calls}
-    assert len(calls[8]) == 720 and zeta[8] == 0
-    assert zeta[9] <= 63
+    # Descents of the AGM sequence, each one (P, P', zeta): criterion 8
+    # reads P and P' at 720 points; criterion 9 needs zeta once per sample
+    # and once per grid for zeta(t0), 3 * (20 + 1); criterion 10 is one
+    # descent per Newton step and per P read, 45 here.
+    descent = "weierstrass.WpEvaluator._wp_zeta"
+    calls = {n: c[descent] for n, c in call_counts(descent).items()}
+    assert len(calls[8]) == 720
+    assert len(calls[9]) <= 63
     assert len(calls[10]) <= 50
     assert all(not calls[n] for n in range(1, 8))
 

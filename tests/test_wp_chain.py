@@ -646,13 +646,11 @@ class TestCurveFromWp:
             self, monkeypatch, cfg_t2):
         params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, 0.5, 2.0)
         grid = [0.05 + (1.5 - 0.05) * i / 19 for i in range(20)]
-        series, zeta_sums = WpEvaluator._series, []
-        monkeypatch.setattr(
-            WpEvaluator, "_series",
-            lambda ev, u, with_zeta=True:
-                zeta_sums.append(with_zeta) or series(ev, u, with_zeta))
+        descent, zetas = WpEvaluator._wp_zeta, []
+        monkeypatch.setattr(WpEvaluator, "_wp_zeta",
+                            lambda ev, z: zetas.append(z) or descent(ev, z))
         wp_chain.curve_points_from_wp(cfg_t2, params, grid)
-        assert zeta_sums == [True] * (20 + 1)
+        assert len(zetas) == 20 + 1
 
     # zeta(t0) is held across the grid, yet every sample's stretch [t0, t]
     # is still checked against the real period: here the path parameter of
@@ -747,20 +745,18 @@ class TestPolynomialityProbe:
         (Family.LORENTZ_SPACELIKE_AXIS, 0.75, 1.0),
         (Family.EUCLIDEAN, 0.5, 1.0),
     ])
-    def test_one_wp_evaluation_per_probe_point(self, monkeypatch, cold_chains,
-                                               family, B, H):
+    def test_probe_points_are_exact_branch_points(self, monkeypatch,
+                                                   cold_chains, family, B, H):
         cfg = config(family, B, H)
-        wp = WpEvaluator.wp
         calls = []
-
-        def counted(ev, z):
-            calls.append(z)
-            return wp(ev, z)
-
-        monkeypatch.setattr(WpEvaluator, "wp", counted)
-        # A cold memo: the probe points of cfg are computed here.
+        for name in ("wp", "wp_inverse", "_wp_zeta"):
+            fn = getattr(WpEvaluator, name)
+            monkeypatch.setattr(WpEvaluator, name, lambda ev, x, fn=fn:
+                                calls.append(x) or fn(ev, x))
+        # A cold memo: the probe points of cfg are computed here, from
+        # e_max and the roots alone.
         report = polynomiality_probe(cfg, 12)
-        assert len(calls) == len(wp_chain._PROBE_OFFSETS)
+        assert calls == []
         # Warm: the memo keeps the rows, and the report is the same; no
         # coefficient is rounded and no term evaluated again.
         for name in ("_term_value", "_true_coefficient"):
@@ -771,12 +767,16 @@ class TestPolynomialityProbe:
         assert polynomiality_probe(cfg, 12) == report
         assert len(calls) == 0
         monkeypatch.undo()
-        # The values are those of eval_chain_term at each probe parameter,
-        # all five of them at every order.
+        # The values are those of each term at P = e_max + offset and
+        # P' = -2 sqrt((P - e1)(P - e2)(P - e3)), all five at every order.
         ev = WpEvaluator(cfg.g2, cfg.g3)
-        ts = [ev.wp_inverse(ev.e_max + off) for off in wp_chain._PROBE_OFFSETS]
+        points = [(p, ev._slope(p), cfg.alpha + cfg.beta * p) for p in
+                  (ev.e_max + off for off in wp_chain._PROBE_OFFSETS)]
+        for p, pp, _ in points:
+            assert pp < 0.0 and ev.ode_residual(p, pp) < 1e-15
         for term, row in zip(differentiate_chain(cfg, 12), report["terms"]):
-            values = [abs(eval_chain_term(cfg, term, ev, t)) for t in ts]
+            values = [abs(wp_chain._term_value(term, *point))
+                      for point in points]
             assert row["min_abs_value"].hex() == min(values).hex()
 
     def test_large_h_report_matches_mpmath(self, capsys):
@@ -788,8 +788,8 @@ class TestPolynomialityProbe:
         assert rc == 0
         cfg = config(Family.LORENTZ_TIMELIKE_AXIS, 2.0, 1e5)
         ev = WpEvaluator(cfg.g2, cfg.g3)
-        refs = [_mp_chain_values(cfg, 12, *ev.wp(ev.wp_inverse(ev.e_max + off)))
-                for off in wp_chain._PROBE_OFFSETS]
+        refs = [_mp_chain_values(cfg, 12, p, ev._slope(p))
+                for p in (ev.e_max + off for off in wp_chain._PROBE_OFFSETS)]
         for row, values in zip(json.loads(out)["terms"], zip(*refs)):
             want = min(abs(v) for v in values)
             assert abs(row["min_abs_value"] - want) <= 1e-13 * want
