@@ -13,12 +13,11 @@ duplication step, so the bits do not depend on j while no intermediate
 leaves the normal range. j brings the largest argument to at most 2^1008;
 for R_D, as near 1 as keeps the smallest nonzero one normal, but no higher
 than keeps the value above 2^-969, unless that is below 2^680 (see
-_duplicate). The contract: an argument that j makes subnormal loses bits,
-and the form raises RangeError, naming the arguments as passed, unless a
-bound on how far that moves the value is below 2^-53 of it. So a form gives
-its value where its nonzero arguments lie within a factor 2^2028 of the
-largest (2^1700 for R_D), and beyond that wherever the lost bits cannot
-show.
+_duplicate). The contract: a form gives its value wherever one power of four
+keeps its nonzero arguments normal, which means within 2^2028 of the largest
+(2^1700 for R_D), and beyond that it raises RangeError, naming the arguments
+as passed, wherever scaling by its 4^j and back does not return every
+argument bit for bit.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ def _rescaled(form, args, named, inside):
     """form(*args) as 2^(degree j) form(*(4^j args)), j as in the module
     docstring, where args are inside the form's domain. named is set on
     scaled arguments, where a second trigger raises."""
-    degree, label, log2_move = _FORMS[form]
+    degree, label = _FORMS[form]
     if named is not None:
         raise RangeError(f"{named} is past the float range")
     named = label % args
@@ -79,55 +78,10 @@ def _rescaled(form, args, named, inside):
         cap = max((680 - top) // 2, (1934 - 2 * top - e_z) // 6)
         j = min(j, cap, max(-(top // 2), -((e_low + 1021) // 2)))
     scaled = [math.ldexp(v, 2 * j) for v in args]
-    value = form(*scaled, named)
-    moved = [math.ldexp(v, -2 * j) for v in scaled]  # the arguments of value
-    try:
-        kept = moved == list(args) or (
-            _lg_sum(log2_move(args, moved)) <= _lg(value) + degree * j - 53)
-    except (ValueError, ZeroDivisionError):  # log2(0) or 0/0: no finite bound
-        kept = False
-    if not kept:
-        raise RangeError(f"{named} is past the float range: arguments that "
-                         "lose bits at the scale of the largest move its value")
-    return math.ldexp(value, degree * j)
-
-
-# Bounds on |F(b) - F(a)| where arguments a moved to b, as the log2 of one
-# term per moved argument: the integral between a and b of a bound on the
-# derivative. dR_F/dz = -R_D(x, y, z)/6, and in the integrals sqrt(t + s) is
-# at least sqrt(t) or sqrt(s). lo is the smaller of a and b. Logs, since a
-# term can lie past the float range where the arguments span it.
-_lg = math.log2
-
-
-def _lg_sum(terms: list[float]) -> float:
-    top = max(terms)
-    return top + _lg(sum(2.0 ** (t - top) for t in terms))
-
-
-def _root_step(u: float, v: float) -> float:
-    return abs(u - v) / (math.sqrt(u) + math.sqrt(v))  # |sqrt u - sqrt v|
-
-
-def _rf_move(a, b):  # R_D(y, z, t) <= 3 / (sqrt(t y) sqrt(max(t, z))), z <= y
-    lo, terms = [min(u, v) for u, v in zip(a, b)], []
-    for i, (u, v) in enumerate(zip(a, b)):
-        if u != v:
-            z, y = sorted(lo[:i] + lo[i + 1:])
-            terms.append(_lg(_root_step(u, v)) - (_lg(y) + _lg(max(lo[i], z))) / 2)
-    return terms
-
-
-def _rd_move(a, b):
-    (x, y, z), terms = [min(u, v) for u, v in zip(a, b)], []
-    for u, v, w in zip(a[:2], b[:2], (y, x)):  # dR_D/du, u = x or y, is at
-        if u != v:  # most 3 / (2 z^(3/2) sqrt(u) sqrt(max(u, w)))
-            terms.append(_lg(3 * _root_step(u, v))
-                         - (3 * _lg(z) + _lg(max(min(u, v), w))) / 2)
-    if a[2] != b[2]:  # dR_D/dz: 3 / (2 z^(3/2) sqrt(max(x, y) max(m, z/4)))
-        terms.append(_lg(1.5 * abs(a[2] - b[2])) - (3 * _lg(z) + _lg(max(x, y))
-                     + _lg(max(min(x, y), z / 4))) / 2)  # m = min(x, y)
-    return terms
+    if [math.ldexp(v, -2 * j) for v in scaled] != list(args):
+        raise RangeError(f"{named} is past the float range: the power of four "
+                         "that rescales it rounds an argument")
+    return math.ldexp(form(*scaled, named), degree * j)
 
 
 def _rf_series(e2: float, e3: float, a: float) -> float:
@@ -212,5 +166,5 @@ def _duplicate(x: float, y: float, z: float, with_rf: bool, named=None):
     return _rf_series(X * Y - (X + Y) ** 2, -X * Y * (X + Y), f), value
 
 
-# Per form: its degree, label and the log2 of a bound on a move.
-_FORMS = {rf: (1, _RF, _rf_move), rd: (3, _RD, _rd_move)}
+# Per form: its degree and label.
+_FORMS = {rf: (1, _RF), rd: (3, _RD)}

@@ -429,12 +429,6 @@ def _quadric_residuals(params: CmcParams,
         f"no known implicit polynomial for B={B!r} (need B in {{0, 1}})")
 
 
-def implicit_residual(params: CmcParams, pt: Sequence[float]) -> float:
-    """Residual of the special-case surface at pt: the one-point
-    ``_quadric_residuals``."""
-    return _quadric_residuals(params, [pt])[0]
-
-
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
     """n >= 2 evenly spaced floats from lo to hi: i*step + lo, then hi.
 
@@ -481,6 +475,8 @@ def _mesh_vertices(params: CmcParams, s_range: tuple[float, float], n_s: int,
     lo, hi = s_range
     if not (dom.contains(lo) and dom.contains(hi)) or not lo < hi:
         raise DomainError(f"s_range {s_range!r} not inside open domain")
+    if not math.isfinite(hi - lo):
+        raise RangeError(f"s_range {s_range!r} spans more than the float range")
     s_samples = _linspace(lo, hi, n_s)
     if params.family is Family.LORENTZ_SPACELIKE_AXIS:
         if not math.isfinite(angle_range):

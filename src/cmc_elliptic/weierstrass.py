@@ -67,7 +67,10 @@ class WpEvaluator:
         if not math.isfinite(self.disc):
             raise RangeError(f"the discriminant of g2={g2!r}, g3={g3!r} "
                              "overflows the float range")
-        scale = max(abs(self.g2) ** 3, 27.0 * self.g3 ** 2, 1.0)
+        scale = max(abs(self.g2) ** 3, 27.0 * self.g3 ** 2)
+        if scale < 2.0 ** -1022 and (self.g2 or self.g3):
+            raise RangeError(f"the discriminant of g2={g2!r}, g3={g3!r} "
+                             "underflows the float range")
         if abs(self.disc) <= 1e-14 * scale:
             raise SingularError(
                 f"discriminant {self.disc!r} vanishes; the P-function does not exist")

@@ -58,7 +58,7 @@ class TestCore:
 
     @pytest.mark.parametrize("args", [
         (1.0, 1.0, 8e305), (1e308, 1e308, 1e308), (0.0, 1.0, 1.7e308),
-        (1.7976931348623157e308, 2.0, 1e-300), (5e-324, 1.0, 1.7e308),
+        (1.7976931348623157e308, 2.0, 1e-300),
     ])
     def test_top_of_the_float_range_matches_mpmath(self, args):
         # The error scale overflows here; the arguments, scaled by 4^-8,
@@ -71,7 +71,8 @@ class TestCore:
 
     # Log-uniform arguments up to the largest float, half the draws with one
     # above 2^1008; R_D is compared where its value is a normal float far
-    # from both ends of the range.
+    # from both ends of the range, and may be a RangeError where its
+    # arguments span more than 2^1700 (the module docstring's contract).
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(-300.0, 308.25), min_size=3, max_size=3),
            st.one_of(st.none(), st.tuples(st.integers(0, 2),
@@ -84,7 +85,12 @@ class TestCore:
             _close(rf(*args), mp.elliprf(*args), REL)
             ref = mp.elliprd(*args)
             if 1e-280 < ref < 1e280:
-                _close(rd(*args), ref, REL)
+                try:
+                    got = rd(*args)
+                except RangeError:
+                    assert min(args) < math.ldexp(max(args), -1700), args
+                    return
+                _close(got, ref, REL)
 
     def test_rd_at_the_bottom_of_the_float_range(self):
         # R_D(t, t, t) = t^-3/2, past the largest float below t ~ 3.2e-206:
@@ -229,11 +235,13 @@ class TestSharedLoop:
         (8.950284134331344e-90, 1.355894701451932e-147, 5.465413864078468e206),
         (4.039980398582997e299, 8.223829520605984e303, 3.828944350941564e-17),
         (1.0, 1.0, 1e200), (1e200, 1e200, 1e200), (0.0, 1e100, 1e200),
+        (4.623e-320, 0.0, 8.67893556590257e202),
     ])
     def test_rd_near_underflow_matches_mpmath(self, args):
         # Normal values below 2^-969, where the unscaled duplication's terms
         # can go subnormal or overflow their divisors (the first triple read
-        # 7.840e-308 that way).
+        # 7.840e-308 that way). The last has its largest argument below
+        # 2^680: no term is lost, and it is not rescaled.
         with mp.workdps(30):
             ref = mp.elliprd(*args)
         assert 2.2250738585072014e-308 < ref < 2.0 ** -969
@@ -321,32 +329,24 @@ class TestContract:
         # by 1.7e-15 of itself: the parent's whole error there.
         (rf, (1.6038521359434e-310, 1.1116538694220973e308,
               1.411386256325285e-307)),
+        # Rounded arguments whose move cannot show in the value: the smallest
+        # loses 12 bits, about 4e-21 of R_F; with z = 0, about 2e-19; x is
+        # flushed to 0; and an R_D. Past the span, they raise all the same.
+        (rf, (8.936087880749001e-307, 8.205395942718691e306,
+              3.941678400598359e-301)),
+        (rf, (2.3249850726605646e-305, 9.300493372527252e306, 0.0)),
+        (rf, (5e-324, 1.0, 1.7e308)),
+        (rd, (8.55e-322, 2.665528437099023e304, 4.4160380176267866e150)),
     ])
-    def test_bits_lost_that_move_the_value_are_a_range_error(self, fn, args):
-        # Arguments lose bits at every power of four that brings the largest
-        # to 2^1008, and those bits move the value: inside the domain, past
-        # the span.
+    def test_a_rescale_that_rounds_an_argument_is_a_range_error(self, fn,
+                                                                args):
+        # The power of four that brings the largest argument to 2^1008 rounds
+        # a small one: inside the domain, past the span.
         x, y, z = args
         label = f"{'R_D' if fn is rd else 'R_F'}({x!r}, {y!r}, {z!r})"
         with pytest.raises(RangeError) as info:
             fn(*args)
         assert str(info.value).startswith(label + " ")
-
-    @pytest.mark.parametrize("fn,args", [
-        # The smallest loses 12 bits; dR_F/dx = -R_D(y, z, x)/6 bounds the
-        # move they make by about 4e-21 of the value.
-        (rf, (8.936087880749001e-307, 8.205395942718691e306,
-              3.941678400598359e-301)),
-        # With z = 0 the bound is the log factor: about 2e-19.
-        (rf, (2.3249850726605646e-305, 9.300493372527252e306, 0.0)),
-        (rf, (5e-324, 1.0, 1.7e308)),  # x flushed to 0: sqrt(x/(y z))
-        (rd, (8.55e-322, 2.665528437099023e304, 4.4160380176267866e150)),
-        # An R_D below 2^-969 whose largest argument is below 2^680: no
-        # term is lost, and it is not rescaled.
-        (rd, (4.623e-320, 0.0, 8.67893556590257e202)),
-    ])
-    def test_bits_lost_that_cannot_show_keep_the_value(self, fn, args):
-        _assert_near(fn(*args), fn, args)
 
     @pytest.mark.parametrize("fn,args", [
         (rf, (5.798929036090812e307, 5.775427969041561e307,
@@ -585,3 +585,68 @@ def test_wp_integral_across_a_lattice_pole_raises(g2, g3):
         with pytest.raises(PoleError):
             ev.wp_integral(t0, t1)
     assert math.isfinite(ev.wp_integral(1.5 * omega, 1.9 * omega))
+
+
+# ---------------------------------------------------------------------------
+# The package's own calls stay inside the contract span
+
+RESCALE_ROUNDS = "the power of four that rescales it rounds an argument"
+
+
+@st.composite
+def near_an_edge(draw, params, edge_only):
+    """s 1 to 10^6 ulps inside a finite edge of the domain, or, unless
+    edge_only, a fraction of it (cut at +-1e300 where it is unbounded)."""
+    lo, hi, _ = domain(params)
+    edges = [(e, d) for e, d in ((lo, 1.0), (hi, -1.0)) if math.isfinite(e)]
+    if edges and (edge_only or draw(st.booleans())):
+        edge, direction = draw(st.sampled_from(edges))
+        ulps = round(10.0 ** draw(st.floats(0, 6)))
+        return edge + direction * ulps * math.ulp(edge)
+    return max(lo, -1e300) + (min(hi, 1e300) - max(lo, -1e300)) * draw(
+        st.floats(0.0, 1.0))
+
+
+@st.composite
+def package_calls(draw):
+    """(fn, args) as the package calls the forms: a spacelike profile at
+    B = 10^U(-323.5, -300) near an edge, a profile of any family at
+    B = 10^U(-300, 300), each at H = U(0.1, 5) or 10^U(-300, 300), or
+    wp_inverse at w up to the largest float."""
+    kind = draw(st.integers(0, 2))
+    if kind < 2:
+        family = (Family.LORENTZ_SPACELIKE_AXIS if kind == 0
+                  else draw(st.sampled_from(list(Family))))
+        H = draw(st.floats(0.1, 5)
+                 | st.floats(-300, 300).map(lambda e: 10.0 ** e))
+        B = 10.0 ** draw(st.floats(-323.5, -300) if kind == 0
+                         else st.floats(-300, 300))
+        params = CmcParams(family, H, B)
+        s = draw(near_an_edge(params, kind == 0))
+        return (lambda s: profile_points(params, [s])), (s,)
+    ev = draw(invariants())
+    w = min(ev.e_max + 10.0 ** draw(st.floats(-3, 308.25)), sys.float_info.max)
+    return ev.wp_inverse, (w,)
+
+
+# The spacelike profile one ulp inside its edge at B = 1e-307, which rescales
+# R_F(1.0, 9.07e-14, 2.5e306) and R_D(9.07e-14, 2.5e306, 1.0), and the
+# inverse at the largest float.
+_EDGE = CmcParams(Family.LORENTZ_SPACELIKE_AXIS, 1.0, 1e-307)
+
+
+@settings(max_examples=300, deadline=None)
+@given(package_calls())
+@example((lambda s: profile_points(_EDGE, [s]),
+          (math.nextafter(domain(_EDGE).hi, 0.0),)))
+@example((WpEvaluator(4.0, 1.0).wp_inverse, (sys.float_info.max,)))
+def test_package_calls_never_round_an_argument(call):
+    # A caller that needs arguments past the span fails here, before its
+    # RangeError reaches a user; any other outcome is the caller's own.
+    fn, args = call
+    try:
+        fn(*args)
+    except RangeError as exc:
+        assert RESCALE_ROUNDS not in str(exc), args
+    except CmcError:
+        pass

@@ -113,6 +113,18 @@ class TestExitCodes:
             assert repr(float(flag.split("=")[1])) in payload["message"]
         assert "nan" not in payload["message"]
 
+    def test_surface_span_overflow_exits_one(self, capsys):
+        # Both ends lie in the domain; the mesh grid's span does not fit.
+        rc, out, err = run(capsys, "surface", "--family", "euclid", "--B",
+                           "0.5", "--H", "1", "--samples", "3",
+                           "--theta-samples", "2", "--s-min=-1e308",
+                           "--s-max=1e308")
+        assert rc == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "range"
+        assert "(-1e+308, 1e+308)" in payload["message"]
+        assert "nan" not in payload["message"]
+
     # (1 - B)**2 overflows before any sample's radicand is formed; the
     # error still names the first sample, s = -1.0 on the default grid.
     @pytest.mark.parametrize("command", ["profile", "surface"])

@@ -20,13 +20,13 @@ from cmc_elliptic.profiles import (
     anchor,
     domain,
     hyperboloid_vertices,
-    implicit_residual,
     mean_curvature,
     mean_curvatures,
     mesh,
     profile_point,
 )
-from cmc_elliptic.profiles import _closed_pieces, _linspace, _mesh_vertices
+from cmc_elliptic.profiles import (_closed_pieces, _linspace, _mesh_vertices,
+                                   _quadric_residuals)
 
 
 def in_domain_samples(params, n, seed=0, margin=0.05):
@@ -338,38 +338,39 @@ class TestImplicitResidual:
         for s in (-1.0, 0.3):
             for theta in (-0.8, 0.0, 1.4):
                 pt = surface_point(params, s, theta)
-                assert implicit_residual(params, pt) < 1e-10
+                assert _quadric_residuals(params, [pt])[0] < 1e-10
 
     def test_euclidean_b_zero_cylinder(self):
         params = CmcParams(Family.EUCLIDEAN, 1.5, 0.0)
         pt = surface_point(params, 0.7, 2.0)
-        assert implicit_residual(params, pt) < 1e-12
+        assert _quadric_residuals(params, [pt])[0] < 1e-12
 
     def test_timelike_b_zero_form(self):
         # No profile exists at B=0, but the cylinder polynomial is still defined.
         H = 0.5
         params = CmcParams(Family.LORENTZ_TIMELIKE_AXIS, H, 0.0)
         r = 1 / (2 * H)
-        assert implicit_residual(params, (r, 0.0, 5.0)) < 1e-15
-        assert implicit_residual(params, (0.0, 2 * r, 0.0)) == pytest.approx(3 * r * r)
+        assert _quadric_residuals(params, [(r, 0.0, 5.0)])[0] < 1e-15
+        assert _quadric_residuals(params, [(0.0, 2 * r, 0.0)])[0] == \
+            pytest.approx(3 * r * r)
 
     def test_euclidean_b_one_sphere(self):
         params = CmcParams(Family.EUCLIDEAN, 0.5, 1.0)
         for s in (-0.5, 0.2, 1.0, 2.8):
             for theta in (0.0, 2.2):
                 pt = surface_point(params, s, theta)
-                assert implicit_residual(params, pt) < 1e-8
+                assert _quadric_residuals(params, [pt])[0] < 1e-8
 
     def test_spacelike_b_one_canonical_hyperboloid(self):
         H = 0.5
         params = CmcParams(Family.LORENTZ_SPACELIKE_AXIS, H, 1.0)
         for pt in hyperboloid_vertices(H, 7, 5):
-            assert implicit_residual(params, pt) < 1e-12
+            assert _quadric_residuals(params, [pt])[0] < 1e-12
 
     def test_generic_b_unsupported(self):
         params = CmcParams(Family.EUCLIDEAN, 1.0, 0.5)
         with pytest.raises(UnsupportedCaseError):
-            implicit_residual(params, (0.0, 0.0, 0.0))
+            _quadric_residuals(params, [(0.0, 0.0, 0.0)])
 
     def test_hyperboloid_needs_two_samples_per_direction(self):
         with pytest.raises(DomainError):
@@ -416,7 +417,7 @@ class TestMesh:
         params = CmcParams(Family.LORENTZ_SPACELIKE_AXIS, 0.5, 0.0)
         m = mesh(params, (-1.0, 1.0), 4, 4)
         for v in m.vertices:
-            assert implicit_residual(params, v) < 1e-10
+            assert _quadric_residuals(params, [v])[0] < 1e-10
 
     def test_mesh_validation(self):
         params = CmcParams(Family.EUCLIDEAN, 1.0, 0.5)

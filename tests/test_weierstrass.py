@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from cmc_elliptic.elliptic_reduction import reduce
@@ -127,6 +127,11 @@ def _assert_integral_near_mpmath(ev, t0, t1, tol):
         assert abs(got - want) <= tol * scale + _ULPS * (m0 + m1)
 
 
+def _reduced(family, log_b):
+    d = reduce(family, 10.0 ** log_b)
+    return d.g2, d.g3
+
+
 @pytest.fixture(scope="module")
 def ev_a():
     return WpEvaluator(G2_A, G3_A)
@@ -153,9 +158,18 @@ class TestConstruction:
     def test_singular_invariants_rejected(self):
         with pytest.raises(SingularError):
             WpEvaluator(3.0, 1.0)  # 27 - 27 = 0
+        with pytest.raises(SingularError):
+            WpEvaluator(0.0, 0.0)
         d = reduce(Family.LORENTZ_SPACELIKE_AXIS, 1.0)
         with pytest.raises(SingularError):
             WpEvaluator(d.g2, d.g3)
+
+    @pytest.mark.parametrize("g2, g3", [(1e-300, 0.0), (0.0, 1e-200),
+                                        (-5e-324, 5e-324), (1e-120, 1e-160)])
+    def test_invariants_below_the_float_range_are_a_range_error(self, g2,
+                                                                 g3):
+        with pytest.raises(RangeError, match="underflows"):
+            WpEvaluator(g2, g3)
 
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
@@ -307,6 +321,36 @@ class TestWp:
         ps, _ = scaled.wp(t * z)
         assert ps == pytest.approx(p / t ** 2, rel=1e-9)
 
+    # The lattice scaled by 1/t has invariants (t^4 g2, t^6 g3) (DLMF 23.10):
+    # omega t, t^-2 P(z/t) and t P^-1(t^2 w) are the unscaled values. A
+    # RangeError only where max(|g2|^3, 27 g3^2) leaves 2^-1000..2^1000.
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([(G2_A, G3_A), (4.0, 0.0), (4.0, 1.0),
+                            _reduced(Family.EUCLIDEAN, -0.3),
+                            _reduced(Family.LORENTZ_SPACELIKE_AXIS, 0.5)]),
+           st.integers(-60, 60), st.floats(0.05, 0.95), st.floats(-3, 3))
+    # (4e-8, 1e-12): disc / max(|g2|^3, 27 g3^2) = 37/64, once "singular".
+    @example(g=(4.0, 1.0), k=-4, frac=0.5, log_off=0.0)
+    def test_homogeneity_over_the_float_range(self, g, k, frac, log_off):
+        t, base = 10.0 ** (k / 2), WpEvaluator(*g)
+        g2, g3 = t ** 4 * g[0], t ** 6 * g[1]
+        try:
+            ev = WpEvaluator(g2, g3)
+        except RangeError:
+            log2_scale = max(3 * math.log2(abs(g2)) if g2 else -math.inf,
+                             math.log2(27) + 2 * math.log2(abs(g3)) if g3
+                             else -math.inf)
+            assert not -1000 < log2_scale < 1000, (g2, g3)
+            return
+        assert ev.omega * t == pytest.approx(base.omega, rel=1e-13)
+        z = frac * base.omega
+        p = base.wp(z)[0]
+        scale = max(abs(p), abs(base.e_max))
+        assert abs(ev.wp(z / t)[0] / t ** 2 - p) <= 1e-13 * scale
+        w = base.e_max + 10.0 ** log_off
+        assert t * ev.wp_inverse(t * t * w) == pytest.approx(
+            base.wp_inverse(w), rel=1e-13)
+
     def test_monotone_decreasing_on_real_branch(self, ev_a):
         zs = [0.1 + 0.18 * i for i in range(10)]
         ps = [ev_a.wp(z)[0] for z in zs]
@@ -327,11 +371,6 @@ class TestWp:
                 ev.wp(x)
         with pytest.raises(AccuracyError):  # a pole-free stretch past it
             ev.wp_integral(far + 0.3 * ev.omega, far + 0.6 * ev.omega)
-
-
-def _reduced(family, log_b):
-    d = reduce(family, 10.0 ** log_b)
-    return d.g2, d.g3
 
 
 def _pair(e1, q):
